@@ -14,9 +14,9 @@ use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::CsiRecord;
 use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig};
 use occusense_wire::{
-    connect, decode_frame, loopback, tcp_connect, tcp_listen, BatchFrame, BatchView, ClientEvent,
-    Encoder, Frame, Gateway, GatewayConfig, LoopbackConfig, RecordFrame, TcpConfig, WireReceiver,
-    WireSender, DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
+    decode_frame, loopback, tcp_connect, tcp_listen, BatchFrame, BatchView, ClientEvent, Encoder,
+    Frame, Gateway, GatewayConfig, LoopbackConfig, RecordFrame, TcpConfig, WireClient,
+    DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -102,10 +102,10 @@ fn bench_codec(c: &mut Criterion) {
 /// One wire round trip: send a record, block until its prediction
 /// comes back. The gateway and connection persist across iterations,
 /// so this measures steady-state per-record latency, not setup.
-fn round_trip(tx: &mut WireSender, rx: &mut WireReceiver, record: CsiRecord) -> u64 {
-    let seq = tx.send(record, None).expect("send");
+fn round_trip(client: &mut WireClient, record: CsiRecord) -> u64 {
+    let seq = client.send(record, None).expect("send");
     loop {
-        match rx.recv().expect("recv") {
+        match client.recv(Duration::from_millis(50)).expect("recv") {
             ClientEvent::Prediction(p) => {
                 assert_eq!(p.seq, seq);
                 return p.proba.to_bits();
@@ -143,12 +143,12 @@ fn bench_loopback_round_trip(c: &mut Criterion) {
     )
     .expect("gateway");
     let conn = connector.connect().expect("connect");
-    let (mut tx, mut rx) =
-        connect(conn, "bench-loopback", Duration::from_secs(5)).expect("handshake");
+    let mut client =
+        WireClient::connect(conn, "", "bench-loopback", Duration::from_secs(5)).expect("handshake");
     c.bench_function("wire_round_trip/loopback", |b| {
-        b.iter(|| black_box(round_trip(&mut tx, &mut rx, black_box(record))));
+        b.iter(|| black_box(round_trip(&mut client, black_box(record))));
     });
-    drop((tx, rx));
+    drop(client);
     let report = gateway.shutdown();
     assert_eq!(report.unaccounted_records(), 0);
 }
@@ -164,11 +164,12 @@ fn bench_tcp_round_trip(c: &mut Criterion) {
     )
     .expect("gateway");
     let conn = tcp_connect(&addr.to_string(), TcpConfig::default()).expect("connect");
-    let (mut tx, mut rx) = connect(conn, "bench-tcp", Duration::from_secs(5)).expect("handshake");
+    let mut client =
+        WireClient::connect(conn, "", "bench-tcp", Duration::from_secs(5)).expect("handshake");
     c.bench_function("wire_round_trip/tcp_localhost", |b| {
-        b.iter(|| black_box(round_trip(&mut tx, &mut rx, black_box(record))));
+        b.iter(|| black_box(round_trip(&mut client, black_box(record))));
     });
-    drop((tx, rx));
+    drop(client);
     let report = gateway.shutdown();
     assert_eq!(report.unaccounted_records(), 0);
 }

@@ -28,7 +28,11 @@ fn load(path: &str) -> Result<Vec<BenchResult>, String> {
 
 /// Gates one `(baseline, current)` pair, printing the comparison
 /// table. Returns the pair's failure messages (empty = pass).
-fn gate_pair(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<Vec<String>, String> {
+fn gate_pair(
+    baseline_path: &str,
+    current_path: &str,
+    tolerance: f64,
+) -> Result<Vec<String>, String> {
     let baseline = load(baseline_path)?;
     let current = load(current_path)?;
 

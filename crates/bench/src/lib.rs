@@ -22,6 +22,15 @@ pub mod gate;
 use occusense_core::experiments::ExperimentConfig;
 use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::Dataset;
+use std::fmt;
+
+/// Usage text every `repro_*` binary prints when its flags are refused.
+pub const USAGE: &str = "common flags of the occusense repro binaries
+
+  --rate HZ          CSI sampling rate of the simulated campaign (default 2.0)
+  --seed S           master scenario seed (default 0)
+  --train-cap N      stratified cap on model training sets (default 40000)
+  --epochs N         MLP/NN training epochs (default 10)";
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,36 +56,71 @@ impl Default for Cli {
     }
 }
 
+/// Why [`Cli::parse`] refused a command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A flag the repro binaries do not know.
+    UnknownFlag(String),
+    /// A flag given last, without its value.
+    MissingValue(String),
+    /// A value that does not parse as its flag's type.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The value as given.
+        value: String,
+    },
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
+            CliError::MissingValue(flag) => write!(f, "missing value for {flag}"),
+            CliError::BadValue { flag, value } => write!(f, "bad value {value:?} for {flag}"),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
 impl Cli {
     /// Parses `std::env::args()`-style arguments.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed flags.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// A [`CliError`] naming the unknown flag, the flag missing its
+    /// value, or the value that does not parse.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, CliError> {
+        fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, CliError> {
+            let raw = raw.ok_or_else(|| CliError::MissingValue(flag.to_string()))?;
+            raw.parse().map_err(|_| CliError::BadValue {
+                flag: flag.to_string(),
+                value: raw,
+            })
+        }
         let mut cli = Cli::default();
-        let mut args = args.peekable();
+        let mut args = args;
         while let Some(flag) = args.next() {
-            let mut value = |what: &str| -> String {
-                args.next()
-                    .unwrap_or_else(|| panic!("flag {what} needs a value"))
-            };
             match flag.as_str() {
-                "--rate" => cli.rate_hz = value("--rate").parse().expect("bad --rate"),
-                "--seed" => cli.seed = value("--seed").parse().expect("bad --seed"),
-                "--train-cap" => {
-                    cli.train_cap = value("--train-cap").parse().expect("bad --train-cap")
-                }
-                "--epochs" => cli.epochs = value("--epochs").parse().expect("bad --epochs"),
-                other => panic!("unknown flag '{other}' (see crate docs for usage)"),
+                "--rate" => cli.rate_hz = value(&flag, args.next())?,
+                "--seed" => cli.seed = value(&flag, args.next())?,
+                "--train-cap" => cli.train_cap = value(&flag, args.next())?,
+                "--epochs" => cli.epochs = value(&flag, args.next())?,
+                _ => return Err(CliError::UnknownFlag(flag)),
             }
         }
-        cli
+        Ok(cli)
     }
 
-    /// Parses the process arguments (skipping the binary name).
+    /// Parses the process arguments (skipping the binary name). On a
+    /// refused command line, prints the reason and [`USAGE`] and exits
+    /// with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n\n{USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// The experiment configuration implied by these options.
@@ -119,13 +163,13 @@ pub fn pct(fraction: f64) -> String {
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Cli {
+    fn parse(s: &[&str]) -> Result<Cli, CliError> {
         Cli::parse(s.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults_when_no_flags() {
-        let cli = parse(&[]);
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli, Cli::default());
     }
 
@@ -140,7 +184,8 @@ mod tests {
             "1000",
             "--epochs",
             "3",
-        ]);
+        ])
+        .unwrap();
         assert_eq!(cli.rate_hz, 0.5);
         assert_eq!(cli.seed, 9);
         assert_eq!(cli.train_cap, 1000);
@@ -148,14 +193,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
     fn rejects_unknown_flags() {
-        parse(&["--frobnicate"]);
+        assert_eq!(
+            parse(&["--seed", "1", "--frobnicate"]),
+            Err(CliError::UnknownFlag("--frobnicate".into()))
+        );
+    }
+
+    #[test]
+    fn rejects_flags_missing_their_value() {
+        assert_eq!(
+            parse(&["--epochs"]),
+            Err(CliError::MissingValue("--epochs".into()))
+        );
+    }
+
+    #[test]
+    fn rejects_unparsable_numbers() {
+        assert_eq!(
+            parse(&["--train-cap", "-3"]),
+            Err(CliError::BadValue {
+                flag: "--train-cap".into(),
+                value: "-3".into(),
+            })
+        );
+        assert!(matches!(
+            parse(&["--rate", "fast"]),
+            Err(CliError::BadValue { .. })
+        ));
     }
 
     #[test]
     fn experiment_config_propagates() {
-        let cli = parse(&["--train-cap", "123", "--epochs", "4"]);
+        let cli = parse(&["--train-cap", "123", "--epochs", "4"]).unwrap();
         let cfg = cli.experiment_config();
         assert_eq!(cfg.max_train_samples, 123);
         assert_eq!(cfg.epochs, 4);

@@ -30,8 +30,7 @@ use occusense_fleet::{
 use occusense_serve::BackpressurePolicy;
 use occusense_sim::{FleetScenario, BASELINE_SENSOR};
 use occusense_wire::{
-    connect_tenant, tcp_connect, ClientEvent, NackReason, PredictionFrame, TcpConfig, WireError,
-    WireSender,
+    tcp_connect, ClientEvent, NackReason, PredictionFrame, TcpConfig, WireClient, WireError,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -149,7 +148,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--procs" => args.procs = parse_value(&raw, "--procs")?,
             "--sensors" => args.sensors = parse_value(&raw, "--sensors")?,
             "--records" => args.records = parse_value(&raw, "--records")?,
-            "--baseline-records" => args.baseline_records = parse_value(&raw, "--baseline-records")?,
+            "--baseline-records" => {
+                args.baseline_records = parse_value(&raw, "--baseline-records")?
+            }
             "--window" => args.window = parse_value(&raw, "--window")?,
             "--hb-ms" => args.hb_ms = parse_value(&raw, "--hb-ms")?,
             "--seed" => args.seed = parse_value(&raw, "--seed")?,
@@ -211,14 +212,16 @@ enum PumpEnd {
     ConnDead(String),
 }
 
+/// How long one `recv` waits before the stall clock is checked.
+const RECV_WAIT: Duration = Duration::from_millis(50);
+
 /// Drives one connection's windowed send/recv pump until either the
-/// goodbye exchange completes or the connection dies. Single-threaded
-/// by design: the in-flight window stays far below every queue
-/// capacity, so send can never deadlock against an unread prediction.
+/// goodbye exchange completes or the connection dies. Single-threaded:
+/// the client reads on every send, and the in-flight window stays far
+/// below every queue capacity.
 #[allow(clippy::too_many_arguments)]
 fn pump(
-    mut tx: Option<WireSender>,
-    rx: &mut occusense_wire::WireReceiver,
+    client: &mut WireClient,
     records: &[CsiRecord],
     next: &mut usize,
     slots: &mut [Slot],
@@ -232,12 +235,12 @@ fn pump(
     let mut last_event = Instant::now();
     let mut finished = false;
     loop {
-        if let Some(sender) = tx.as_mut() {
+        if !finished {
             while pending.len() < window && *next < records.len() {
                 let Some(record) = records.get(*next) else {
                     break;
                 };
-                match sender.send(*record, None) {
+                match client.send(*record, None) {
                     Ok(seq) => {
                         pending.insert(seq, (*next, Instant::now()));
                         if let Some(slot) = slots.get_mut(*next) {
@@ -249,14 +252,13 @@ fn pump(
                 }
             }
             if *next >= records.len() && pending.is_empty() {
-                let sender = tx.take().expect("checked Some above");
-                if let Err(e) = sender.finish() {
+                if let Err(e) = client.finish() {
                     return PumpEnd::ConnDead(format!("goodbye: {e}"));
                 }
                 finished = true;
             }
         }
-        match rx.recv() {
+        match client.recv(RECV_WAIT) {
             Ok(ClientEvent::Prediction(p)) => {
                 last_event = Instant::now();
                 match pending.remove(&p.seq) {
@@ -273,17 +275,15 @@ fn pump(
             Ok(ClientEvent::Nack(n)) => {
                 last_event = Instant::now();
                 match n.reason {
-                    NackReason::QueueFull | NackReason::Shutdown => {
-                        match pending.remove(&n.seq) {
-                            Some((idx, _)) => {
-                                if let Some(slot) = slots.get_mut(idx) {
-                                    *slot = Slot::Nacked;
-                                }
-                                progress.fetch_add(1, Ordering::Relaxed);
+                    NackReason::QueueFull | NackReason::Shutdown => match pending.remove(&n.seq) {
+                        Some((idx, _)) => {
+                            if let Some(slot) = slots.get_mut(idx) {
+                                *slot = Slot::Nacked;
                             }
-                            None => *duplicates += 1,
+                            progress.fetch_add(1, Ordering::Relaxed);
                         }
-                    }
+                        None => *duplicates += 1,
+                    },
                     reason => {
                         return PumpEnd::ConnDead(format!("fatal NACK: {reason}"));
                     }
@@ -316,7 +316,8 @@ fn pump(
 /// One sensor's whole life: place → connect → pump, re-booking
 /// in-flight records as shed and re-placing onto a survivor whenever
 /// the connection (or its worker) dies.
-fn run_sensor(
+#[allow(clippy::too_many_arguments)]
+fn drive_sensor(
     tenant_idx: usize,
     tenant_id: &str,
     sensor_idx: usize,
@@ -383,18 +384,19 @@ fn run_sensor(
                 continue;
             }
         };
-        let (tx, mut rx) = match connect_tenant(conn, tenant_id, &sensor_name, Duration::from_secs(10)) {
-            Ok(split) => split,
-            Err(WireError::Refused(NackReason::Shutdown)) => {
-                // Draining gateway: retryable by contract.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
+        let mut client =
+            match WireClient::connect(conn, tenant_id, &sensor_name, Duration::from_secs(10)) {
+                Ok(client) => client,
+                Err(WireError::Refused(NackReason::Shutdown)) => {
+                    // Draining gateway: retryable by contract.
+                    std::thread::sleep(Duration::from_millis(50));
+                    continue;
+                }
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(50));
+                    continue;
+                }
+            };
         if had_conn {
             outcome.reconnects += 1;
         }
@@ -405,8 +407,7 @@ fn run_sensor(
         }
         let mut pending: BTreeMap<u64, (usize, Instant)> = BTreeMap::new();
         let end = pump(
-            Some(tx),
-            &mut rx,
+            &mut client,
             &outcome.records,
             &mut next,
             &mut outcome.slots,
@@ -556,13 +557,13 @@ fn verify(
         .get("tenant-0")
         .map_or(0, |r| r.records_rejected());
     if nacked_t0 == 0 && rejected_t0 == 0 {
-        failures.push(
-            "tenant-0 produced no QueueFull sheds (queue never saturated?)".to_string(),
-        );
+        failures.push("tenant-0 produced no QueueFull sheds (queue never saturated?)".to_string());
     }
     let unaccounted = report.unaccounted_records();
     if unaccounted != 0 {
-        failures.push(format!("fleet residue open: {unaccounted} records unaccounted"));
+        failures.push(format!(
+            "fleet residue open: {unaccounted} records unaccounted"
+        ));
     }
     for (&tenant, lat) in latencies {
         let budget = (2 * lat.baseline_p99_ns).max(args.p99_floor_ms * 1_000_000);
@@ -625,12 +626,16 @@ fn main() {
         }
     };
 
-    let worker_bin = args.worker_bin.clone().map(PathBuf::from).unwrap_or_else(|| {
-        std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("fleet_worker")))
-            .unwrap_or_else(|| PathBuf::from("fleet_worker"))
-    });
+    let worker_bin = args
+        .worker_bin
+        .clone()
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            std::env::current_exe()
+                .ok()
+                .and_then(|p| p.parent().map(|d| d.join("fleet_worker")))
+                .unwrap_or_else(|| PathBuf::from("fleet_worker"))
+        });
 
     // Tenant specs: tenant-0 is the saturated one — half the sensor
     // budget (admission shed) and a tiny RejectNewest queue (QueueFull
@@ -649,7 +654,10 @@ fn main() {
         let detector = bootstrap_detector(seed, FeatureView::Csi);
         let dir = lineage_root.join(&tenant);
         if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("fleet_storm: cannot create lineage dir {}: {e}", dir.display());
+            eprintln!(
+                "fleet_storm: cannot create lineage dir {}: {e}",
+                dir.display()
+            );
             std::process::exit(2);
         }
         if let Err(e) = save_detector_atomic(&checkpoint_path(&dir, 1), &detector) {
@@ -680,10 +688,8 @@ fn main() {
     // bitwise replay.
     let t0_dir = lineage_root.join("tenant-0");
     let polluted_path = checkpoint_path(&t0_dir, 2);
-    let quarantined_path = PathBuf::from(format!(
-        "{}.{QUARANTINE_SUFFIX}",
-        polluted_path.display()
-    ));
+    let quarantined_path =
+        PathBuf::from(format!("{}.{QUARANTINE_SUFFIX}", polluted_path.display()));
     eprintln!("polluting tenant-0 lineage with a wrong-architecture v2 checkpoint…");
     let pollutant = bootstrap_detector(args.seed + 999, FeatureView::Env);
     if let Err(e) = save_detector_atomic(&polluted_path, &pollutant) {
@@ -725,7 +731,7 @@ fn main() {
             .baseline_stream(t, args.baseline_records)
             .take(args.baseline_records)
             .collect();
-        let mut outcome = run_sensor(
+        let mut outcome = drive_sensor(
             t,
             &tenant,
             BASELINE_SENSOR as usize,
@@ -753,7 +759,10 @@ fn main() {
     }
     // Baseline placements were released; reset the load map so victim
     // choice reflects storm placements only.
-    worker_load.lock().unwrap_or_else(|p| p.into_inner()).clear();
+    worker_load
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .clear();
 
     eprintln!(
         "storming: {} tenants × {} sensors × {} records (window {}), tenant-0 saturated{}",
@@ -761,7 +770,11 @@ fn main() {
         args.sensors,
         args.records,
         args.window,
-        if args.kill_one { ", one worker to die" } else { "" }
+        if args.kill_one {
+            ", one worker to die"
+        } else {
+            ""
+        }
     );
     // Every sensor's replay source is materialised *before* the first
     // thread spawns: sensors must hit the fleet simultaneously, or
@@ -789,7 +802,16 @@ fn main() {
                 .name(format!("storm-t{t}-s{s}"))
                 .spawn(move || {
                     let tenant = format!("tenant-{t}");
-                    run_sensor(t, &tenant, s, records, &ctrl, &worker_load, window, &progress)
+                    drive_sensor(
+                        t,
+                        &tenant,
+                        s,
+                        records,
+                        &ctrl,
+                        &worker_load,
+                        window,
+                        &progress,
+                    )
                 })
                 .expect("spawn sensor thread")
         })

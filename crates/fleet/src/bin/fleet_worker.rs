@@ -79,7 +79,7 @@ struct Args {
 
 /// The `--tenant` group a per-tenant flag applies to.
 fn tenant_scope<'a>(
-    tenants: &'a mut Vec<TenantArgs>,
+    tenants: &'a mut [TenantArgs],
     flag: &str,
 ) -> Result<&'a mut TenantArgs, String> {
     tenants

@@ -11,11 +11,11 @@
 //! survivor), and its in-flight records are the driver's to re-book as
 //! shed — the roll-up's `rebooked_shed` lane.
 
+use crate::protocol::CMD_DRAIN;
 use crate::registry::{TenantRegistry, TenantSpec};
 use crate::report::FleetReport;
 use crate::ring::HashRing;
 use crate::supervisor::{WorkerError, WorkerHandle};
-use crate::protocol::CMD_DRAIN;
 use occusense_serve::BackpressurePolicy;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -94,7 +94,10 @@ impl fmt::Display for PlaceError {
         match self {
             PlaceError::UnknownTenant { tenant } => write!(f, "unknown tenant {tenant:?}"),
             PlaceError::Saturated { active, cap } => {
-                write!(f, "tenant saturated: {active} of {cap} sensor placements in use")
+                write!(
+                    f,
+                    "tenant saturated: {active} of {cap} sensor placements in use"
+                )
             }
             PlaceError::NoWorkers => write!(f, "no live workers"),
         }
@@ -202,8 +205,8 @@ impl FleetController {
         let mut ring = HashRing::new(config.vnodes);
         for i in 0..config.procs {
             let name = format!("worker-{i}");
-            let handle = WorkerHandle::spawn(&name, &config.worker_bin, &args)
-                .map_err(FleetError::Spawn)?;
+            let handle =
+                WorkerHandle::spawn(&name, &config.worker_bin, &args).map_err(FleetError::Spawn)?;
             workers.push(WorkerSlot {
                 handle: Some(handle),
                 ports: BTreeMap::new(),

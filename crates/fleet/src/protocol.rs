@@ -191,10 +191,7 @@ mod tests {
         let mut ports = BTreeMap::new();
         ports.insert("t0".to_string(), "127.0.0.1:4421".to_string());
         ports.insert("t1".to_string(), "127.0.0.1:4422".to_string());
-        assert_eq!(
-            p.feed(&ready_line(&ports)),
-            Some(WorkerEvent::Ready(ports))
-        );
+        assert_eq!(p.feed(&ready_line(&ports)), Some(WorkerEvent::Ready(ports)));
         assert_eq!(p.feed("HB 17"), Some(WorkerEvent::Heartbeat(17)));
         assert_eq!(
             p.feed("DRAINING t0 3"),

@@ -64,7 +64,10 @@ impl TenantRollup {
 
     /// Summed accounting residue of the collected reports.
     pub fn unaccounted_records(&self) -> i64 {
-        self.reports.iter().map(ServeReport::unaccounted_records).sum()
+        self.reports
+            .iter()
+            .map(ServeReport::unaccounted_records)
+            .sum()
     }
 }
 
@@ -144,7 +147,11 @@ impl fmt::Display for FleetReport {
             "admission shed {} placements · rebooked as shed {} · unresolved {} · truncated reports {}",
             self.placements_shed, self.rebooked_shed, self.unresolved_records, self.truncated_reports
         )?;
-        writeln!(f, "fleet unaccounted records: {}", self.unaccounted_records())
+        writeln!(
+            f,
+            "fleet unaccounted records: {}",
+            self.unaccounted_records()
+        )
     }
 }
 

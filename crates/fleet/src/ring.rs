@@ -70,11 +70,7 @@ impl HashRing {
     /// Removes `node`, returning whether it was present. Surviving
     /// assignments are untouched; only keys owned by `node` remap.
     pub fn remove(&mut self, node: &str) -> bool {
-        let Some(index) = self
-            .nodes
-            .iter()
-            .position(|n| n.as_deref() == Some(node))
-        else {
+        let Some(index) = self.nodes.iter().position(|n| n.as_deref() == Some(node)) else {
             return false;
         };
         self.nodes[index] = None;

@@ -98,7 +98,9 @@ pub struct WorkerHandle {
 /// reader can leave behind is a stale snapshot — same failure mode as
 /// a wedged child, which every caller already tolerates.
 fn lock_state(state: &Mutex<WorkerState>) -> std::sync::MutexGuard<'_, WorkerState> {
-    state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    state
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl WorkerHandle {

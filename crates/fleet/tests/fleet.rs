@@ -9,7 +9,7 @@ use occusense_fleet::{
     TenantSpec, WorkerHandle,
 };
 use occusense_sim::fleet_stream;
-use occusense_wire::{connect_tenant, tcp_connect, ClientEvent, TcpConfig};
+use occusense_wire::{tcp_connect, ClientEvent, TcpConfig, WireClient};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -19,22 +19,24 @@ fn worker_bin() -> PathBuf {
 
 fn stream(seed: u64, sensor: u64, n: usize) -> Vec<CsiRecord> {
     // Over-provision the simulated duration; `take` trims exactly.
-    fleet_stream(n as f64 / 10.0 + 5.0, seed, sensor).take(n).collect()
+    fleet_stream(n as f64 / 10.0 + 5.0, seed, sensor)
+        .take(n)
+        .collect()
 }
 
 /// Scores `records` through a live worker gateway at `addr`, returning
 /// `(occupied, proba bits)` per record in order.
 fn score_over_wire(addr: &str, tenant: &str, records: &[CsiRecord]) -> Vec<(u8, u64)> {
     let conn = tcp_connect(addr, TcpConfig::default()).expect("dial worker");
-    let (mut tx, mut rx) =
-        connect_tenant(conn, tenant, "itest", Duration::from_secs(10)).expect("handshake");
+    let mut client =
+        WireClient::connect(conn, tenant, "itest", Duration::from_secs(10)).expect("handshake");
     for r in records {
-        tx.send(*r, None).expect("send");
+        client.send(*r, None).expect("send");
     }
-    tx.finish().expect("goodbye");
+    client.finish().expect("goodbye");
     let mut preds: Vec<(u64, u8, u64)> = Vec::new();
     loop {
-        match rx.recv().expect("recv") {
+        match client.recv(Duration::from_millis(50)).expect("recv") {
             ClientEvent::Prediction(p) => preds.push((p.seq, p.occupied, p.proba.to_bits())),
             ClientEvent::Nack(n) => panic!("unexpected NACK: {:?}", n.reason),
             ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
@@ -53,8 +55,20 @@ fn score_over_wire(addr: &str, tenant: &str, records: &[CsiRecord]) -> Vec<(u8, 
 #[test]
 fn worker_round_trip_serves_and_reports() {
     let args: Vec<String> = [
-        "--hb-ms", "50", "--shards", "2", "--tenant", "acme", "--features", "csi", "--seed",
-        "5", "--policy", "block", "--capacity", "64",
+        "--hb-ms",
+        "50",
+        "--shards",
+        "2",
+        "--tenant",
+        "acme",
+        "--features",
+        "csi",
+        "--seed",
+        "5",
+        "--policy",
+        "block",
+        "--capacity",
+        "64",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -71,7 +85,11 @@ fn worker_round_trip_serves_and_reports() {
     for (i, (record, &(occupied, proba_bits))) in records.iter().zip(&over_wire).enumerate() {
         let (want_occupied, want_proba) = local.predict_record(record);
         assert_eq!(occupied, want_occupied, "record {i}: occupancy differs");
-        assert_eq!(proba_bits, want_proba.to_bits(), "record {i}: proba differs");
+        assert_eq!(
+            proba_bits,
+            want_proba.to_bits(),
+            "record {i}: proba differs"
+        );
     }
 
     let stopped = worker.stop(Duration::from_secs(60));
@@ -116,7 +134,10 @@ fn controller_reroutes_after_kill_and_rolls_up() {
     assert_eq!(ctrl.live_workers(), 1);
 
     let second = ctrl.place("acme", "s0").expect("re-place after kill");
-    assert_ne!(second.worker, first.worker, "sensor must leave the dead worker");
+    assert_ne!(
+        second.worker, first.worker,
+        "sensor must leave the dead worker"
+    );
     assert_ne!(second.addr, first.addr);
 
     // The survivor actually serves the re-routed sensor.

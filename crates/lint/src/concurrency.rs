@@ -450,15 +450,11 @@ fn scan_file(
         {
             Some((code[i - 2].text.clone(), i))
         } else if next_is_call
-            && !prev_dot
             && summaries.contains_key(&tok.text)
             && !(i > 0 && code[i - 1].is_ident("fn"))
         {
-            Some((summaries[&tok.text].clone(), i))
-        } else if next_is_call
-            && prev_dot
-            && summaries.contains_key(&tok.text)
-        {
+            // A call of a guard-returning function, free or as a method
+            // (after a `.` the previous token is never `fn`).
             Some((summaries[&tok.text].clone(), i))
         } else {
             None
@@ -524,7 +520,8 @@ fn scan_file(
                         "`{}.{}` without an enclosing `while`/`loop` re-checking the predicate: \
                          condvar waits can wake spuriously, so an `if`-guarded or bare wait \
                          loses wakeups (or acts on a stale predicate)",
-                        code[i - 2].text, tok.text
+                        code[i - 2].text,
+                        tok.text
                     ),
                 ));
             }

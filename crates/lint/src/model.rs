@@ -246,7 +246,8 @@ impl Symbols {
     pub fn collect_aliases(&mut self, code: &[&Token]) {
         let mut i = 0;
         while i < code.len() {
-            if code[i].is_ident("type") && code.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident)
+            if code[i].is_ident("type")
+                && code.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident)
             {
                 let name = code[i + 1].text.clone();
                 let mut j = i + 2;
@@ -427,7 +428,10 @@ mod tests {
         let src = "struct S { a: u32 }\nfn g() { while let Some(v) = it.next() { use_(v); } }";
         let (_, t) = tree(src);
         let kinds: Vec<ScopeKind> = t.nodes.iter().map(|n| n.kind).collect();
-        assert_eq!(kinds, vec![ScopeKind::Block, ScopeKind::Fn, ScopeKind::While]);
+        assert_eq!(
+            kinds,
+            vec![ScopeKind::Block, ScopeKind::Fn, ScopeKind::While]
+        );
     }
 
     #[test]
@@ -436,11 +440,7 @@ mod tests {
         let (_, t) = tree(src);
         // trait body = Block, then b's Fn — a's `fn` must not claim
         // the trait's or b's braces.
-        let fns: Vec<_> = t
-            .nodes
-            .iter()
-            .filter(|n| n.kind == ScopeKind::Fn)
-            .collect();
+        let fns: Vec<_> = t.nodes.iter().filter(|n| n.kind == ScopeKind::Fn).collect();
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].fn_name.as_deref(), Some("b"));
     }

@@ -495,14 +495,16 @@ fn report_orders_by_path_then_offset_then_rule_and_json_is_stable() {
         d.offset = offset;
         d
     };
-    let mut report = occusense_lint::LintReport::default();
-    // Deliberately shuffled input.
-    report.diagnostics = vec![
-        mk("b.rs", 10, Rule::Panic),
-        mk("a.rs", 20, Rule::Swallow),
-        mk("a.rs", 5, Rule::Atomics),
-        mk("a.rs", 5, Rule::Panic),
-    ];
+    let mut report = occusense_lint::LintReport {
+        // Deliberately shuffled input.
+        diagnostics: vec![
+            mk("b.rs", 10, Rule::Panic),
+            mk("a.rs", 20, Rule::Swallow),
+            mk("a.rs", 5, Rule::Atomics),
+            mk("a.rs", 5, Rule::Panic),
+        ],
+        ..Default::default()
+    };
     report.normalize();
     let order: Vec<(&str, u32, Rule)> = report
         .diagnostics

@@ -60,10 +60,16 @@ impl fmt::Display for ReportParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReportParseError::BadVersion { found } => {
-                write!(f, "report version mismatch: expected {REPORT_WIRE_VERSION:?}, found {found:?}")
+                write!(
+                    f,
+                    "report version mismatch: expected {REPORT_WIRE_VERSION:?}, found {found:?}"
+                )
             }
             ReportParseError::BadField { expected, found } => {
-                write!(f, "expected report field {expected:?}, found line {found:?}")
+                write!(
+                    f,
+                    "expected report field {expected:?}, found line {found:?}"
+                )
             }
             ReportParseError::BadNumber { field, token } => {
                 write!(f, "bad number {token:?} in report field {field:?}")
@@ -131,9 +137,15 @@ impl ServeReport {
         out.push_str(REPORT_WIRE_VERSION);
         out.push('\n');
         out.push_str(&format!("tenant {}\n", escape(&self.tenant)));
-        out.push_str(&format!("elapsed_ns {}\n", self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64));
+        out.push_str(&format!(
+            "elapsed_ns {}\n",
+            self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
+        ));
         out.push_str(&format!("records_served {}\n", self.records_served));
-        out.push_str(&format!("throughput_rps {:016x}\n", self.throughput_rps.to_bits()));
+        out.push_str(&format!(
+            "throughput_rps {:016x}\n",
+            self.throughput_rps.to_bits()
+        ));
         out.push_str(&format!("latency_p50_ns {}\n", self.latency_p50_ns));
         out.push_str(&format!("latency_p95_ns {}\n", self.latency_p95_ns));
         out.push_str(&format!("latency_p99_ns {}\n", self.latency_p99_ns));
@@ -154,13 +166,22 @@ impl ServeReport {
         out.push_str(&format!("trainer_restarts {}\n", fr.trainer_restarts));
         out.push_str(&format!("poisoned_records {}\n", fr.poisoned_records));
         out.push_str(&format!("trainer_poisoned {}\n", fr.trainer_poisoned));
-        out.push_str(&format!("dead_letters_evicted {}\n", fr.dead_letters_evicted));
+        out.push_str(&format!(
+            "dead_letters_evicted {}\n",
+            fr.dead_letters_evicted
+        ));
         out.push_str(&format!("uncontained_panics {}\n", fr.uncontained_panics));
         out.push_str(&format!("checkpoints_written {}\n", fr.checkpoints_written));
         out.push_str(&format!("checkpoint_failures {}\n", fr.checkpoint_failures));
-        out.push_str(&format!("transport_rejections {}\n", fr.transport_rejections));
+        out.push_str(&format!(
+            "transport_rejections {}\n",
+            fr.transport_rejections
+        ));
         out.push_str(&format!("transport_timeouts {}\n", fr.transport_timeouts));
-        out.push_str(&format!("fault_connection_panics {}\n", fr.connection_panics));
+        out.push_str(&format!(
+            "fault_connection_panics {}\n",
+            fr.connection_panics
+        ));
         for p in &fr.panics {
             out.push_str(&format!("panic {}\n", escape(p)));
         }
@@ -242,9 +263,8 @@ impl ServeReport {
             rest: &str,
         ) -> Result<QueueCounters, ReportParseError> {
             let mut it = rest.split(' ');
-            let mut take = || -> Result<u64, ReportParseError> {
-                num(field, it.next().unwrap_or_default())
-            };
+            let mut take =
+                || -> Result<u64, ReportParseError> { num(field, it.next().unwrap_or_default()) };
             let q = QueueCounters {
                 pushed: take()?,
                 popped: take()?,
@@ -263,14 +283,9 @@ impl ServeReport {
         }
 
         let tenant = unescape(next_field(&mut lines, "tenant")?);
-        let elapsed = Duration::from_nanos(num(
-            "elapsed_ns",
-            next_field(&mut lines, "elapsed_ns")?,
-        )?);
-        let records_served = num(
-            "records_served",
-            next_field(&mut lines, "records_served")?,
-        )?;
+        let elapsed =
+            Duration::from_nanos(num("elapsed_ns", next_field(&mut lines, "elapsed_ns")?)?);
+        let records_served = num("records_served", next_field(&mut lines, "records_served")?)?;
         let rps_raw = next_field(&mut lines, "throughput_rps")?;
         let throughput_rps = f64::from_bits(u64::from_str_radix(rps_raw, 16).map_err(|_| {
             ReportParseError::BadNumber {
@@ -278,18 +293,9 @@ impl ServeReport {
                 token: rps_raw.to_string(),
             }
         })?);
-        let latency_p50_ns = num(
-            "latency_p50_ns",
-            next_field(&mut lines, "latency_p50_ns")?,
-        )?;
-        let latency_p95_ns = num(
-            "latency_p95_ns",
-            next_field(&mut lines, "latency_p95_ns")?,
-        )?;
-        let latency_p99_ns = num(
-            "latency_p99_ns",
-            next_field(&mut lines, "latency_p99_ns")?,
-        )?;
+        let latency_p50_ns = num("latency_p50_ns", next_field(&mut lines, "latency_p50_ns")?)?;
+        let latency_p95_ns = num("latency_p95_ns", next_field(&mut lines, "latency_p95_ns")?)?;
+        let latency_p99_ns = num("latency_p99_ns", next_field(&mut lines, "latency_p99_ns")?)?;
         let model_version = num("model_version", next_field(&mut lines, "model_version")?)?;
         let model_publishes = num(
             "model_publishes",
@@ -384,9 +390,8 @@ impl ServeReport {
 
         let wire_rest = next_field(&mut lines, "wire")?;
         let mut it = wire_rest.split(' ');
-        let mut take = || -> Result<u64, ReportParseError> {
-            num("wire", it.next().unwrap_or_default())
-        };
+        let mut take =
+            || -> Result<u64, ReportParseError> { num("wire", it.next().unwrap_or_default()) };
         let wire = WireCounters {
             connections: take()?,
             frames_received: take()?,

@@ -14,8 +14,8 @@
 //! budget) and assert it sheds while every other tenant stays within
 //! latency budget.
 
-use crate::stream::{fleet_stream, RecordStream};
 use crate::scenario::ScenarioConfig;
+use crate::stream::{fleet_stream, RecordStream};
 
 /// Sensor index reserved for unloaded-baseline probes, far outside the
 /// storm's `0..sensors_per_tenant` range so baseline streams never

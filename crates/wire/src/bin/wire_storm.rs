@@ -3,6 +3,11 @@
 //! and (with `--verify`) proves the delivered predictions bitwise
 //! identical to direct in-process scoring.
 //!
+//! Every sensor is one non-blocking [`WireClient`]; `--drivers`
+//! threads each sweep their share of the connections, so the sensor
+//! count is bounded by memory, not OS threads, and every delivered
+//! prediction also yields a round-trip latency sample.
+//!
 //! ```text
 //! cargo run --release -p occusense-wire --bin wire_storm -- \
 //!     --sensors 8 --records 5000 --transport loopback --verify
@@ -33,8 +38,8 @@ use occusense_dataset::CsiRecord;
 use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig, ServeReport};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
-    connect, loopback, tcp_connect, tcp_listen, ClientEvent, Connection, Encoder, Frame,
-    FrameBuffer, Gateway, GatewayConfig, LoopbackConfig, LoopbackConnector, TcpConfig, WireError,
+    loopback, tcp_connect, tcp_listen, ClientEvent, Connection, Gateway, GatewayConfig,
+    LoopbackConfig, LoopbackConnector, PredictionFrame, TcpConfig, WireClient, WireError,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,12 +64,8 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
   --capacity N          per-shard ingress queue capacity (default 1024)
   --seed S              fleet base seed; sensor i replays
                         fleet_stream(duration, seed, i) (default 100)
-  --mux                 drive every connection from a few non-blocking
-                        mux driver threads (FrameBuffer clients over
-                        the PollConn face) instead of two OS threads
-                        per sensor — the 10k-connection mode; also
-                        collects per-record round-trip latency
-  --drivers N           mux driver threads (default 1; needs --mux)
+  --drivers N           client driver threads; each sweeps its share
+                        of the non-blocking connections (default 1)
   --reactors N          gateway reactor threads (default 1)
   --json PATH           write a machine-readable soak summary (wall
                         time, throughput, RTT percentiles, counters)
@@ -95,7 +96,6 @@ struct Args {
     outbound_policy: BackpressurePolicy,
     capacity: usize,
     seed: u64,
-    mux: bool,
     drivers: usize,
     reactors: usize,
     json: Option<String>,
@@ -125,7 +125,6 @@ impl Default for Args {
             outbound_policy: BackpressurePolicy::Block,
             capacity: 1024,
             seed: 100,
-            mux: false,
             drivers: 1,
             reactors: 1,
             json: None,
@@ -162,10 +161,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         }
         if flag == "--verify" {
             args.verify = true;
-            continue;
-        }
-        if flag == "--mux" {
-            args.mux = true;
             continue;
         }
         if flag == "--temporal" {
@@ -245,186 +240,54 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// What one sensor thread brings home.
+/// What one sensor brings home.
 struct SensorOutcome {
     index: usize,
     shard: u32,
     records: Vec<CsiRecord>,
     sent: u64,
-    predictions: Vec<occusense_wire::PredictionFrame>,
+    predictions: Vec<PredictionFrame>,
     nacks: u64,
     errors: Vec<String>,
 }
 
-fn run_sensor(
-    index: usize,
-    conn: Box<dyn Connection>,
-    records: Vec<CsiRecord>,
-    wire_batch: usize,
-    progress: Arc<AtomicU64>,
-) -> SensorOutcome {
-    let mut outcome = SensorOutcome {
-        index,
-        shard: 0,
-        records,
-        sent: 0,
-        predictions: Vec::new(),
-        nacks: 0,
-        errors: Vec::new(),
-    };
-    let (mut tx, mut rx) = match connect(conn, &format!("sensor-{index}"), Duration::from_secs(10))
-    {
-        Ok(split) => split,
-        Err(e) => {
-            outcome.errors.push(format!("handshake: {e}"));
-            return outcome;
-        }
-    };
-    outcome.shard = rx.shard();
-
-    // Receiver thread: drain until the gateway's Goodbye (or a stall).
-    let reader = std::thread::spawn(move || {
-        let mut predictions = Vec::new();
-        let mut nacks = 0u64;
-        let mut errors = Vec::new();
-        let stall_limit = Duration::from_secs(15);
-        let mut last_event = Instant::now();
-        loop {
-            match rx.recv() {
-                Ok(ClientEvent::Prediction(p)) => {
-                    predictions.push(p);
-                    progress.fetch_add(1, Ordering::Relaxed);
-                    last_event = Instant::now();
-                }
-                Ok(ClientEvent::Nack(_)) => {
-                    nacks += 1;
-                    last_event = Instant::now();
-                }
-                Ok(ClientEvent::Goodbye(_)) | Ok(ClientEvent::Closed) => break,
-                Ok(ClientEvent::TimedOut) => {
-                    if last_event.elapsed() > stall_limit {
-                        errors.push("receiver stalled past the 15 s limit".to_string());
-                        break;
-                    }
-                }
-                Err(e) => {
-                    errors.push(format!("receive: {e}"));
-                    break;
-                }
-            }
-        }
-        (predictions, nacks, errors)
-    });
-
-    // Sender: labelled on even sequence numbers (exercises both label
-    // encodings), batched per --wire-batch.
-    let labelled: Vec<(CsiRecord, Option<u8>)> = outcome
-        .records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (*r, (i % 2 == 0).then(|| r.occupancy())))
-        .collect();
-    let mut send_failed = false;
-    if wire_batch <= 1 {
-        for (record, label) in &labelled {
-            if let Err(e) = tx.send(*record, *label) {
-                outcome.errors.push(format!("send: {e}"));
-                send_failed = true;
-                break;
-            }
-        }
-    } else {
-        for chunk in labelled.chunks(wire_batch) {
-            if let Err(e) = tx.send_batch(chunk) {
-                outcome.errors.push(format!("send batch: {e}"));
-                send_failed = true;
-                break;
-            }
+impl SensorOutcome {
+    fn new(index: usize, records: Vec<CsiRecord>) -> Self {
+        Self {
+            index,
+            shard: 0,
+            records,
+            sent: 0,
+            predictions: Vec::new(),
+            nacks: 0,
+            errors: Vec::new(),
         }
     }
-    if !send_failed {
-        match tx.finish() {
-            Ok(sent) => outcome.sent = sent,
-            Err(e) => outcome.errors.push(format!("goodbye: {e}")),
-        }
-    }
-
-    match reader.join() {
-        Ok((predictions, nacks, errors)) => {
-            outcome.predictions = predictions;
-            outcome.nacks = nacks;
-            outcome.errors.extend(errors);
-        }
-        Err(_) => outcome.errors.push("receiver thread panicked".to_string()),
-    }
-    outcome
 }
 
-/// Client-side lifecycle of one multiplexed connection.
-enum MuxState {
-    /// `Hello` queued; waiting for the gateway's `HelloAck`.
-    AwaitAck,
-    /// Streaming `Record`/`Batch` frames.
-    Streaming,
-    /// `Goodbye` queued; collecting remaining predictions until the
-    /// gateway's own `Goodbye`.
-    Draining,
-}
-
-/// One non-blocking sensor connection inside a mux driver: the
-/// client-side mirror of the gateway's reactor connections, built on
-/// the same [`FrameBuffer`] parser over the [`PollConn`] face. A
-/// driver thread sweeps thousands of these — no per-sensor OS
-/// threads, which is what makes the 10k-connection soak runnable.
-struct MuxConn {
-    index: usize,
-    io: Box<dyn occusense_wire::PollConn>,
-    inbuf: FrameBuffer,
-    out: Vec<u8>,
-    out_pos: usize,
-    encoder: Encoder,
-    state: MuxState,
-    records: Vec<CsiRecord>,
+/// One sensor inside a driver thread: a non-blocking [`WireClient`]
+/// replaying its records one frame at a time. A driver sweeps
+/// thousands of these — no per-sensor OS threads, which is what makes
+/// the 10k-connection soak runnable.
+struct Sensor {
+    client: WireClient,
+    outcome: SensorOutcome,
     next: usize,
-    shard: u32,
-    sent: u64,
-    predictions: Vec<occusense_wire::PredictionFrame>,
-    nacks: u64,
-    errors: Vec<String>,
     /// Enqueue instant per seq — RTT is measured from the moment the
-    /// record entered the client's outbound buffer.
+    /// record was handed to the client.
     sent_at: Vec<Instant>,
     /// Round-trip nanoseconds, one per delivered prediction.
     rtts: Vec<u64>,
     done: bool,
 }
 
-impl MuxConn {
-    fn new(index: usize, io: Box<dyn occusense_wire::PollConn>, records: Vec<CsiRecord>) -> Self {
-        let mut encoder = Encoder::default();
-        let out = encoder
-            .encode(&Frame::Hello(occusense_wire::Hello {
-                protocol: occusense_wire::PROTOCOL_VERSION,
-                sensor_id: format!("sensor-{index}"),
-                tenant: String::new(),
-            }))
-            .expect("short sensor ids always encode");
-        let expected = records.len();
+impl Sensor {
+    fn new(client: WireClient, outcome: SensorOutcome) -> Self {
+        let expected = outcome.records.len();
         Self {
-            index,
-            io,
-            inbuf: FrameBuffer::new(occusense_wire::DEFAULT_MAX_PAYLOAD),
-            out,
-            out_pos: 0,
-            encoder,
-            state: MuxState::AwaitAck,
-            records,
+            client,
+            outcome,
             next: 0,
-            shard: 0,
-            sent: 0,
-            predictions: Vec::new(),
-            nacks: 0,
-            errors: Vec::new(),
             sent_at: Vec::with_capacity(expected),
             rtts: Vec::with_capacity(expected),
             done: false,
@@ -432,216 +295,92 @@ impl MuxConn {
     }
 
     fn fail(&mut self, message: String) {
-        self.errors.push(message);
+        self.outcome.errors.push(message);
         self.done = true;
     }
 
-    /// Queues the next chunk of records (or the `Goodbye`) once the
-    /// previous encoding has fully left the socket.
-    fn refill(&mut self, wire_batch: usize) {
-        if !self.out.is_empty() || !matches!(self.state, MuxState::Streaming) {
-            return;
-        }
-        let frame = if self.next < self.records.len() {
-            let chunk = if wire_batch <= 1 { 1 } else { wire_batch };
-            let end = (self.next + chunk).min(self.records.len());
-            let now = Instant::now();
-            for _ in self.next..end {
-                self.sent_at.push(now);
-            }
-            let frame = if wire_batch <= 1 {
-                let record = self.records[self.next];
-                Frame::Record(occusense_wire::RecordFrame {
-                    seq: self.next as u64,
-                    label: (self.next.is_multiple_of(2)).then(|| record.occupancy()),
-                    record,
-                })
-            } else {
-                let records: Vec<(CsiRecord, Option<u8>)> = self.records[self.next..end]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, r)| {
-                        (
-                            *r,
-                            ((self.next + k).is_multiple_of(2)).then(|| r.occupancy()),
-                        )
-                    })
-                    .collect();
-                Frame::Batch(occusense_wire::BatchFrame {
-                    first_seq: self.next as u64,
-                    records,
-                })
-            };
-            self.next = end;
-            frame
-        } else {
-            self.sent = self.next as u64;
-            self.state = MuxState::Draining;
-            Frame::Goodbye(occusense_wire::Goodbye {
-                count: self.next as u64,
-            })
+    /// Sends the next `wire_batch` records — labelled on even sequence
+    /// numbers, so both label encodings are exercised — as one
+    /// `Record` frame (`wire_batch` 1) or one `Batch` frame.
+    fn send_chunk(&mut self, wire_batch: usize) -> Result<(), WireError> {
+        let records = &self.outcome.records;
+        let end = (self.next + wire_batch.max(1)).min(records.len());
+        let labelled: Vec<(CsiRecord, Option<u8>)> = records[self.next..end]
+            .iter()
+            .enumerate()
+            .map(|(k, r)| (*r, (self.next + k).is_multiple_of(2).then(|| r.occupancy())))
+            .collect();
+        self.sent_at.resize(end, Instant::now());
+        match labelled.as_slice() {
+            [(record, label)] if wire_batch <= 1 => self.client.send(*record, *label)?,
+            chunk => self.client.send_batch(chunk)?,
         };
-        match self.encoder.encode(&frame) {
-            Ok(bytes) => {
-                self.out = bytes;
-                self.out_pos = 0;
-            }
-            Err(e) => self.fail(format!("encode: {e}")),
-        }
+        self.next = end;
+        Ok(())
     }
 
-    /// Drains every complete frame currently buffered inbound.
-    fn parse(&mut self, progress: &AtomicU64) {
-        loop {
-            let (decoded, len) = match self.inbuf.peek() {
-                Ok(None) => break,
-                Err(e) => {
-                    self.fail(format!("decode: {e}"));
-                    break;
-                }
-                Ok(Some((header, payload))) => (
-                    occusense_wire::decode_payload(header.frame_type, payload),
-                    header.payload_len,
-                ),
+    /// One sweep: keep queueing frames (and finally the `Goodbye`) for
+    /// as long as each one leaves at once, pump, and take whatever
+    /// events arrived. Returns whether anything moved.
+    fn step(&mut self, wire_batch: usize, progress: &AtomicU64) -> bool {
+        let mut moved = false;
+        while self.client.is_ready() && self.client.backlog() == 0 {
+            let queued = if self.next < self.outcome.records.len() {
+                self.send_chunk(wire_batch)
+            } else {
+                self.client.finish().map(|sent| self.outcome.sent = sent)
             };
-            let frame = match decoded {
-                Ok(frame) => frame,
-                Err(e) => {
-                    self.fail(format!("decode payload: {e}"));
-                    break;
-                }
-            };
-            self.inbuf.consume(len);
-            match frame {
-                Frame::HelloAck(ack) => {
-                    self.shard = ack.shard;
-                    self.state = MuxState::Streaming;
-                }
-                Frame::Prediction(p) => {
+            if let Err(e) = queued {
+                self.fail(format!("send: {e}"));
+                return true;
+            }
+            moved = true;
+        }
+        match self.client.pump() {
+            Ok(pumped) => moved |= pumped,
+            Err(e) => {
+                self.fail(e.to_string());
+                return true;
+            }
+        }
+        self.outcome.shard = self.client.shard();
+        while let Some(event) = self.client.next_event() {
+            moved = true;
+            match event {
+                ClientEvent::Prediction(p) => {
                     if let Some(t) = self.sent_at.get(p.seq as usize) {
                         self.rtts.push(t.elapsed().as_nanos() as u64);
                     }
-                    self.predictions.push(p);
+                    self.outcome.predictions.push(p);
                     progress.fetch_add(1, Ordering::Relaxed);
                 }
-                Frame::Nack(n) => {
-                    if matches!(self.state, MuxState::AwaitAck) {
-                        self.fail(format!("handshake refused: {}", n.reason));
-                        break;
-                    }
-                    self.nacks += 1;
-                }
-                Frame::Goodbye(_) => {
-                    self.done = true;
-                    break;
-                }
-                _ => {
-                    self.fail("server sent a client-role frame".to_string());
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One sweep: flush pending bytes, queue the next chunk, read and
-    /// parse whatever arrived. Returns whether anything moved.
-    fn pump(&mut self, wire_batch: usize, progress: &AtomicU64) -> bool {
-        let mut moved = false;
-        loop {
-            while self.out_pos < self.out.len() {
-                match self
-                    .io
-                    .poll_write(&[std::io::IoSlice::new(&self.out[self.out_pos..])])
-                {
-                    Ok(occusense_wire::PollWrite::Wrote(n)) => {
-                        self.out_pos += n;
-                        moved = true;
-                    }
-                    Ok(occusense_wire::PollWrite::WouldBlock) => break,
-                    Err(e) => {
-                        self.fail(format!("write: {e}"));
-                        return true;
-                    }
-                }
-            }
-            if self.out_pos < self.out.len() {
-                break;
-            }
-            self.out.clear();
-            self.out_pos = 0;
-            self.refill(wire_batch);
-            if self.done || self.out.is_empty() {
-                break;
-            }
-        }
-        loop {
-            if self.done {
-                return true;
-            }
-            let read = {
-                let spare = self.inbuf.spare_mut();
-                if spare.is_empty() {
-                    break;
-                }
-                self.io.poll_read(spare)
-            };
-            match read {
-                Ok(occusense_wire::PollRead::Data(n)) => {
-                    self.inbuf.commit(n);
-                    moved = true;
-                    self.parse(progress);
-                }
-                Ok(occusense_wire::PollRead::WouldBlock) => break,
-                Ok(occusense_wire::PollRead::Eof) => {
+                ClientEvent::Nack(_) => self.outcome.nacks += 1,
+                ClientEvent::Goodbye(_) => self.done = true,
+                ClientEvent::Closed | ClientEvent::TimedOut => {
                     self.fail("server closed before its Goodbye".to_string());
-                    return true;
-                }
-                Err(e) => {
-                    self.fail(format!("read: {e}"));
-                    return true;
                 }
             }
         }
         moved
     }
-
-    fn into_outcome(self) -> (SensorOutcome, Vec<u64>) {
-        (
-            SensorOutcome {
-                index: self.index,
-                shard: self.shard,
-                records: self.records,
-                sent: self.sent,
-                predictions: self.predictions,
-                nacks: self.nacks,
-                errors: self.errors,
-            },
-            self.rtts,
-        )
-    }
 }
 
-/// Sweeps a set of mux connections until every one has finished (or
-/// the whole driver stalls past the limit).
-fn run_mux_driver(
-    mut conns: Vec<MuxConn>,
+/// Sweeps a set of sensors until every one has finished (or the whole
+/// driver stalls past the limit).
+fn run_driver(
+    mut sensors: Vec<Sensor>,
     wire_batch: usize,
     progress: Arc<AtomicU64>,
-) -> Vec<MuxConn> {
+) -> Vec<Sensor> {
     let stall_limit = Duration::from_secs(30);
     let mut last_progress = Instant::now();
     let mut idle: u32 = 0;
     loop {
         let mut moved = false;
         let mut open = 0usize;
-        for conn in conns.iter_mut() {
-            if conn.done {
-                continue;
-            }
+        for sensor in sensors.iter_mut().filter(|s| !s.done) {
             open += 1;
-            if conn.pump(wire_batch, &progress) {
-                moved = true;
-            }
+            moved |= sensor.step(wire_batch, &progress);
         }
         if open == 0 {
             break;
@@ -651,10 +390,8 @@ fn run_mux_driver(
             idle = 0;
         } else {
             if last_progress.elapsed() > stall_limit {
-                for conn in conns.iter_mut() {
-                    if !conn.done {
-                        conn.fail("mux driver stalled past the 30 s limit".to_string());
-                    }
+                for sensor in sensors.iter_mut().filter(|s| !s.done) {
+                    sensor.fail("driver stalled past the 30 s limit".to_string());
                 }
                 break;
             }
@@ -666,7 +403,7 @@ fn run_mux_driver(
             }
         }
     }
-    conns
+    sensors
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -789,7 +526,7 @@ fn verify_temporal_sensor(
     models: &BTreeMap<u64, TemporalDetector>,
     failures: &mut Vec<String>,
 ) {
-    let mut preds: Vec<&occusense_wire::PredictionFrame> = o.predictions.iter().collect();
+    let mut preds: Vec<&PredictionFrame> = o.predictions.iter().collect();
     preds.sort_by_key(|p| p.seq);
     let mut mismatches = 0usize;
     let mut last_version = 0u64;
@@ -925,7 +662,7 @@ fn main() {
     let gateway_cfg = GatewayConfig {
         outbound_policy: args.outbound_policy,
         reactors: args.reactors,
-        // At storm scale every connection is opened before the mux
+        // At storm scale every connection is opened before the
         // drivers start flushing Hellos, so the handshake deadline has
         // to cover the whole fleet's first sweep, not one socket.
         handshake_timeout: Duration::from_secs(5)
@@ -984,75 +721,39 @@ fn main() {
         args.wire_batch
     );
 
+    // Every connection is opened up front and swept by a few driver
+    // threads — no per-sensor OS threads, so 10k connections is just
+    // memory.
     let progress = Arc::new(AtomicU64::new(0));
+    let drivers = args.drivers.min(args.sensors).max(1);
     let mut failed: Vec<SensorOutcome> = Vec::new();
-    let running = if args.mux {
-        // Mux mode: every connection is flipped to its non-blocking
-        // face up front and swept by a few driver threads — no
-        // per-sensor OS threads, so 10k connections is just memory.
-        let drivers = args.drivers.min(args.sensors).max(1);
-        let mut driver_conns: Vec<Vec<MuxConn>> = (0..drivers).map(|_| Vec::new()).collect();
-        for (i, records) in fleets.into_iter().enumerate() {
-            match connectors.connect().and_then(|c| c.into_poll()) {
-                Ok(io) => driver_conns[i % drivers].push(MuxConn::new(i, io, records)),
-                Err(e) => failed.push(SensorOutcome {
-                    index: i,
-                    shard: 0,
-                    records,
-                    sent: 0,
-                    predictions: Vec::new(),
-                    nacks: 0,
-                    errors: vec![format!("connect: {e}")],
-                }),
-            }
+    let mut driver_sensors: Vec<Vec<Sensor>> = (0..drivers).map(|_| Vec::new()).collect();
+    for (i, records) in fleets.into_iter().enumerate() {
+        let outcome = SensorOutcome::new(i, records);
+        let opened = connectors
+            .connect()
+            .map_err(WireError::Transport)
+            .and_then(|conn| WireClient::open(conn, "", &format!("sensor-{i}")));
+        match opened {
+            Ok(client) => driver_sensors[i % drivers].push(Sensor::new(client, outcome)),
+            Err(e) => failed.push(SensorOutcome {
+                errors: vec![format!("connect: {e}")],
+                ..outcome
+            }),
         }
-        Running::Drivers(
-            driver_conns
-                .into_iter()
-                .enumerate()
-                .map(|(d, conns)| {
-                    let wire_batch = args.wire_batch;
-                    let progress = Arc::clone(&progress);
-                    std::thread::Builder::new()
-                        .name(format!("mux-driver-{d}"))
-                        .spawn(move || run_mux_driver(conns, wire_batch, progress))
-                        .expect("spawn mux driver")
-                })
-                .collect(),
-        )
-    } else {
-        Running::Threads(
-            fleets
-                .into_iter()
-                .enumerate()
-                .map(|(i, records)| {
-                    let connectors = connectors.clone();
-                    let wire_batch = args.wire_batch;
-                    let progress = Arc::clone(&progress);
-                    std::thread::Builder::new()
-                        .name(format!("storm-{i}"))
-                        .spawn(move || {
-                            let conn = match connectors.connect() {
-                                Ok(conn) => conn,
-                                Err(e) => {
-                                    return SensorOutcome {
-                                        index: i,
-                                        shard: 0,
-                                        records,
-                                        sent: 0,
-                                        predictions: Vec::new(),
-                                        nacks: 0,
-                                        errors: vec![format!("connect: {e}")],
-                                    }
-                                }
-                            };
-                            run_sensor(i, conn, records, wire_batch, progress)
-                        })
-                        .expect("spawn sensor thread")
-                })
-                .collect(),
-        )
-    };
+    }
+    let handles: Vec<_> = driver_sensors
+        .into_iter()
+        .enumerate()
+        .map(|(d, sensors)| {
+            let wire_batch = args.wire_batch;
+            let progress = Arc::clone(&progress);
+            std::thread::Builder::new()
+                .name(format!("storm-driver-{d}"))
+                .spawn(move || run_driver(sensors, wire_batch, progress))
+                .expect("spawn storm driver")
+        })
+        .collect();
 
     // The mid-storm hot swap: published once ~25% of the predictions
     // have been delivered, so it reliably lands mid-stream regardless
@@ -1077,21 +778,14 @@ fn main() {
     }
 
     let mut rtts: Vec<u64> = Vec::new();
-    let mut outcomes: Vec<SensorOutcome> = match running {
-        Running::Threads(handles) => handles
-            .into_iter()
-            .map(|h| h.join().expect("sensor thread panicked"))
-            .collect(),
-        Running::Drivers(handles) => handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("mux driver panicked"))
-            .map(|conn| {
-                let (outcome, conn_rtts) = conn.into_outcome();
-                rtts.extend(conn_rtts);
-                outcome
-            })
-            .collect(),
-    };
+    let mut outcomes: Vec<SensorOutcome> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("storm driver panicked"))
+        .map(|sensor| {
+            rtts.extend(sensor.rtts);
+            sensor.outcome
+        })
+        .collect();
     outcomes.append(&mut failed);
     outcomes.sort_by_key(|o| o.index);
     let report = gateway.shutdown();
@@ -1151,10 +845,8 @@ fn main() {
             .collect();
         eprintln!("predictions by model version: {}", summary.join(", "));
         if args.swap && args.verify && by_version.len() < 2 {
-            failures.push(
-                "--swap landed after every record was scored; raise --records or lower --swap-after-ms"
-                    .to_string(),
-            );
+            failures
+                .push("--swap landed after every record was scored; raise --records".to_string());
         }
     }
     if args.verify {
@@ -1182,7 +874,6 @@ fn main() {
                 "  \"sensors\": {},\n",
                 "  \"records_per_sensor\": {},\n",
                 "  \"transport\": \"{}\",\n",
-                "  \"mux\": {},\n",
                 "  \"drivers\": {},\n",
                 "  \"reactors\": {},\n",
                 "  \"wire_batch\": {},\n",
@@ -1206,7 +897,6 @@ fn main() {
                 Transport::Loopback => "loopback",
                 Transport::Tcp => "tcp",
             },
-            args.mux,
             args.drivers,
             args.reactors,
             args.wire_batch,
@@ -1239,15 +929,6 @@ fn main() {
     }
 }
 
-/// In-flight sensor work, per traffic mode.
-enum Running {
-    /// Thread-per-sensor (the pre-reactor client path, still the
-    /// default): one blocking sender + one reader thread per sensor.
-    Threads(Vec<std::thread::JoinHandle<SensorOutcome>>),
-    /// Mux drivers, each sweeping many non-blocking connections.
-    Drivers(Vec<std::thread::JoinHandle<Vec<MuxConn>>>),
-}
-
 /// Which model family boots the gateway's serving runtime. One
 /// instance exists per run, so the variant size gap is irrelevant.
 #[allow(clippy::large_enum_variant)]
@@ -1270,8 +951,7 @@ impl BootModel {
     }
 }
 
-/// Per-transport connection factory, cloneable into sensor threads.
-#[derive(Clone)]
+/// Per-transport connection factory.
 enum Connectors {
     Loopback(LoopbackConnector),
     Tcp(String),

@@ -509,12 +509,10 @@ pub(crate) fn deregister(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::connect;
     use crate::transport::{
-        loopback, Connection, FrameSink, FrameSource, LoopbackConfig, PollConn, PollRead,
-        PollWrite, TransportError,
+        loopback, Connection, LoopbackConfig, PollConn, PollRead, PollWrite, TransportError,
     };
-    use crate::ClientEvent;
+    use crate::{ClientEvent, WireClient};
     use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
     use occusense_core::sim::{simulate, ScenarioConfig};
     use std::io::IoSlice;
@@ -551,9 +549,6 @@ mod tests {
     }
 
     impl Connection for PanicConn {
-        fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
-            unreachable!("the reactor gateway only uses the poll face")
-        }
         fn into_poll(self: Box<Self>) -> Result<Box<dyn PollConn>, TransportError> {
             Ok(Box::new(PanicPoll))
         }
@@ -610,8 +605,8 @@ mod tests {
         // The healthy sensor connects *after* the poisoned connection
         // is already inside the reactor.
         let conn = connector.connect().expect("connect");
-        let (mut tx, mut rx) =
-            connect(conn, "survivor", Duration::from_secs(5)).expect("handshake");
+        let mut client =
+            WireClient::connect(conn, "", "survivor", Duration::from_secs(5)).expect("handshake");
         let records: Vec<_> = simulate(&ScenarioConfig::quick(30.0, 3))
             .records()
             .iter()
@@ -620,19 +615,19 @@ mod tests {
             .collect();
         assert_eq!(records.len(), RECORDS, "scenario must yield enough records");
         for r in &records {
-            tx.send(*r, None).expect("send");
+            client.send(*r, None).expect("send");
         }
-        tx.finish().expect("finish");
+        client.finish().expect("finish");
         let mut preds = 0;
         loop {
-            match rx.recv().expect("receive") {
+            match client.recv(Duration::from_millis(50)).expect("receive") {
                 ClientEvent::Prediction(_) => preds += 1,
                 ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
                 ClientEvent::TimedOut => continue,
                 other => panic!("unexpected event {other:?}"),
             }
         }
-        drop(rx);
+        drop(client);
         let report = gateway.shutdown();
 
         assert_eq!(preds, RECORDS, "the healthy sensor must be fully served");

@@ -8,12 +8,12 @@
 //! little-endian frames over a real connection:
 //!
 //! ```text
-//!  sensor node                     gateway ──────────────────────────┐
-//!  WireSender ──Record/Batch──▶ conn reader ──submit_sequenced──▶    │
-//!                                   │ (NACK on rejection)       Serve│
-//!  WireReceiver ◀─Prediction── conn writer ◀── router ◀─predictions──┘
-//!                 ◀─Nack──        (bounded outbound queue,    Runtime
-//!                                  slow-client policy)
+//!  sensor node                  gateway reactor ─────────────────────┐
+//!  WireClient ──Record/Batch──▶ frame parser ──submit_sequenced──▶   │
+//!   (send/pump)                     │ (NACK on rejection)       Serve│
+//!  WireClient ◀─Prediction──── write ring ◀── router ◀─predictions───┘
+//!   (event queue) ◀─Nack──     (bounded outbound queue,       Runtime
+//!                               slow-client policy)
 //! ```
 //!
 //! * [`codec`] — the payload byte layout: bit-exact `f64`s (via
@@ -22,14 +22,15 @@
 //! * [`frame`] — the envelope: magic, version, length prefix,
 //!   FNV-1a-64 checksum over frame type + payload.
 //! * [`transport`] — [`Connection`]/[`Acceptor`] over an in-process
-//!   loopback (deterministic tests/benches) or std-only TCP with
-//!   read/write timeouts and max-frame-size limits.
+//!   loopback (deterministic tests/benches) or std-only TCP, each
+//!   driven through its non-blocking [`PollConn`] face.
 //! * [`gateway`] — N concurrent sensor connections feeding one
 //!   `ServeRuntime`; backpressure surfaces to clients as NACK frames,
 //!   and every transport-level loss lands in
 //!   `ServeReport::unaccounted_records()`'s extended identity.
-//! * [`client`] — the sensor-side library (`connect` → split
-//!   sender/receiver).
+//! * [`client`] — the sensor-side [`WireClient`]: one non-blocking
+//!   connection that sends, pumps and queues server events, with a
+//!   blocking `connect`/`recv` for tests and benches.
 //!
 //! The `wire_storm` binary replays simulated sensor fleets over either
 //! transport and self-verifies the delivered predictions bitwise
@@ -46,7 +47,7 @@ pub mod pipe;
 pub mod reactor;
 pub mod transport;
 
-pub use client::{connect, connect_tenant, ClientEvent, WireReceiver, WireSender};
+pub use client::{ClientEvent, WireClient};
 pub use codec::{
     decode_payload, BatchFrame, BatchRecords, BatchView, DecodeError, EncodeError, Frame, Goodbye,
     Hello, HelloAck, NackFrame, NackReason, PredictionFrame, RecordFrame, MAX_BATCH_RECORDS,
@@ -59,9 +60,9 @@ pub use frame::{
 pub use gateway::{Gateway, GatewayConfig};
 pub use reactor::FrameBuffer;
 pub use transport::{
-    loopback, tcp_connect, tcp_listen, Accepted, Acceptor, Connection, FrameSink, FrameSource,
-    LoopbackAcceptor, LoopbackConfig, LoopbackConnector, PollConn, PollRead, PollWrite,
-    RecvOutcome, TcpAcceptor, TcpConfig, TcpConn, TransportError,
+    loopback, tcp_connect, tcp_listen, Accepted, Acceptor, Connection, LoopbackAcceptor,
+    LoopbackConfig, LoopbackConnector, PollConn, PollRead, PollWrite, TcpAcceptor, TcpConfig,
+    TcpConn, TransportError,
 };
 
 use std::error::Error;
@@ -72,7 +73,7 @@ use std::fmt;
 pub enum WireError {
     /// The underlying serving runtime refused its configuration.
     Serve(occusense_serve::ServeError),
-    /// The connection failed (I/O, decode, disconnect, send timeout).
+    /// The connection failed (I/O, decode, encode, disconnect).
     Transport(TransportError),
     /// The gateway refused the handshake with this NACK reason.
     Refused(NackReason),
@@ -102,7 +103,27 @@ mod tests {
     use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
     use occusense_serve::{BackpressurePolicy, ServeConfig};
     use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
+    use std::io::IoSlice;
     use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_millis(50);
+
+    /// Collects predictions until the gateway's `Goodbye`, checking its
+    /// delivered count.
+    fn collect_until_goodbye(client: &mut WireClient) -> Vec<PredictionFrame> {
+        let mut preds = Vec::new();
+        loop {
+            match client.recv(WAIT).unwrap() {
+                ClientEvent::Prediction(p) => preds.push(p),
+                ClientEvent::Goodbye(delivered) => {
+                    assert_eq!(delivered as usize, preds.len());
+                    return preds;
+                }
+                ClientEvent::TimedOut => continue,
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+    }
 
     fn bootstrap_detector() -> OccupancyDetector {
         let train = simulate(&ScenarioConfig::quick(300.0, 7));
@@ -138,27 +159,15 @@ mod tests {
         .unwrap();
 
         let conn = connector.connect().unwrap();
-        let (mut tx, mut rx) = connect(conn, "sensor-a", Duration::from_secs(5)).unwrap();
+        let mut client = WireClient::connect(conn, "", "sensor-a", Duration::from_secs(5)).unwrap();
         let records: Vec<_> = fleet_stream(25.0, 100, 0).collect();
         for r in &records {
-            tx.send(*r, None).unwrap();
+            client.send(*r, None).unwrap();
         }
-        let sent = tx.finish().unwrap();
+        let sent = client.finish().unwrap();
         assert_eq!(sent as usize, records.len());
-
-        let mut preds = Vec::new();
-        loop {
-            match rx.recv().unwrap() {
-                ClientEvent::Prediction(p) => preds.push(p),
-                ClientEvent::Goodbye(delivered) => {
-                    assert_eq!(delivered as usize, preds.len());
-                    break;
-                }
-                ClientEvent::TimedOut => continue,
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        drop(rx);
+        let mut preds = collect_until_goodbye(&mut client);
+        drop(client);
         let report = gateway.shutdown();
 
         assert_eq!(preds.len(), records.len());
@@ -210,27 +219,15 @@ mod tests {
         .unwrap();
 
         let conn = connector.connect().unwrap();
-        let (mut tx, mut rx) = connect(conn, "sensor-a", Duration::from_secs(5)).unwrap();
+        let mut client = WireClient::connect(conn, "", "sensor-a", Duration::from_secs(5)).unwrap();
         let records: Vec<_> = fleet_stream(25.0, 100, 0).collect();
         for r in &records {
-            tx.send(*r, None).unwrap();
+            client.send(*r, None).unwrap();
         }
-        let sent = tx.finish().unwrap();
+        let sent = client.finish().unwrap();
         assert_eq!(sent as usize, records.len());
-
-        let mut preds = Vec::new();
-        loop {
-            match rx.recv().unwrap() {
-                ClientEvent::Prediction(p) => preds.push(p),
-                ClientEvent::Goodbye(delivered) => {
-                    assert_eq!(delivered as usize, preds.len());
-                    break;
-                }
-                ClientEvent::TimedOut => continue,
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        drop(rx);
+        let mut preds = collect_until_goodbye(&mut client);
+        drop(client);
 
         // The reader thread deregisters and evicts asynchronously
         // after answering the Goodbye; give it a bounded moment.
@@ -275,19 +272,31 @@ mod tests {
             Box::new(acceptor),
         )
         .unwrap();
-        let conn = connector.connect().unwrap();
-        let (mut sink, mut source) = conn.split();
-        sink.send(&Frame::Hello(Hello {
-            protocol: 99,
-            sensor_id: "bad".into(),
-            tenant: String::new(),
-        }))
-        .unwrap();
+        // A raw poll face: the client refuses to speak a foreign
+        // protocol version, so the bad Hello is hand-encoded.
+        let mut io = connector.connect().unwrap().into_poll().unwrap();
+        let hello = Encoder::new()
+            .encode(&Frame::Hello(Hello {
+                protocol: 99,
+                sensor_id: "bad".into(),
+                tenant: String::new(),
+            }))
+            .unwrap();
+        let mut offset = 0;
+        while offset < hello.len() {
+            if let PollWrite::Wrote(n) = io.poll_write(&[IoSlice::new(&hello[offset..])]).unwrap() {
+                offset += n;
+            }
+        }
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
         let refusal = loop {
-            match source.recv().unwrap() {
-                RecvOutcome::Frame(f) => break f,
-                RecvOutcome::TimedOut => continue,
-                RecvOutcome::Closed => panic!("closed without a NACK"),
+            if let Some((header, payload)) = inbuf.peek().unwrap() {
+                break decode_payload(header.frame_type, payload).unwrap();
+            }
+            match io.poll_read(inbuf.spare_mut()).unwrap() {
+                PollRead::Data(n) => inbuf.commit(n),
+                PollRead::WouldBlock => std::thread::sleep(Duration::from_millis(1)),
+                PollRead::Eof => panic!("closed without a NACK"),
             }
         };
         assert_eq!(
@@ -325,14 +334,14 @@ mod tests {
 
         // Wrong tenant: refused before the connection is counted.
         let conn = connector.connect().unwrap();
-        match connect_tenant(conn, "globex", "sensor-a", Duration::from_secs(5)) {
+        match WireClient::connect(conn, "globex", "sensor-a", Duration::from_secs(5)) {
             Err(WireError::Refused(NackReason::Unsupported)) => {}
             Err(other) => panic!("mismatched tenant gave {other:?}"),
             Ok(_) => panic!("mismatched tenant was admitted"),
         }
         // No tenant claim at all is a mismatch too.
         let conn = connector.connect().unwrap();
-        match connect(conn, "sensor-a", Duration::from_secs(5)) {
+        match WireClient::connect(conn, "", "sensor-a", Duration::from_secs(5)) {
             Err(WireError::Refused(NackReason::Unsupported)) => {}
             Err(other) => panic!("missing tenant gave {other:?}"),
             Ok(_) => panic!("missing tenant was admitted"),
@@ -340,26 +349,15 @@ mod tests {
 
         // The right tenant serves normally.
         let conn = connector.connect().unwrap();
-        let (mut tx, mut rx) =
-            connect_tenant(conn, "acme", "sensor-a", Duration::from_secs(5)).unwrap();
+        let mut client =
+            WireClient::connect(conn, "acme", "sensor-a", Duration::from_secs(5)).unwrap();
         let records: Vec<_> = fleet_stream(25.0, 20, 0).collect();
         for r in &records {
-            tx.send(*r, None).unwrap();
+            client.send(*r, None).unwrap();
         }
-        assert_eq!(tx.finish().unwrap() as usize, records.len());
-        let mut preds = 0usize;
-        loop {
-            match rx.recv().unwrap() {
-                ClientEvent::Prediction(_) => preds += 1,
-                ClientEvent::Goodbye(delivered) => {
-                    assert_eq!(delivered as usize, preds);
-                    break;
-                }
-                ClientEvent::TimedOut => continue,
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        drop(rx);
+        assert_eq!(client.finish().unwrap() as usize, records.len());
+        let preds = collect_until_goodbye(&mut client).len();
+        drop(client);
 
         let report = gateway.shutdown();
         assert_eq!(report.tenant, "acme");
@@ -388,10 +386,11 @@ mod tests {
         .unwrap();
 
         let conn = connector.connect().unwrap();
-        let (mut tx, mut rx) = connect(conn, "sensor-live", Duration::from_secs(5)).unwrap();
+        let mut client =
+            WireClient::connect(conn, "", "sensor-live", Duration::from_secs(5)).unwrap();
         let records: Vec<_> = fleet_stream(25.0, 30, 0).collect();
         for r in records.iter().take(10) {
-            tx.send(*r, None).unwrap();
+            client.send(*r, None).unwrap();
         }
 
         // Drain mid-stream: the snapshot names the live sensor, and new
@@ -401,7 +400,7 @@ mod tests {
         assert!(gateway.is_draining());
         assert_eq!(live, vec!["sensor-live".to_string()]);
         let late = connector.connect().unwrap();
-        match connect(late, "sensor-late", Duration::from_secs(5)) {
+        match WireClient::connect(late, "", "sensor-late", Duration::from_secs(5)) {
             Err(WireError::Refused(NackReason::Shutdown)) => {}
             Err(other) => panic!("post-drain handshake gave {other:?}"),
             Ok(_) => panic!("post-drain handshake was admitted"),
@@ -409,22 +408,11 @@ mod tests {
 
         // The live connection still serves every remaining record.
         for r in records.iter().skip(10) {
-            tx.send(*r, None).unwrap();
+            client.send(*r, None).unwrap();
         }
-        assert_eq!(tx.finish().unwrap() as usize, records.len());
-        let mut preds = 0usize;
-        loop {
-            match rx.recv().unwrap() {
-                ClientEvent::Prediction(_) => preds += 1,
-                ClientEvent::Goodbye(delivered) => {
-                    assert_eq!(delivered as usize, preds);
-                    break;
-                }
-                ClientEvent::TimedOut => continue,
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        drop(rx);
+        assert_eq!(client.finish().unwrap() as usize, records.len());
+        let preds = collect_until_goodbye(&mut client).len();
+        drop(client);
 
         let report = gateway.shutdown();
         assert_eq!(preds, records.len());

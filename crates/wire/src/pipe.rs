@@ -8,25 +8,18 @@
 //!
 //! * **zero per-frame allocation** — senders copy into the ring,
 //!   receivers copy out of it; the ring itself is allocated once;
-//! * **real backpressure** — a full ring blocks (or reports
-//!   would-block), so loopback soaks exercise the same flow-control
-//!   paths as TCP;
+//! * **real backpressure** — a full ring reports would-block, so
+//!   loopback soaks exercise the same flow-control paths as TCP;
 //! * **a non-blocking edge** — [`PipeReader::try_read`] /
-//!   [`PipeWriter::try_write_vectored`] never park, which is what the
-//!   gateway's readiness reactor polls, while the blocking
-//!   [`std::io::Read`]/[`std::io::Write`] impls (with a configurable
-//!   timeout surfaced as [`std::io::ErrorKind::WouldBlock`]) serve the
-//!   client library's thread-per-half framing, mirroring a `TcpStream`
-//!   with socket timeouts closely enough that one generic framed
-//!   sink/source works over both.
+//!   [`PipeWriter::try_write_vectored`] never park, which is the shape
+//!   the poll face of both the gateway's reactor and the client needs.
 //!
 //! Close semantics mirror sockets: dropping the writer yields EOF at
 //! the reader once the ring drains; dropping the reader makes writes
 //! fail like `BrokenPipe`.
 
-use std::io::{self, IoSlice, Read, Write};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::io::IoSlice;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default ring capacity: comfortably above the largest legal frame
 /// (a full 512-record batch is ~276 KiB) so no single frame can
@@ -41,14 +34,6 @@ struct State {
     len: usize,
     writer_gone: bool,
     reader_gone: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Signalled when bytes arrive or the writer goes away.
-    readable: Condvar,
-    /// Signalled when space frees up or the reader goes away.
-    writable: Condvar,
 }
 
 /// What a non-blocking read observed.
@@ -74,26 +59,20 @@ pub enum TryWrite {
 }
 
 /// Creates a bounded byte pipe. `capacity` is clamped to at least one
-/// byte; `timeout` bounds the *blocking* `Read`/`Write` impls (the
-/// `try_*` calls never wait).
-pub fn pipe(capacity: usize, timeout: Duration) -> (PipeWriter, PipeReader) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            buf: vec![0u8; capacity.max(1)],
-            head: 0,
-            len: 0,
-            writer_gone: false,
-            reader_gone: false,
-        }),
-        readable: Condvar::new(),
-        writable: Condvar::new(),
-    });
+/// byte.
+pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
+    let shared = Arc::new(Mutex::new(State {
+        buf: vec![0u8; capacity.max(1)],
+        head: 0,
+        len: 0,
+        writer_gone: false,
+        reader_gone: false,
+    }));
     (
         PipeWriter {
             shared: Arc::clone(&shared),
-            timeout,
         },
-        PipeReader { shared, timeout },
+        PipeReader { shared },
     )
 }
 
@@ -102,8 +81,8 @@ pub fn pipe(capacity: usize, timeout: Duration) -> (PipeWriter, PipeReader) {
 // died mid-copy, and the byte ring is still structurally valid (head /
 // len are updated before unlocking), so both ends recover the guard and
 // keep going rather than amplifying the crash.
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, State> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock(shared: &Mutex<State>) -> std::sync::MutexGuard<'_, State> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Copies as much of `bufs` as fits into the ring. Returns bytes
@@ -167,8 +146,7 @@ fn ring_read(state: &mut State, out: &mut [u8]) -> usize {
 
 /// The writing end of a [`pipe`].
 pub struct PipeWriter {
-    shared: Arc<Shared>,
-    timeout: Duration,
+    shared: Arc<Mutex<State>>,
 }
 
 impl PipeWriter {
@@ -179,92 +157,32 @@ impl PipeWriter {
         if state.reader_gone {
             return TryWrite::Closed;
         }
-        let wrote = ring_write(&mut state, bufs);
-        drop(state);
-        if wrote > 0 {
-            self.shared.readable.notify_one();
-            TryWrite::Wrote(wrote)
-        } else {
-            TryWrite::Full
+        match ring_write(&mut state, bufs) {
+            0 => TryWrite::Full,
+            wrote => TryWrite::Wrote(wrote),
         }
-    }
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        let deadline = Instant::now() + self.timeout;
-        let mut state = lock(&self.shared);
-        loop {
-            if state.reader_gone {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "pipe reader dropped",
-                ));
-            }
-            let wrote = ring_write(&mut state, &[IoSlice::new(buf)]);
-            if wrote > 0 {
-                drop(state);
-                self.shared.readable.notify_one();
-                return Ok(wrote);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "pipe write timed out",
-                ));
-            }
-            let (guard, _timeout) = self
-                .shared
-                .writable
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
 impl Drop for PipeWriter {
     fn drop(&mut self) {
-        let mut state = lock(&self.shared);
-        state.writer_gone = true;
-        drop(state);
-        self.shared.readable.notify_all();
+        lock(&self.shared).writer_gone = true;
     }
 }
 
 /// The reading end of a [`pipe`].
 pub struct PipeReader {
-    shared: Arc<Shared>,
-    timeout: Duration,
+    shared: Arc<Mutex<State>>,
 }
 
 impl PipeReader {
-    /// Adjusts how long the blocking [`Read`] impl waits before
-    /// reporting [`io::ErrorKind::WouldBlock`] (the pipe analogue of a
-    /// socket read timeout).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// Non-blocking read: copies whatever is buffered, never parks.
     pub fn try_read(&self, out: &mut [u8]) -> TryRead {
         let mut state = lock(&self.shared);
         let read = ring_read(&mut state, out);
-        let writer_gone = state.writer_gone;
-        let empty = state.len == 0;
-        drop(state);
         if read > 0 {
-            self.shared.writable.notify_one();
             TryRead::Read(read)
-        } else if writer_gone && empty {
+        } else if state.writer_gone && state.len == 0 {
             TryRead::Eof
         } else {
             TryRead::Empty
@@ -272,46 +190,9 @@ impl PipeReader {
     }
 }
 
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let deadline = Instant::now() + self.timeout;
-        let mut state = lock(&self.shared);
-        loop {
-            let read = ring_read(&mut state, out);
-            if read > 0 {
-                drop(state);
-                self.shared.writable.notify_one();
-                return Ok(read);
-            }
-            if state.writer_gone {
-                return Ok(0); // clean EOF
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "pipe read timed out",
-                ));
-            }
-            let (guard, _timeout) = self
-                .shared
-                .readable
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-        }
-    }
-}
-
 impl Drop for PipeReader {
     fn drop(&mut self) {
-        let mut state = lock(&self.shared);
-        state.reader_gone = true;
-        drop(state);
-        self.shared.writable.notify_all();
+        lock(&self.shared).reader_gone = true;
     }
 }
 
@@ -319,34 +200,30 @@ impl Drop for PipeReader {
 mod tests {
     use super::*;
 
+    fn write_all(w: &PipeWriter, bytes: &[u8]) {
+        assert_eq!(
+            w.try_write_vectored(&[IoSlice::new(bytes)]),
+            TryWrite::Wrote(bytes.len())
+        );
+    }
+
     #[test]
     fn bytes_round_trip_across_the_ring_seam() {
-        let (mut w, mut r) = pipe(8, Duration::from_millis(200));
+        let (w, r) = pipe(8);
         // Fill, drain partially, refill: forces head to wrap.
-        w.write_all(&[1, 2, 3, 4, 5, 6]).unwrap();
+        write_all(&w, &[1, 2, 3, 4, 5, 6]);
         let mut out = [0u8; 4];
-        r.read_exact(&mut out).unwrap();
+        assert_eq!(r.try_read(&mut out), TryRead::Read(4));
         assert_eq!(out, [1, 2, 3, 4]);
-        w.write_all(&[7, 8, 9, 10, 11, 12]).unwrap();
+        write_all(&w, &[7, 8, 9, 10, 11, 12]);
         let mut rest = [0u8; 8];
-        r.read_exact(&mut rest).unwrap();
+        assert_eq!(r.try_read(&mut rest), TryRead::Read(8));
         assert_eq!(rest, [5, 6, 7, 8, 9, 10, 11, 12]);
     }
 
     #[test]
-    fn blocking_write_waits_for_the_reader_and_times_out_when_full() {
-        let (mut w, r) = pipe(4, Duration::from_millis(50));
-        w.write_all(&[0; 4]).unwrap();
-        let err = w.write(&[1]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        let mut out = [0u8; 2];
-        assert_eq!(r.try_read(&mut out), TryRead::Read(2));
-        assert_eq!(w.write(&[1]).unwrap(), 1);
-    }
-
-    #[test]
     fn nonblocking_calls_never_park_and_report_peer_loss() {
-        let (w, r) = pipe(4, Duration::from_millis(10));
+        let (w, r) = pipe(4);
         let mut out = [0u8; 4];
         assert_eq!(r.try_read(&mut out), TryRead::Empty);
         assert_eq!(
@@ -365,9 +242,8 @@ mod tests {
 
     #[test]
     fn dropping_the_reader_breaks_the_writer() {
-        let (mut w, r) = pipe(4, Duration::from_millis(10));
+        let (w, r) = pipe(4);
         drop(r);
-        assert_eq!(w.write(&[1]).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(
             w.try_write_vectored(&[IoSlice::new(&[1])]),
             TryWrite::Closed
@@ -376,11 +252,12 @@ mod tests {
 
     #[test]
     fn eof_only_after_the_ring_drains() {
-        let (mut w, mut r) = pipe(8, Duration::from_millis(10));
-        w.write_all(&[9, 9]).unwrap();
+        let (w, r) = pipe(8);
+        write_all(&w, &[9, 9]);
         drop(w);
+        assert_eq!(r.try_read(&mut []), TryRead::Empty, "bytes still buffered");
         let mut out = [0u8; 8];
-        assert_eq!(r.read(&mut out).unwrap(), 2);
-        assert_eq!(r.read(&mut out).unwrap(), 0);
+        assert_eq!(r.try_read(&mut out), TryRead::Read(2));
+        assert_eq!(r.try_read(&mut out), TryRead::Eof);
     }
 }

@@ -9,22 +9,16 @@
 //!   delivery is deterministic, the ring gives real backpressure, and
 //!   no per-frame allocation happens in the transport itself — the
 //!   right substrate for tests and the committed benchmark baseline.
-//! * **TCP** — a std-only `TcpStream` transport with per-connection
-//!   read/write timeouts, a max-frame-size limit enforced *before*
-//!   buffering the payload, and an incremental reader that preserves
-//!   partial frames across read timeouts (a slow sensor on a congested
-//!   link resumes mid-frame, it does not desynchronise).
+//! * **TCP** — a std-only `TcpStream` transport; the receiver's
+//!   [`FrameBuffer`](crate::FrameBuffer) enforces the max-frame-size
+//!   limit from the header, *before* buffering the payload.
 //!
-//! Each connection offers two faces:
-//!
-//! * [`Connection::split`] — blocking, independently owned
-//!   [`FrameSink`] / [`FrameSource`] halves for client threads;
-//! * [`Connection::into_poll`] — a non-blocking [`PollConn`] for the
-//!   gateway's readiness reactor, exposing raw byte reads and vectored
-//!   writes that never park a thread.
+//! A connection has one face: [`Connection::into_poll`] turns it into
+//! a non-blocking [`PollConn`] exposing raw byte reads and vectored
+//! writes that never park a thread. The gateway's readiness reactor
+//! and the [`WireClient`](crate::WireClient) both drive that face.
 
-use crate::codec::{DecodeError, EncodeError, Frame};
-use crate::frame::{decode_frame, decode_header, Encoder, DEFAULT_MAX_PAYLOAD, HEADER_BYTES};
+use crate::codec::{DecodeError, EncodeError};
 use crate::pipe::{self, PipeReader, PipeWriter, TryRead, TryWrite};
 use std::error::Error;
 use std::fmt;
@@ -34,7 +28,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 /// Why a transport operation failed. Transport errors are fatal for
-/// their connection: a failed send may have written a partial frame,
+/// their connection: a failed write may have sent a partial frame,
 /// and a failed decode means the byte stream is desynchronised — the
 /// only safe continuation is to close.
 #[derive(Debug)]
@@ -58,10 +52,6 @@ pub enum TransportError {
         /// Where the disconnect surfaced.
         context: &'static str,
     },
-    /// A send could not complete within the connection's write
-    /// timeout. The frame may be partially written; the connection
-    /// must be closed.
-    SendTimeout,
 }
 
 impl fmt::Display for TransportError {
@@ -75,7 +65,6 @@ impl fmt::Display for TransportError {
             TransportError::Disconnected { context } => {
                 write!(f, "peer disconnected ({context})")
             }
-            TransportError::SendTimeout => write!(f, "send timed out; connection unusable"),
         }
     }
 }
@@ -92,45 +81,6 @@ impl From<EncodeError> for TransportError {
     fn from(e: EncodeError) -> Self {
         TransportError::Encode(e)
     }
-}
-
-/// What a bounded-wait receive produced.
-// Inline for the same reason as `Frame`: no per-record allocation on
-// the receive path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// One complete, checksum-verified frame.
-    Frame(Frame),
-    /// Nothing arrived within the read timeout; the connection is
-    /// still healthy — poll again.
-    TimedOut,
-    /// The peer closed the connection cleanly (EOF between frames).
-    Closed,
-}
-
-/// The sending half of a connection.
-pub trait FrameSink: Send {
-    /// Encodes and transmits one frame.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TransportError`]; all of them are fatal for the
-    /// connection (see the type's docs).
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;
-}
-
-/// The receiving half of a connection.
-pub trait FrameSource: Send {
-    /// Waits up to the connection's read timeout for the next frame.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Decode`] when the byte stream is corrupt
-    /// (fatal — the stream cannot be resynchronised), I/O errors
-    /// otherwise. A timeout is *not* an error: it comes back as
-    /// [`RecvOutcome::TimedOut`].
-    fn recv(&mut self) -> Result<RecvOutcome, TransportError>;
 }
 
 /// What a non-blocking read observed.
@@ -153,9 +103,8 @@ pub enum PollWrite {
     WouldBlock,
 }
 
-/// The non-blocking face of a connection, driven by the gateway's
-/// readiness reactor: raw byte reads and vectored writes that never
-/// park the calling thread.
+/// The non-blocking face of a connection: raw byte reads and vectored
+/// writes that never park the calling thread.
 pub trait PollConn: Send {
     /// Reads whatever bytes are available into `buf` without blocking.
     ///
@@ -179,13 +128,10 @@ pub trait PollConn: Send {
     fn peer(&self) -> String;
 }
 
-/// One established sensor↔gateway connection, not yet split.
+/// One established sensor↔gateway connection.
 pub trait Connection: Send {
-    /// Splits the connection into independently owned blocking halves.
-    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>);
-
     /// Converts the connection into its non-blocking [`PollConn`]
-    /// face for the readiness reactor.
+    /// face.
     ///
     /// # Errors
     ///
@@ -218,163 +164,14 @@ pub trait Acceptor: Send {
 }
 
 // ---------------------------------------------------------------------
-// Generic framed halves over any blocking byte stream
-// ---------------------------------------------------------------------
-//
-// `TcpStream` (with socket timeouts) and the pipe halves (with their
-// built-in timeout) expose the same blocking `Read`/`Write` shape, so
-// one framed sink and one incremental framed source serve both
-// transports — the loopback no longer has a separate, weaker framing
-// path.
-
-fn map_write_err(error: std::io::Error, context: &'static str) -> TransportError {
-    match error.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportError::SendTimeout,
-        ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
-            TransportError::Disconnected { context }
-        }
-        _ => TransportError::Io { context, error },
-    }
-}
-
-struct StreamSink<W: Write + Send> {
-    stream: W,
-    encoder: Encoder,
-    buf: Vec<u8>,
-    context: &'static str,
-}
-
-impl<W: Write + Send> StreamSink<W> {
-    fn new(stream: W, context: &'static str) -> Self {
-        Self {
-            stream,
-            encoder: Encoder::new(),
-            buf: Vec::new(),
-            context,
-        }
-    }
-}
-
-impl<W: Write + Send> FrameSink for StreamSink<W> {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.buf.clear();
-        self.encoder.encode_into(frame, &mut self.buf)?;
-        self.stream
-            .write_all(&self.buf)
-            .map_err(|e| map_write_err(e, self.context))
-    }
-}
-
-/// Incremental frame reader: reads the 20-byte header, learns the
-/// payload length (refusing oversize frames before buffering them),
-/// then reads exactly the payload. `filled` persists across timeouts,
-/// so a frame split across many reads reassembles correctly.
-struct StreamSource<R: Read + Send> {
-    stream: R,
-    buf: Vec<u8>,
-    filled: usize,
-    payload_len: Option<usize>,
-    max_payload: usize,
-    context: &'static str,
-}
-
-impl<R: Read + Send> StreamSource<R> {
-    fn new(stream: R, max_payload: usize, context: &'static str) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-            filled: 0,
-            payload_len: None,
-            max_payload,
-            context,
-        }
-    }
-}
-
-impl<R: Read + Send> FrameSource for StreamSource<R> {
-    fn recv(&mut self) -> Result<RecvOutcome, TransportError> {
-        loop {
-            let target = match self.payload_len {
-                None => HEADER_BYTES,
-                Some(len) => HEADER_BYTES + len,
-            };
-            if self.filled < target {
-                if self.buf.len() < target {
-                    self.buf.resize(target, 0);
-                }
-                let Some(dst) = self.buf.get_mut(self.filled..target) else {
-                    // filled < target ≤ buf.len() by the resize above.
-                    return Err(TransportError::Disconnected {
-                        context: self.context,
-                    });
-                };
-                match self.stream.read(dst) {
-                    Ok(0) => {
-                        return if self.filled == 0 {
-                            Ok(RecvOutcome::Closed)
-                        } else {
-                            Err(TransportError::Disconnected {
-                                context: "eof inside a frame",
-                            })
-                        };
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        continue;
-                    }
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                        return Ok(RecvOutcome::TimedOut);
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(error) => {
-                        return Err(TransportError::Io {
-                            context: self.context,
-                            error,
-                        });
-                    }
-                }
-            }
-            if self.payload_len.is_none() {
-                let header = decode_header(&self.buf)?;
-                if header.payload_len > self.max_payload {
-                    return Err(DecodeError::Oversize {
-                        len: header.payload_len,
-                        max: self.max_payload,
-                    }
-                    .into());
-                }
-                self.payload_len = Some(header.payload_len);
-                continue;
-            }
-            // Header + payload complete: decode, verify, reset.
-            let frame_bytes = self.buf.get(..target).ok_or(TransportError::Disconnected {
-                context: self.context,
-            })?;
-            let (frame, _consumed) = decode_frame(frame_bytes, self.max_payload)?;
-            self.filled = 0;
-            self.payload_len = None;
-            return Ok(RecvOutcome::Frame(frame));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Loopback
 // ---------------------------------------------------------------------
 
 /// Loopback tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopbackConfig {
-    /// How long a `recv` waits before reporting `TimedOut`.
-    pub recv_timeout: Duration,
-    /// How long a blocking `send` waits for ring space before failing
-    /// with [`TransportError::SendTimeout`] — the loopback face of a
-    /// sensor that stopped reading.
-    pub send_timeout: Duration,
     /// How long an `accept` waits before reporting `TimedOut`.
     pub accept_timeout: Duration,
-    /// Per-frame payload ceiling (same meaning as on TCP).
-    pub max_payload: usize,
     /// Byte capacity of each direction's ring buffer; bounds how far a
     /// fast writer can run ahead of a slow reader.
     pub pipe_capacity: usize,
@@ -383,10 +180,7 @@ pub struct LoopbackConfig {
 impl Default for LoopbackConfig {
     fn default() -> Self {
         Self {
-            recv_timeout: Duration::from_millis(50),
-            send_timeout: Duration::from_secs(2),
             accept_timeout: Duration::from_millis(50),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             pipe_capacity: pipe::DEFAULT_PIPE_CAPACITY,
         }
     }
@@ -394,7 +188,7 @@ impl Default for LoopbackConfig {
 
 /// Creates an in-process transport: the [`LoopbackAcceptor`] goes to
 /// the gateway, the cloneable [`LoopbackConnector`] to any number of
-/// client threads.
+/// clients.
 pub fn loopback(config: LoopbackConfig) -> (LoopbackAcceptor, LoopbackConnector) {
     let (tx, rx) = mpsc::channel();
     (
@@ -404,32 +198,16 @@ pub fn loopback(config: LoopbackConfig) -> (LoopbackAcceptor, LoopbackConnector)
 }
 
 /// One side of a loopback connection: a byte-pipe reader paired with a
-/// byte-pipe writer, running the full framing stack on both ends.
+/// byte-pipe writer. Already non-blocking, so it is its own poll face.
 struct LoopbackConn {
     tx: PipeWriter,
     rx: PipeReader,
-    config: LoopbackConfig,
     peer: &'static str,
 }
 
 impl Connection for LoopbackConn {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
-        (
-            Box::new(StreamSink::new(self.tx, "loopback send")),
-            Box::new(StreamSource::new(
-                self.rx,
-                self.config.max_payload,
-                "loopback recv",
-            )),
-        )
-    }
-
     fn into_poll(self: Box<Self>) -> Result<Box<dyn PollConn>, TransportError> {
-        Ok(Box::new(PipePoll {
-            tx: self.tx,
-            rx: self.rx,
-            peer: self.peer,
-        }))
+        Ok(self)
     }
 
     fn peer(&self) -> String {
@@ -437,14 +215,7 @@ impl Connection for LoopbackConn {
     }
 }
 
-/// Non-blocking face of a loopback connection.
-struct PipePoll {
-    tx: PipeWriter,
-    rx: PipeReader,
-    peer: &'static str,
-}
-
-impl PollConn for PipePoll {
+impl PollConn for LoopbackConn {
     fn poll_read(&mut self, buf: &mut [u8]) -> Result<PollRead, TransportError> {
         Ok(match self.rx.try_read(buf) {
             TryRead::Read(n) => PollRead::Data(n),
@@ -485,7 +256,7 @@ impl Acceptor for LoopbackAcceptor {
 }
 
 /// The client-side factory of a loopback transport. Cloneable: hand a
-/// copy to every simulated sensor thread.
+/// copy to every simulated sensor.
 #[derive(Clone)]
 pub struct LoopbackConnector {
     tx: mpsc::Sender<LoopbackConn>,
@@ -499,25 +270,16 @@ impl LoopbackConnector {
     ///
     /// [`TransportError::Disconnected`] when the acceptor is gone.
     pub fn connect(&self) -> Result<Box<dyn Connection>, TransportError> {
-        // Blocking reads on the client half use the recv timeout;
-        // blocking writes on either half use the send timeout. The
-        // gateway half is polled non-blocking, where timeouts are moot.
-        let (c2s_tx, c2s_rx) = pipe::pipe(self.config.pipe_capacity, self.config.send_timeout);
-        let (s2c_tx, s2c_rx) = pipe::pipe(self.config.pipe_capacity, self.config.send_timeout);
-        let mut client_rx = s2c_rx;
-        client_rx.set_timeout(self.config.recv_timeout);
-        let mut server_rx = c2s_rx;
-        server_rx.set_timeout(self.config.recv_timeout);
+        let (c2s_tx, c2s_rx) = pipe::pipe(self.config.pipe_capacity);
+        let (s2c_tx, s2c_rx) = pipe::pipe(self.config.pipe_capacity);
         let server = LoopbackConn {
             tx: s2c_tx,
-            rx: server_rx,
-            config: self.config,
+            rx: c2s_rx,
             peer: "loopback-client",
         };
         let client = LoopbackConn {
             tx: c2s_tx,
-            rx: client_rx,
-            config: self.config,
+            rx: s2c_rx,
             peer: "loopback-gateway",
         };
         self.tx
@@ -536,16 +298,6 @@ impl LoopbackConnector {
 /// TCP tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Socket read timeout; bounds how long `recv` blocks and how
-    /// stale a shutdown check can get.
-    pub read_timeout: Duration,
-    /// Socket write timeout; a sensor that stops reading for this long
-    /// gets its connection dropped (the slow-client policy decides
-    /// what happened to its predictions *before* this last resort).
-    pub write_timeout: Duration,
-    /// Per-frame payload ceiling, enforced from the header before any
-    /// payload bytes are buffered.
-    pub max_payload: usize,
     /// Disable Nagle's algorithm (on by default: single-record frames
     /// are latency-sensitive).
     pub nodelay: bool,
@@ -553,12 +305,7 @@ pub struct TcpConfig {
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        Self {
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(2),
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            nodelay: true,
-        }
+        Self { nodelay: true }
     }
 }
 
@@ -629,13 +376,11 @@ impl Acceptor for TcpAcceptor {
     }
 }
 
-/// One TCP connection, holding two clones of the socket so the halves
-/// split without locks.
+/// One TCP connection. `into_poll` flips the socket non-blocking and
+/// returns the connection itself as its poll face.
 pub struct TcpConn {
-    read: TcpStream,
-    write: TcpStream,
+    stream: TcpStream,
     peer: String,
-    config: TcpConfig,
 }
 
 impl TcpConn {
@@ -643,53 +388,20 @@ impl TcpConn {
         stream
             .set_nodelay(config.nodelay)
             .map_err(io_err("nodelay"))?;
-        // A zero Duration means "no timeout" to the socket API — clamp
-        // so the configured bound is always a real bound.
-        let read_to = config.read_timeout.max(Duration::from_millis(1));
-        let write_to = config.write_timeout.max(Duration::from_millis(1));
-        stream
-            .set_read_timeout(Some(read_to))
-            .map_err(io_err("read timeout"))?;
-        stream
-            .set_write_timeout(Some(write_to))
-            .map_err(io_err("write timeout"))?;
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "tcp-unknown".to_string());
-        let write = stream.try_clone().map_err(io_err("clone stream"))?;
-        Ok(Self {
-            read: stream,
-            write,
-            peer,
-            config,
-        })
+        Ok(Self { stream, peer })
     }
 }
 
 impl Connection for TcpConn {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSink>, Box<dyn FrameSource>) {
-        (
-            Box::new(StreamSink::new(self.write, "tcp send")),
-            Box::new(StreamSource::new(
-                self.read,
-                self.config.max_payload,
-                "tcp recv",
-            )),
-        )
-    }
-
     fn into_poll(self: Box<Self>) -> Result<Box<dyn PollConn>, TransportError> {
-        // One nonblocking socket serves both directions in the
-        // reactor; the write clone is dropped (same file description,
-        // so nonblocking applies to the socket as a whole).
-        self.read
+        self.stream
             .set_nonblocking(true)
             .map_err(io_err("set nonblocking"))?;
-        Ok(Box::new(TcpPoll {
-            stream: self.read,
-            peer: self.peer,
-        }))
+        Ok(self)
     }
 
     fn peer(&self) -> String {
@@ -697,13 +409,7 @@ impl Connection for TcpConn {
     }
 }
 
-/// Non-blocking face of a TCP connection.
-struct TcpPoll {
-    stream: TcpStream,
-    peer: String,
-}
-
-impl PollConn for TcpPoll {
+impl PollConn for TcpConn {
     fn poll_read(&mut self, buf: &mut [u8]) -> Result<PollRead, TransportError> {
         match self.stream.read(buf) {
             Ok(0) => Ok(PollRead::Eof),
@@ -764,36 +470,91 @@ impl PollConn for TcpPoll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Goodbye, Hello, PredictionFrame, PROTOCOL_VERSION};
+    use crate::codec::{decode_payload, Frame, Goodbye, Hello, PredictionFrame, PROTOCOL_VERSION};
+    use crate::frame::{decode_frame, Encoder, DEFAULT_MAX_PAYLOAD, HEADER_BYTES};
+    use crate::reactor::FrameBuffer;
+    use std::time::Instant;
 
-    fn recv_frame(source: &mut Box<dyn FrameSource>) -> Frame {
-        for _ in 0..200 {
-            match source.recv().unwrap() {
-                RecvOutcome::Frame(f) => return f,
-                RecvOutcome::TimedOut => continue,
-                RecvOutcome::Closed => panic!("peer closed early"),
+    /// What [`next_frame`] observed.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Debug)]
+    enum Got {
+        Frame(Frame),
+        Eof,
+        Refused(DecodeError),
+    }
+
+    fn accept(acceptor: &mut dyn Acceptor) -> Box<dyn Connection> {
+        loop {
+            match acceptor.accept().unwrap() {
+                Accepted::Connection(c) => return c,
+                Accepted::TimedOut => continue,
+                Accepted::Closed => panic!("listener closed"),
             }
         }
-        panic!("no frame within the polling budget");
+    }
+
+    /// Writes `frame` whole through a poll face.
+    fn send_frame(io: &mut dyn PollConn, frame: &Frame) {
+        let bytes = Encoder::new().encode(frame).unwrap();
+        let mut offset = 0;
+        while offset < bytes.len() {
+            match io.poll_write(&[IoSlice::new(&bytes[offset..])]).unwrap() {
+                PollWrite::Wrote(n) => offset += n,
+                PollWrite::WouldBlock => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// Reads the next frame (or EOF, or the framing refusal) off a poll
+    /// face, reassembling across reads in `inbuf`.
+    fn next_frame(io: &mut dyn PollConn, inbuf: &mut FrameBuffer) -> Got {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match inbuf.peek() {
+                Err(e) => return Got::Refused(e),
+                Ok(Some((header, payload))) => {
+                    let frame = decode_payload(header.frame_type, payload).unwrap();
+                    inbuf.consume(header.payload_len);
+                    return Got::Frame(frame);
+                }
+                Ok(None) => {}
+            }
+            match io.poll_read(inbuf.spare_mut()).unwrap() {
+                PollRead::Data(n) => inbuf.commit(n),
+                PollRead::Eof => return Got::Eof,
+                PollRead::WouldBlock => {
+                    assert!(Instant::now() < deadline, "nothing arrived within 5 s");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+    }
+
+    fn recv_frame(io: &mut dyn PollConn) -> Frame {
+        recv_frame_from(io, &mut FrameBuffer::new(DEFAULT_MAX_PAYLOAD))
+    }
+
+    fn recv_frame_from(io: &mut dyn PollConn, inbuf: &mut FrameBuffer) -> Frame {
+        match next_frame(io, inbuf) {
+            Got::Frame(f) => f,
+            other => panic!("expected a frame, got {other:?}"),
+        }
     }
 
     #[test]
     fn loopback_round_trips_frames_both_ways() {
         let (mut acceptor, connector) = loopback(LoopbackConfig::default());
-        let client = connector.connect().unwrap();
-        let Accepted::Connection(server) = acceptor.accept().unwrap() else {
-            panic!("no connection");
-        };
-        let (mut ctx, mut crx) = client.split();
-        let (mut stx, mut srx) = server.split();
+        let mut client = connector.connect().unwrap().into_poll().unwrap();
+        let mut server = accept(&mut acceptor).into_poll().unwrap();
 
         let hello = Frame::Hello(Hello {
             protocol: PROTOCOL_VERSION,
             sensor_id: "s0".into(),
             tenant: "t0".into(),
         });
-        ctx.send(&hello).unwrap();
-        assert_eq!(recv_frame(&mut srx), hello);
+        send_frame(client.as_mut(), &hello);
+        assert_eq!(recv_frame(server.as_mut()), hello);
 
         let pred = Frame::Prediction(PredictionFrame {
             seq: 1,
@@ -803,36 +564,30 @@ mod tests {
             model_version: 1,
             latency_ns: 10,
         });
-        stx.send(&pred).unwrap();
-        assert_eq!(recv_frame(&mut crx), pred);
+        send_frame(server.as_mut(), &pred);
+        assert_eq!(recv_frame(client.as_mut()), pred);
     }
 
     #[test]
     fn loopback_reports_closed_when_the_peer_drops() {
         let (mut acceptor, connector) = loopback(LoopbackConfig::default());
-        let client = connector.connect().unwrap();
-        let Accepted::Connection(server) = acceptor.accept().unwrap() else {
-            panic!("no connection");
-        };
-        drop(server);
-        let (_tx, mut rx) = client.split();
-        assert!(matches!(rx.recv().unwrap(), RecvOutcome::Closed));
+        let mut client = connector.connect().unwrap().into_poll().unwrap();
+        drop(accept(&mut acceptor));
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+        assert!(matches!(next_frame(client.as_mut(), &mut inbuf), Got::Eof));
+        assert!(inbuf.is_empty(), "a clean close leaves no partial frame");
     }
 
     #[test]
     fn loopback_poll_face_moves_bytes_without_blocking() {
         let (mut acceptor, connector) = loopback(LoopbackConfig::default());
-        let client = connector.connect().unwrap();
-        let Accepted::Connection(server) = acceptor.accept().unwrap() else {
-            panic!("no connection");
-        };
-        let mut poll = server.into_poll().unwrap();
+        let mut client = connector.connect().unwrap().into_poll().unwrap();
+        let mut poll = accept(&mut acceptor).into_poll().unwrap();
         let mut scratch = [0u8; 64];
         assert_eq!(poll.poll_read(&mut scratch).unwrap(), PollRead::WouldBlock);
 
-        let (mut ctx, mut crx) = client.split();
         let goodbye = Frame::Goodbye(Goodbye { count: 2 });
-        ctx.send(&goodbye).unwrap();
+        send_frame(client.as_mut(), &goodbye);
         let mut collected = Vec::new();
         loop {
             match poll.poll_read(&mut scratch).unwrap() {
@@ -846,7 +601,7 @@ mod tests {
         assert_eq!(consumed, collected.len());
 
         // Vectored write split across two slices reassembles at the
-        // blocking client half.
+        // client's frame buffer.
         let bytes = Encoder::new().encode(&goodbye).unwrap();
         let (a, b) = bytes.split_at(7);
         let mut offset = 0;
@@ -861,80 +616,54 @@ mod tests {
                 PollWrite::WouldBlock => std::thread::yield_now(),
             }
         }
-        assert_eq!(recv_frame(&mut crx), goodbye);
+        assert_eq!(recv_frame(client.as_mut()), goodbye);
     }
 
     #[test]
     fn tcp_round_trips_over_localhost() {
         let (mut acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).unwrap();
         let client = tcp_connect(&addr.to_string(), TcpConfig::default()).unwrap();
-        let server = loop {
-            match acceptor.accept().unwrap() {
-                Accepted::Connection(c) => break c,
-                Accepted::TimedOut => continue,
-                Accepted::Closed => panic!("listener closed"),
-            }
-        };
-        let (mut ctx, crx) = client.split();
-        let (_stx, mut srx) = server.split();
+        let mut server = accept(&mut acceptor).into_poll().unwrap();
+        let mut client = client.into_poll().unwrap();
         let goodbye = Frame::Goodbye(Goodbye { count: 9 });
-        ctx.send(&goodbye).unwrap();
-        assert_eq!(recv_frame(&mut srx), goodbye);
-        // Both halves hold a clone of the socket; FIN goes out only
-        // when the last one drops.
-        drop(ctx);
-        drop(crx);
-        for attempt in 0..100 {
-            match srx.recv().unwrap() {
-                RecvOutcome::Closed => return,
-                RecvOutcome::TimedOut => continue,
-                RecvOutcome::Frame(f) => panic!("unexpected frame {f:?} on attempt {attempt}"),
-            }
-        }
-        panic!("never observed Closed after the peer dropped");
+        send_frame(client.as_mut(), &goodbye);
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+        assert_eq!(recv_frame_from(server.as_mut(), &mut inbuf), goodbye);
+        // Dropping the client sends FIN: a clean close between frames.
+        drop(client);
+        assert!(matches!(next_frame(server.as_mut(), &mut inbuf), Got::Eof));
+        assert!(inbuf.is_empty());
     }
 
     #[test]
     fn tcp_reassembles_frames_split_across_writes() {
         let (mut acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).unwrap();
         let mut raw = TcpStream::connect(addr).unwrap();
-        let server = loop {
-            match acceptor.accept().unwrap() {
-                Accepted::Connection(c) => break c,
-                Accepted::TimedOut => continue,
-                Accepted::Closed => panic!("listener closed"),
-            }
-        };
-        let (_stx, mut srx) = server.split();
+        raw.set_nodelay(true).unwrap();
+        let mut server = accept(&mut acceptor).into_poll().unwrap();
         let frame = Frame::Goodbye(Goodbye { count: 777 });
         let bytes = Encoder::new().encode(&frame).unwrap();
-        // Dribble the frame one byte at a time across the socket.
+        // Dribble the frame one byte at a time across the socket; the
+        // receiver sees many short reads and must reassemble them.
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
         for b in &bytes {
             raw.write_all(std::slice::from_ref(b)).unwrap();
             raw.flush().unwrap();
+            if let PollRead::Data(n) = server.poll_read(inbuf.spare_mut()).unwrap() {
+                inbuf.commit(n);
+            }
+            if inbuf.len() < bytes.len() {
+                assert!(matches!(inbuf.peek(), Ok(None)), "partial frame must wait");
+            }
         }
-        assert_eq!(recv_frame(&mut srx), frame);
+        assert_eq!(recv_frame_from(server.as_mut(), &mut inbuf), frame);
     }
 
     #[test]
     fn tcp_refuses_oversize_frames_from_the_header() {
-        let (mut acceptor, addr) = tcp_listen(
-            "127.0.0.1:0",
-            TcpConfig {
-                max_payload: 16,
-                ..TcpConfig::default()
-            },
-        )
-        .unwrap();
+        let (mut acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).unwrap();
         let mut raw = TcpStream::connect(addr).unwrap();
-        let server = loop {
-            match acceptor.accept().unwrap() {
-                Accepted::Connection(c) => break c,
-                Accepted::TimedOut => continue,
-                Accepted::Closed => panic!("listener closed"),
-            }
-        };
-        let (_stx, mut srx) = server.split();
+        let mut server = accept(&mut acceptor).into_poll().unwrap();
         // Header declaring a 1 MiB payload; only the header is sent.
         let mut header = Vec::new();
         header.extend_from_slice(&crate::frame::MAGIC);
@@ -944,40 +673,16 @@ mod tests {
         header.extend_from_slice(&(1u32 << 20).to_le_bytes());
         header.extend_from_slice(&0u64.to_le_bytes());
         raw.write_all(&header).unwrap();
-        let err = loop {
-            match srx.recv() {
-                Ok(RecvOutcome::TimedOut) => continue,
-                Ok(other) => panic!("expected oversize refusal, got {other:?}"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(
-            err,
-            TransportError::Decode(DecodeError::Oversize { max: 16, .. })
-        ));
-    }
-
-    #[test]
-    fn oversize_sends_are_refused_before_any_byte_moves() {
-        let (mut acceptor, connector) = loopback(LoopbackConfig::default());
-        let client = connector.connect().unwrap();
-        let Accepted::Connection(server) = acceptor.accept().unwrap() else {
-            panic!("no connection");
-        };
-        let (mut ctx, _crx) = client.split();
-        let oversize = Frame::Hello(Hello {
-            protocol: PROTOCOL_VERSION,
-            sensor_id: "x".repeat(crate::codec::MAX_SENSOR_ID_BYTES + 1),
-            tenant: String::new(),
-        });
-        assert!(matches!(
-            ctx.send(&oversize),
-            Err(TransportError::Encode(EncodeError::SensorIdTooLong { .. }))
-        ));
-        // The connection is still clean: a well-formed frame follows.
-        let (_stx, mut srx) = server.split();
-        let goodbye = Frame::Goodbye(Goodbye { count: 1 });
-        ctx.send(&goodbye).unwrap();
-        assert_eq!(recv_frame(&mut srx), goodbye);
+        let mut inbuf = FrameBuffer::new(16);
+        let got = next_frame(server.as_mut(), &mut inbuf);
+        assert!(
+            matches!(got, Got::Refused(DecodeError::Oversize { max: 16, .. })),
+            "expected oversize refusal, got {got:?}"
+        );
+        assert_eq!(
+            inbuf.len(),
+            HEADER_BYTES,
+            "refused from the header, before any payload is buffered"
+        );
     }
 }

@@ -1,18 +1,26 @@
 //! Wire-layer integration tests: multi-sensor loopback soak with
 //! bitwise verification against in-process scoring, NACK accounting
-//! under `RejectNewest` backpressure, and a TCP-localhost gateway
-//! round trip. These are the executable form of the wire contract:
-//! the network boundary adds latency, never drift — and every record
-//! that crosses it is accounted for in `ServeReport`.
+//! under `RejectNewest` backpressure, a TCP-localhost gateway round
+//! trip, byte-level framing against a live gateway, and the
+//! one-thread no-deadlock property of the client. These are the
+//! executable form of the wire contract: the network boundary adds
+//! latency, never drift — and every record that crosses it is
+//! accounted for in `ServeReport`.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
-    connect, loopback, tcp_connect, tcp_listen, ClientEvent, Gateway, GatewayConfig,
-    LoopbackConfig, NackReason, PredictionFrame, TcpConfig,
+    decode_payload, loopback, tcp_connect, tcp_listen, ClientEvent, Encoder, Frame, FrameBuffer,
+    Gateway, GatewayConfig, Hello, LoopbackConfig, NackReason, PredictionFrame, RecordFrame,
+    TcpConfig, WireClient, DEFAULT_MAX_PAYLOAD, MAGIC, PROTOCOL_VERSION,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
+
+/// How long one `recv` waits before the caller loops.
+const WAIT: Duration = Duration::from_millis(50);
 
 fn quick_detector() -> OccupancyDetector {
     let train = simulate(&ScenarioConfig::quick(300.0, 7));
@@ -39,13 +47,13 @@ fn pinned(policy: BackpressurePolicy, capacity: usize, batch: BatchConfig) -> Se
     }
 }
 
-/// Drains one receiver until the gateway's Goodbye (or Closed),
+/// Drains a finished client until the gateway's Goodbye (or Closed),
 /// collecting predictions and NACK count.
-fn drain(mut rx: occusense_wire::WireReceiver) -> (Vec<PredictionFrame>, u64) {
+fn drain(client: &mut WireClient) -> (Vec<PredictionFrame>, u64) {
     let mut preds = Vec::new();
     let mut nacks = 0;
     loop {
-        match rx.recv().expect("receive") {
+        match client.recv(WAIT).expect("receive") {
             ClientEvent::Prediction(p) => preds.push(p),
             ClientEvent::Nack(_) => nacks += 1,
             ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
@@ -78,17 +86,18 @@ fn loopback_soak_is_bitwise_identical_to_direct_scoring() {
             let conn = connector.connect().expect("connect");
             std::thread::spawn(move || {
                 let records: Vec<_> = fleet_stream(110.0, 500, i as u64).take(RECORDS).collect();
-                let (mut tx, rx) =
-                    connect(conn, &format!("s{i}"), Duration::from_secs(5)).expect("handshake");
+                let mut client =
+                    WireClient::connect(conn, "", &format!("s{i}"), Duration::from_secs(5))
+                        .expect("handshake");
                 // Mix singles and batches on the same connection.
                 let labelled: Vec<_> = records.iter().map(|r| (*r, Some(r.occupancy()))).collect();
                 let (head, tail) = labelled.split_at(RECORDS / 2);
                 for (r, l) in head {
-                    tx.send(*r, *l).expect("send");
+                    client.send(*r, *l).expect("send");
                 }
-                tx.send_batch(tail).expect("send batch");
-                let sent = tx.finish().expect("finish");
-                let (preds, nacks) = drain(rx);
+                client.send_batch(tail).expect("send batch");
+                let sent = client.finish().expect("finish");
+                let (preds, nacks) = drain(&mut client);
                 (records, sent, preds, nacks)
             })
         })
@@ -152,20 +161,19 @@ fn reject_newest_surfaces_as_nacks_and_stays_accounted() {
     .expect("gateway");
 
     let conn = connector.connect().expect("connect");
-    let (mut tx, rx) = connect(conn, "burst", Duration::from_secs(5)).expect("handshake");
+    let mut client =
+        WireClient::connect(conn, "", "burst", Duration::from_secs(5)).expect("handshake");
     let records: Vec<_> = fleet_stream(160.0, 900, 0).take(RECORDS).collect();
-    let mut sent_seqs = Vec::new();
     for r in &records {
-        sent_seqs.push(tx.send(*r, None).expect("send"));
+        client.send(*r, None).expect("send");
     }
-    let sent = tx.finish().expect("finish");
+    let sent = client.finish().expect("finish");
     assert_eq!(sent as usize, RECORDS);
 
     let mut preds = Vec::new();
     let mut nack_seqs = Vec::new();
-    let mut rx = rx;
     loop {
-        match rx.recv().expect("receive") {
+        match client.recv(WAIT).expect("receive") {
             ClientEvent::Prediction(p) => preds.push(p),
             ClientEvent::Nack(n) => {
                 assert_eq!(n.reason, NackReason::QueueFull);
@@ -216,13 +224,14 @@ fn tcp_gateway_round_trips_bitwise_over_localhost() {
     .expect("gateway");
 
     let conn = tcp_connect(&addr.to_string(), TcpConfig::default()).expect("connect");
-    let (mut tx, rx) = connect(conn, "tcp-sensor", Duration::from_secs(5)).expect("handshake");
+    let mut client =
+        WireClient::connect(conn, "", "tcp-sensor", Duration::from_secs(5)).expect("handshake");
     let records: Vec<_> = fleet_stream(60.0, 777, 0).take(RECORDS).collect();
     let labelled: Vec<_> = records.iter().map(|r| (*r, None)).collect();
-    tx.send_batch(&labelled).expect("send batch");
-    let sent = tx.finish().expect("finish");
+    client.send_batch(&labelled).expect("send batch");
+    let sent = client.finish().expect("finish");
     assert_eq!(sent as usize, RECORDS);
-    let (mut preds, nacks) = drain(rx);
+    let (mut preds, nacks) = drain(&mut client);
     let report = gateway.shutdown();
 
     assert_eq!(nacks, 0);
@@ -239,7 +248,7 @@ fn tcp_gateway_round_trips_bitwise_over_localhost() {
 }
 
 /// Reactor soak under slow-client backpressure: a tiny `Block`
-/// outbound queue and a reader that naps between events force the
+/// outbound queue and a client that naps between pumps force the
 /// reactor through its ingress-pause path (it must never park on the
 /// queue it alone drains), while capacity-1 `RejectNewest` ingress
 /// guarantees a mixture of predictions and NACKs. Every submitted seq
@@ -275,41 +284,39 @@ fn slow_client_soak_resolves_every_seq_exactly_once() {
         .map(|i| {
             let conn = connector.connect().expect("connect");
             std::thread::spawn(move || {
-                let (mut tx, mut rx) =
-                    connect(conn, &format!("slow{i}"), Duration::from_secs(5)).expect("handshake");
+                let mut client =
+                    WireClient::connect(conn, "", &format!("slow{i}"), Duration::from_secs(5))
+                        .expect("handshake");
                 let records: Vec<_> = fleet_stream(120.0, 40 + i as u64, i as u64)
                     .take(RECORDS)
                     .collect();
-                // Reader thread naps so the 4-deep Block outbound queue
-                // fills; the sender keeps pushing, so the gateway must
-                // pause this connection's ingress instead of stalling
-                // its whole reactor.
-                let reader = std::thread::spawn(move || {
-                    let mut pred_seqs = Vec::new();
-                    let mut nack_seqs = Vec::new();
-                    loop {
-                        match rx.recv().expect("receive") {
-                            ClientEvent::Prediction(p) => {
-                                pred_seqs.push(p.seq);
-                                if pred_seqs.len() % 8 == 0 {
-                                    std::thread::sleep(Duration::from_millis(2));
-                                }
-                            }
-                            ClientEvent::Nack(n) => {
-                                assert_eq!(n.reason, NackReason::QueueFull);
-                                nack_seqs.push(n.seq);
-                            }
-                            ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
-                            ClientEvent::TimedOut => continue,
-                        }
-                    }
-                    (pred_seqs, nack_seqs)
-                });
+                // The whole stream goes out in one burst, so the
+                // gateway parses records far faster than the 4-deep
+                // outbound queue drains; the client then naps between
+                // pumps, so the gateway must pause this connection's
+                // ingress instead of stalling its whole reactor.
                 for r in &records {
-                    tx.send(*r, None).expect("send");
+                    client.send(*r, None).expect("send");
                 }
-                let sent = tx.finish().expect("finish");
-                let (pred_seqs, nack_seqs) = reader.join().expect("reader");
+                let sent = client.finish().expect("finish");
+                let mut pred_seqs = Vec::new();
+                let mut nack_seqs = Vec::new();
+                loop {
+                    match client.recv(WAIT).expect("receive") {
+                        ClientEvent::Prediction(p) => {
+                            pred_seqs.push(p.seq);
+                            if pred_seqs.len() % 8 == 0 {
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                        }
+                        ClientEvent::Nack(n) => {
+                            assert_eq!(n.reason, NackReason::QueueFull);
+                            nack_seqs.push(n.seq);
+                        }
+                        ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
+                        ClientEvent::TimedOut => continue,
+                    }
+                }
                 (sent, pred_seqs, nack_seqs)
             })
         })
@@ -337,5 +344,188 @@ fn slow_client_soak_resolves_every_seq_exactly_once() {
         (SENSORS * RECORDS) as u64,
         "pause/resume must neither drop nor double-decode"
     );
+    assert_eq!(report.unaccounted_records(), 0);
+}
+
+/// One client thread, no reader thread: capacity-1 `RejectNewest`
+/// ingress turns most records into QueueFull NACKs, which the reactor
+/// pushes through a 4-deep `Block` outbound queue. The client sends
+/// far more records than the pipe ring, the gateway's write ring and
+/// that queue can hold, and only calls `recv` after `finish`. A client
+/// that could not read while its writes were stuck would deadlock
+/// here: the full queue pauses the gateway's ingress, so the client's
+/// bytes stop draining. The client's pumps read every NACK and
+/// prediction into its event queue instead.
+#[test]
+fn one_thread_client_never_deadlocks_against_a_full_block_queue() {
+    const RECORDS: usize = 2000;
+    let detector = quick_detector();
+    let (acceptor, connector) = loopback(LoopbackConfig {
+        pipe_capacity: 4096,
+        ..LoopbackConfig::default()
+    });
+    let gateway = Gateway::start(
+        detector,
+        pinned(
+            BackpressurePolicy::RejectNewest,
+            1,
+            BatchConfig {
+                max_batch: 1,
+                max_delay: Duration::from_millis(2),
+            },
+        ),
+        GatewayConfig {
+            outbound_policy: BackpressurePolicy::Block,
+            outbound_capacity: 4,
+            ..GatewayConfig::default()
+        },
+        Box::new(acceptor),
+    )
+    .expect("gateway");
+
+    let conn = connector.connect().expect("connect");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client =
+            WireClient::connect(conn, "", "one-thread", Duration::from_secs(5)).expect("handshake");
+        let records: Vec<_> = fleet_stream(1200.0, 31, 0).take(RECORDS).collect();
+        assert_eq!(records.len(), RECORDS);
+        for r in &records {
+            client.send(*r, None).expect("send");
+        }
+        assert_eq!(client.finish().expect("finish") as usize, RECORDS);
+        let mut resolved = Vec::new();
+        loop {
+            match client.recv(WAIT).expect("receive") {
+                ClientEvent::Prediction(p) => resolved.push(p.seq),
+                ClientEvent::Nack(n) => {
+                    assert_eq!(n.reason, NackReason::QueueFull);
+                    resolved.push(n.seq);
+                }
+                ClientEvent::Goodbye(_) | ClientEvent::Closed => break,
+                ClientEvent::TimedOut => continue,
+            }
+        }
+        // The receiver only vanishes once the watchdog has failed the test.
+        let _ = done_tx.send(resolved);
+    });
+    // A deadlock must fail the test, not hang it.
+    let mut resolved = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the one-thread client deadlocked (or panicked)");
+    let report = gateway.shutdown();
+
+    resolved.sort_unstable();
+    assert_eq!(
+        resolved,
+        (0..RECORDS as u64).collect::<Vec<_>>(),
+        "every seq must resolve exactly once (prediction xor NACK)"
+    );
+    assert_eq!(report.unaccounted_records(), 0);
+}
+
+/// Reads the next frame off a blocking socket, reassembling in `inbuf`;
+/// `None` on EOF.
+fn read_frame(raw: &mut TcpStream, inbuf: &mut FrameBuffer) -> Option<Frame> {
+    loop {
+        if let Some((header, payload)) = inbuf.peek().expect("well-formed gateway frames") {
+            let frame = decode_payload(header.frame_type, payload).expect("decode");
+            inbuf.consume(header.payload_len);
+            return Some(frame);
+        }
+        match raw.read(inbuf.spare_mut()).expect("socket read") {
+            0 => return None,
+            n => inbuf.commit(n),
+        }
+    }
+}
+
+/// Byte-level framing against a live TCP gateway: a `Hello` and a
+/// `Record` dribbled one byte per write still reassemble and score
+/// bitwise; a header declaring a payload above the gateway's
+/// `max_payload` is refused from the header alone — a `Malformed`
+/// NACK, then a close — and counted in `malformed_frames`.
+#[test]
+fn tcp_gateway_reassembles_dribbled_bytes_and_refuses_oversize_headers() {
+    let detector = quick_detector();
+    let direct = detector.clone();
+    let (acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).expect("listen");
+    let gateway = Gateway::start(
+        detector,
+        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        GatewayConfig {
+            outbound_policy: BackpressurePolicy::Block,
+            max_payload: 4096,
+            ..GatewayConfig::default()
+        },
+        Box::new(acceptor),
+    )
+    .expect("gateway");
+
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let record = fleet_stream(10.0, 5, 0).next().expect("one record");
+    let mut encoder = Encoder::new();
+    let mut bytes = Vec::new();
+    encoder
+        .encode_into(
+            &Frame::Hello(Hello {
+                protocol: PROTOCOL_VERSION,
+                sensor_id: "dribble".into(),
+                tenant: String::new(),
+            }),
+            &mut bytes,
+        )
+        .expect("encode hello");
+    encoder
+        .encode_into(
+            &Frame::Record(RecordFrame {
+                seq: 0,
+                label: None,
+                record,
+            }),
+            &mut bytes,
+        )
+        .expect("encode record");
+    for b in &bytes {
+        raw.write_all(std::slice::from_ref(b)).expect("dribble");
+    }
+    let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+    assert!(matches!(
+        read_frame(&mut raw, &mut inbuf),
+        Some(Frame::HelloAck(_))
+    ));
+    let Some(Frame::Prediction(p)) = read_frame(&mut raw, &mut inbuf) else {
+        panic!("expected the dribbled record's prediction");
+    };
+    assert_eq!(p.seq, 0);
+    assert_eq!(
+        p.proba.to_bits(),
+        direct.predict_record(&record).1.to_bits()
+    );
+
+    // A Record header declaring 1 MiB; only the header is ever sent.
+    let mut header = Vec::new();
+    header.extend_from_slice(&MAGIC);
+    header.push(PROTOCOL_VERSION);
+    header.push(3);
+    header.extend_from_slice(&0u16.to_le_bytes());
+    header.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes());
+    raw.write_all(&header).expect("oversize header");
+    match read_frame(&mut raw, &mut inbuf) {
+        Some(Frame::Nack(n)) => assert_eq!(n.reason, NackReason::Malformed),
+        other => panic!("expected a Malformed NACK, got {other:?}"),
+    }
+    assert!(
+        read_frame(&mut raw, &mut inbuf).is_none(),
+        "the gateway closes after refusing"
+    );
+    drop(raw);
+    let report = gateway.shutdown();
+    assert_eq!(report.wire.malformed_frames, 1);
+    assert_eq!(report.wire.records_decoded, 1);
     assert_eq!(report.unaccounted_records(), 0);
 }
