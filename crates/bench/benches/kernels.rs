@@ -1,16 +1,21 @@
 //! Kernel microbenchmarks: the blocked/packed GEMM, the fused dense
 //! forward pass and the transpose-free gradient products, each against
 //! the naive reference they replaced. Shapes follow the paper MLP's
-//! hot layers (`batch 256 × [66, 128, 256, 128, 1]`).
+//! hot layers (`batch 256 × [66, 128, 256, 128, 1]`); the
+//! `serving_forward` group runs the whole paper MLP stack
+//! (`64 → 128 → 256 → 128 → 1`) through `Dense::forward_into` at the
+//! serving shapes, a 32-record batch and a single record.
 //!
 //! Every kernel output is asserted finite before timing starts, so
 //! running this target (in bench or `--test` smoke mode) fails loudly
 //! on a panic or a NaN — the CI bench-smoke gate. With
 //! `OCCUSENSE_BENCH_JSON=BENCH_kernels.json` a measurement run also
-//! writes the machine-readable baseline.
+//! writes the machine-readable results that `bench_gate` compares
+//! against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use occusense_core::tensor::kernels::{self, Parallelism, Scratch};
+use occusense_core::nn::Mlp;
+use occusense_core::tensor::kernels::{self, Epilogue, Parallelism, Scratch};
 use occusense_core::tensor::Matrix;
 use std::hint::black_box;
 
@@ -86,7 +91,7 @@ fn bench_fused_forward(c: &mut Criterion) {
     let x = mat(m, k, 3);
     let w = mat(k, n, 4);
     let bias: Vec<f64> = (0..n).map(|j| (j as f64 * 0.13).cos()).collect();
-    let relu = |v: f64| v.max(0.0);
+    let relu = occusense_core::tensor::vecops::relu;
     let mut z = vec![0.0; m * n];
     let mut act = vec![0.0; m * n];
     let mut scratch = Scratch::new();
@@ -99,7 +104,7 @@ fn bench_fused_forward(c: &mut Criterion) {
         &bias,
         &mut z,
         &mut act,
-        relu,
+        Epilogue::Relu,
         &mut scratch,
     );
     assert_finite("fused_dense_forward", &act);
@@ -125,7 +130,7 @@ fn bench_fused_forward(c: &mut Criterion) {
                 &bias,
                 &mut z,
                 &mut act,
-                relu,
+                Epilogue::Relu,
                 &mut scratch,
             );
             black_box(act[0])
@@ -177,10 +182,45 @@ fn bench_matvec(c: &mut Criterion) {
     group.finish();
 }
 
+/// One serving forward of the whole stack: each layer's fused
+/// `forward_into` feeds the next, through per-layer buffers that stop
+/// growing after the first call. Returns the first output.
+fn stack_forward(
+    mlp: &Mlp,
+    x: &Matrix,
+    bufs: &mut [(Matrix, Matrix)],
+    scratch: &mut Scratch,
+) -> f64 {
+    for (i, layer) in mlp.layers().iter().enumerate() {
+        let (done, rest) = bufs.split_at_mut(i);
+        let input = done.last().map_or(x, |(_, a)| a);
+        let (z, a) = &mut rest[0];
+        layer.forward_into(input, z, a, scratch);
+    }
+    bufs.last().map_or(f64::NAN, |(_, a)| a.as_slice()[0])
+}
+
+fn bench_serving_forward(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serving_forward");
+    let mlp = Mlp::paper_classifier(64, 42);
+    for m in [32, 1] {
+        let x = mat(m, 64, 9);
+        let mut bufs = vec![(Matrix::zeros(0, 0), Matrix::zeros(0, 0)); mlp.layers().len()];
+        let mut scratch = Scratch::new();
+        stack_forward(&mlp, &x, &mut bufs, &mut scratch);
+        assert_finite("serving_forward", bufs[bufs.len() - 1].1.as_slice());
+        group.bench_function(format!("paper_mlp_b{m}"), |bch| {
+            bch.iter(|| black_box(stack_forward(&mlp, black_box(&x), &mut bufs, &mut scratch)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
     bench_fused_forward,
+    bench_serving_forward,
     bench_gradient_products,
     bench_matvec
 );

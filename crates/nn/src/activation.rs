@@ -1,6 +1,7 @@
 //! Pointwise activation functions.
 
-use occusense_tensor::vecops::sigmoid;
+use occusense_tensor::kernels::Epilogue;
+use occusense_tensor::vecops::{relu, sigmoid};
 use occusense_tensor::Matrix;
 
 /// Pointwise activation applied by a dense layer.
@@ -17,11 +18,37 @@ pub enum Activation {
     Identity,
 }
 
+/// `σ'` of [`Activation::Relu`]: 1 above zero, else 0 (NaN included).
+fn relu_derivative(x: f64) -> f64 {
+    if x > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// `σ'` of [`Activation::Sigmoid`]: `s(1 − s)`.
+fn sigmoid_derivative(x: f64) -> f64 {
+    let s = sigmoid(x);
+    s * (1.0 - s)
+}
+
+/// `σ'` of [`Activation::Tanh`]: `1 − tanh²`.
+fn tanh_derivative(x: f64) -> f64 {
+    let t = x.tanh();
+    1.0 - t * t
+}
+
+/// `σ'` of [`Activation::Identity`].
+fn identity_derivative(_: f64) -> f64 {
+    1.0
+}
+
 impl Activation {
     /// Applies the activation elementwise.
     pub fn apply(&self, z: &Matrix) -> Matrix {
         match self {
-            Activation::Relu => z.map(|x| x.max(0.0)),
+            Activation::Relu => z.map(relu),
             Activation::Sigmoid => z.map(sigmoid),
             Activation::Tanh => z.map(f64::tanh),
             Activation::Identity => z.clone(),
@@ -31,26 +58,31 @@ impl Activation {
     /// Elementwise derivative evaluated at pre-activation `z`.
     pub fn derivative(&self, z: &Matrix) -> Matrix {
         match self {
-            Activation::Relu => z.map(|x| if x > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Sigmoid => z.map(|x| {
-                let s = sigmoid(x);
-                s * (1.0 - s)
-            }),
-            Activation::Tanh => z.map(|x| {
-                let t = x.tanh();
-                1.0 - t * t
-            }),
+            Activation::Relu => z.map(relu_derivative),
+            Activation::Sigmoid => z.map(sigmoid_derivative),
+            Activation::Tanh => z.map(tanh_derivative),
             Activation::Identity => Matrix::ones(z.rows(), z.cols()),
         }
     }
 
-    /// The activation as a plain scalar function pointer — the form the
-    /// fused GEMM kernel ([`occusense_tensor::kernels::gemm_bias_act`])
-    /// consumes. Applying this to each element of a matrix is exactly
+    /// The activation as the fused GEMM kernel's epilogue
+    /// ([`occusense_tensor::kernels::gemm_bias_act`]): ReLU and identity
+    /// map to the kernel's inlined forms, sigmoid and tanh ride along as
+    /// function pointers. Applied elementwise it is exactly
     /// [`Activation::apply`].
+    pub fn epilogue(&self) -> Epilogue {
+        match self {
+            Activation::Relu => Epilogue::Relu,
+            Activation::Identity => Epilogue::Identity,
+            Activation::Sigmoid | Activation::Tanh => Epilogue::Map(self.scalar_fn()),
+        }
+    }
+
+    /// The activation as a plain scalar function pointer; applying it
+    /// to each element of a matrix is exactly [`Activation::apply`].
     pub fn scalar_fn(&self) -> fn(f64) -> f64 {
         match self {
-            Activation::Relu => |x| x.max(0.0),
+            Activation::Relu => relu,
             Activation::Sigmoid => sigmoid,
             Activation::Tanh => f64::tanh,
             Activation::Identity => |x| x,
@@ -62,16 +94,27 @@ impl Activation {
     /// [`Activation::derivative`].
     pub fn scalar_derivative(&self) -> fn(f64) -> f64 {
         match self {
-            Activation::Relu => |x| if x > 0.0 { 1.0 } else { 0.0 },
-            Activation::Sigmoid => |x| {
-                let s = sigmoid(x);
-                s * (1.0 - s)
-            },
-            Activation::Tanh => |x| {
-                let t = x.tanh();
-                1.0 - t * t
-            },
-            Activation::Identity => |_| 1.0,
+            Activation::Relu => relu_derivative,
+            Activation::Sigmoid => sigmoid_derivative,
+            Activation::Tanh => tanh_derivative,
+            Activation::Identity => identity_derivative,
+        }
+    }
+
+    /// `δ = g ⊙ σ'(z)` over equal-length slices, matching the
+    /// activation once so each arm is a straight loop over an inlined
+    /// derivative. Elementwise exactly `g * scalar_derivative()(z)`.
+    pub(crate) fn mask_gradient(&self, grad: &[f64], z: &[f64], delta: &mut [f64]) {
+        fn fill(grad: &[f64], z: &[f64], delta: &mut [f64], dact: impl Fn(f64) -> f64) {
+            for ((d, &g), &zz) in delta.iter_mut().zip(grad).zip(z) {
+                *d = g * dact(zz);
+            }
+        }
+        match self {
+            Activation::Relu => fill(grad, z, delta, relu_derivative),
+            Activation::Sigmoid => fill(grad, z, delta, sigmoid_derivative),
+            Activation::Tanh => fill(grad, z, delta, tanh_derivative),
+            Activation::Identity => fill(grad, z, delta, identity_derivative),
         }
     }
 

@@ -69,8 +69,9 @@ impl Dense {
     }
 
     /// Fused forward pass into caller-owned buffers: `z = x W + b` and
-    /// `a = σ(z)` written in a single output pass through
-    /// [`kernels::gemm_bias_act`]. Bitwise identical to
+    /// `a = σ(z)` written row block by row block through
+    /// [`kernels::gemm_bias_act`] with the activation's
+    /// [`epilogue`](Activation::epilogue). Bitwise identical to
     /// [`forward`](Self::forward) and allocation-free once `z`/`a` and
     /// the scratch have capacity (growth is counted on `scratch`).
     ///
@@ -102,7 +103,7 @@ impl Dense {
             &self.bias,
             z.as_mut_slice(),
             a.as_mut_slice(),
-            self.activation.scalar_fn(),
+            self.activation.epilogue(),
             scratch,
         );
     }
@@ -153,15 +154,8 @@ impl Dense {
         if delta.ensure_shape(z.rows(), z.cols()) {
             scratch.note_grow();
         }
-        let dact = self.activation.scalar_derivative();
-        for ((d, &g), &zz) in delta
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_output.as_slice())
-            .zip(z.as_slice())
-        {
-            *d = g * dact(zz);
-        }
+        self.activation
+            .mask_gradient(grad_output.as_slice(), z.as_slice(), delta.as_mut_slice());
         x.matmul_tn_into(delta, grad_w, scratch);
         if grad_b.capacity() < delta.cols() {
             scratch.note_grow();

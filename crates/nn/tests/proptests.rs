@@ -2,10 +2,11 @@
 
 use occusense_nn::activation::Activation;
 use occusense_nn::gru::{Gru, GruWorkspace};
+use occusense_nn::layer::Dense;
 use occusense_nn::loss::{BceWithLogits, Loss, Mse};
 use occusense_nn::mlp::Mlp;
 use occusense_nn::serialize;
-use occusense_tensor::kernels::Parallelism;
+use occusense_tensor::kernels::{Parallelism, Scratch};
 use occusense_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +21,87 @@ fn batch(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// Signed zeros, NaN, subnormals and large magnitudes (kept below
+/// overflow, so every NaN in play is the input's own payload).
+const SPECIALS: [f64; 8] = [0.0, -0.0, f64::NAN, 5e-324, -2.5e-310, 1e150, -1e150, 1e300];
+
+/// Strategy: mostly uniform in ±5, one element in eight from
+/// [`SPECIALS`] (±1e300 only where `huge` allows it).
+fn element(huge: bool) -> impl Strategy<Value = f64> {
+    (0usize..64, -5.0f64..5.0).prop_map(move |(tag, v)| match SPECIALS.get(tag) {
+        Some(&s) if huge || s.abs() != 1e300 => s,
+        Some(_) => 1.0,
+        None => v,
+    })
+}
+
+/// Strategy: a dense layer's `(x, weights, bias, grad_output)`. Half
+/// the cases have output widths 1–7, served only by the kernel's
+/// narrow edge tile (the paper MLP's 128→1 head is one).
+fn dense_case() -> impl Strategy<Value = (Matrix, Matrix, Vec<f64>, Matrix)> {
+    (1usize..=40, 1usize..=24, 1usize..=7, 1usize..=40, 0u8..2).prop_flat_map(
+        |(m, k, narrow, wide, pick)| {
+            let n = if pick == 0 { narrow } else { wide };
+            let matrix = move |rows: usize, cols: usize, huge: bool| {
+                prop::collection::vec(element(huge), rows * cols)
+                    .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+            };
+            (
+                matrix(m, k, false),
+                matrix(k, n, false),
+                prop::collection::vec(element(true), n),
+                matrix(m, n, true),
+            )
+        },
+    )
+}
+
+/// The bit patterns of `values`, so NaNs compare by payload.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
+    #[test]
+    fn dense_fused_passes_match_the_reference_bitwise_for_every_activation(
+        (x, weights, bias, grad_output) in dense_case(),
+        threads in 1usize..=8,
+    ) {
+        // forward_into (the fused kernel with the activation's
+        // epilogue) against forward (matmul + add_row_broadcast +
+        // Activation::apply), and backward_into's δ against the
+        // per-element derivative pointer — bit for bit, at every
+        // thread count.
+        for activation in [
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Identity,
+        ] {
+            let layer = Dense { weights: weights.clone(), bias: bias.clone(), activation };
+            let (z_ref, a_ref) = layer.forward(&x);
+            let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
+            let (mut z, mut a) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            layer.forward_into(&x, &mut z, &mut a, &mut scratch);
+            prop_assert_eq!(bits(z.as_slice()), bits(z_ref.as_slice()), "{:?}: z", activation);
+            prop_assert_eq!(bits(a.as_slice()), bits(a_ref.as_slice()), "{:?}: a", activation);
+
+            let (mut delta, mut grad_w) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            let mut grad_b = Vec::new();
+            layer.backward_into(
+                &x, &z, &grad_output, &mut delta, &mut grad_w, &mut grad_b, None, &mut scratch,
+            );
+            let dact = activation.scalar_derivative();
+            let want: Vec<f64> = grad_output
+                .as_slice()
+                .iter()
+                .zip(z.as_slice())
+                .map(|(&g, &zz)| g * dact(zz))
+                .collect();
+            prop_assert_eq!(bits(delta.as_slice()), bits(&want), "{:?}: delta", activation);
+        }
+    }
+
     #[test]
     fn forward_shapes_are_consistent(sizes in small_architecture(), seed in 0u64..100) {
         let mlp = Mlp::new(&sizes, seed);

@@ -8,9 +8,8 @@
 //!
 //! The hash is the workspace-wide shared FNV-1a-64
 //! ([`occusense_core::hash`]) — the same function that seals checkpoint
-//! footers, checksums OCW1 frames and keys the fleet controller's
-//! consistent-hash ring, so a sensor's placement is reproducible from
-//! any layer of the stack.
+//! footers and keys the fleet controller's consistent-hash ring, so a
+//! sensor's placement is reproducible from any layer of the stack.
 
 use occusense_core::hash::fnv1a64;
 use std::error::Error;

@@ -47,6 +47,7 @@
 //! [`Matrix::matmul_naive`]: crate::Matrix::matmul_naive
 
 use crate::pool;
+use crate::vecops::relu;
 
 /// Output columns per register tile. With [`IT`] rows the `8 × 8` tile
 /// keeps 8 accumulator vectors + 1 `B`-row vector + 1 broadcast in
@@ -238,6 +239,49 @@ impl Scratch {
 // Scratch::pack_space above, where it is counted by `reallocs`.
 // lint:no_alloc
 
+/// The elementwise activation [`gemm_bias_act`] applies to `z`.
+///
+/// A small `Copy` value the kernel matches once per finished row block
+/// rather than calling per element: [`Relu`](Epilogue::Relu) and
+/// [`Identity`](Epilogue::Identity) run as inlined, vectorised loops;
+/// any other scalar function rides along as [`Map`](Epilogue::Map)
+/// (every `fn(f64) -> f64` converts through [`From`]) and costs one
+/// indirect call per element.
+#[derive(Debug, Clone, Copy)]
+pub enum Epilogue {
+    /// `a = z`.
+    Identity,
+    /// `a = max(z, 0)` — [`vecops::relu`](crate::vecops::relu).
+    Relu,
+    /// `a = f(z)`.
+    Map(fn(f64) -> f64),
+}
+
+impl From<fn(f64) -> f64> for Epilogue {
+    fn from(f: fn(f64) -> f64) -> Self {
+        Epilogue::Map(f)
+    }
+}
+
+impl Epilogue {
+    /// Writes `out[i] = act(z[i])` over equal-length slices.
+    fn apply(self, z: &[f64], out: &mut [f64]) {
+        match self {
+            Epilogue::Identity => out.copy_from_slice(z),
+            Epilogue::Relu => {
+                for (o, &v) in out.iter_mut().zip(z) {
+                    *o = relu(v);
+                }
+            }
+            Epilogue::Map(f) => {
+                for (o, &v) in out.iter_mut().zip(z) {
+                    *o = f(v);
+                }
+            }
+        }
+    }
+}
+
 /// Scalar lanes per unrolled dot-product step. Sixteen positional
 /// accumulators auto-vectorise into four independent 4-lane SIMD
 /// chains, hiding FMA latency (a single vector accumulator would stall
@@ -342,8 +386,12 @@ fn micro_panel(steps: usize, panel: &[f64], rhs: &[f64], rss: usize, j0: usize) 
 }
 
 /// Edge variant of [`micro_panel`] for a tile narrower than [`JT`]
-/// (`jw` columns). The per-element accumulation order is identical —
-/// only the lane count differs — so edge tiles keep the bitwise
+/// (`jw` columns, e.g. the width-1 output head). The accumulators are
+/// held transposed — one [`IT`]-wide column per output lane — so each
+/// step is `jw` full-width FMAs across the panel's rows instead of `IT`
+/// narrow ones; the tile is transposed back on return. The per-element
+/// accumulation order is identical to [`micro_panel`] (single
+/// accumulator, ascending `s`), so edge tiles keep the bitwise
 /// contract.
 #[inline]
 fn micro_panel_edge(
@@ -354,18 +402,23 @@ fn micro_panel_edge(
     j0: usize,
     jw: usize,
 ) -> [[f64; JT]; IT] {
-    let mut acc = [[0.0f64; JT]; IT];
+    let mut cols = [[0.0f64; IT]; JT];
     for s in 0..steps {
         let rv = &rhs[s * rss + j0..s * rss + j0 + jw];
         let avs: &[f64; IT] = panel[s * IT..s * IT + IT]
             .try_into()
             // lint:allow(panic, reason = "infallible: the slice is exactly IT long by construction; try_into is a free fixed-width reborrow")
             .expect("micro_panel_edge: panel");
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = avs[r];
-            for (lane, &x) in acc_row.iter_mut().zip(rv) {
-                *lane = av.mul_add(x, *lane);
+        for (col, &x) in cols.iter_mut().zip(rv) {
+            for r in 0..IT {
+                col[r] = avs[r].mul_add(x, col[r]);
             }
+        }
+    }
+    let mut acc = [[0.0f64; JT]; IT];
+    for (l, col) in cols.iter().enumerate() {
+        for (acc_row, &v) in acc.iter_mut().zip(col) {
+            acc_row[l] = v;
         }
     }
     acc
@@ -479,8 +532,9 @@ pub(crate) fn gemm_rows(
 }
 
 /// Fused-forward sibling of [`gemm_rows`]: the same row block of the
-/// matmul term plus the bias broadcast and the activation, written to
-/// `zc`/`ac` in one pass.
+/// matmul term plus the bias broadcast, stored to `zc` tile by tile,
+/// then the activation applied to the finished block into `ac` — one
+/// [`Epilogue`] match per block, none per element.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fused_rows(
     steps: usize,
@@ -490,20 +544,18 @@ pub(crate) fn fused_rows(
     packed: &[f64],
     rhs: &[f64],
     bias: &[f64],
-    act: fn(f64) -> f64,
+    act: Epilogue,
     zc: &mut [f64],
     ac: &mut [f64],
 ) {
     let panel = &packed[first_row * steps..(first_row + rows) * steps];
     rank1_tiles(steps, rows, row_len, panel, rhs, row_len, |r, j0, vals| {
         let zrow = &mut zc[r * row_len + j0..r * row_len + j0 + vals.len()];
-        let arow = &mut ac[r * row_len + j0..r * row_len + j0 + vals.len()];
-        for (l, &v) in vals.iter().enumerate() {
-            let vb = v + bias[j0 + l];
-            zrow[l] = vb;
-            arow[l] = act(vb);
+        for ((zv, &v), &b) in zrow.iter_mut().zip(vals).zip(&bias[j0..]) {
+            *zv = v + b;
         }
     });
+    act.apply(&zc[..rows * row_len], &mut ac[..rows * row_len]);
 }
 
 /// Effective thread count for a kernel of `flops` multiply-adds: 1
@@ -696,14 +748,16 @@ pub fn gemm_tn(
 }
 
 /// Fused dense forward: `z = x · W + bias` (bias broadcast over rows)
-/// and `act_out = act(z)`, both written in a single output pass. `x` is
-/// `m × k`, `w` is `k × n` (the layer's `in × out` weights), `bias` has
-/// length `n`, `z` and `act_out` are `m × n`.
+/// and `act_out = act(z)`, both written per row block while the block
+/// is cache-hot. `x` is `m × k`, `w` is `k × n` (the layer's
+/// `in × out` weights), `bias` has length `n`, `z` and `act_out` are
+/// `m × n`. `act` is an [`Epilogue`] or any `fn(f64) -> f64`.
 ///
 /// The matmul term runs on the same micro-kernel as [`gemm`] and the
 /// bias is added once after the full accumulation, so `z` is bitwise
-/// identical to the unfused `gemm` + row-broadcast sequence — across
-/// batch sizes and thread counts.
+/// identical to the unfused `gemm` + row-broadcast sequence, and
+/// `act_out` to the activation mapped over it — across batch sizes and
+/// thread counts.
 ///
 /// # Panics
 ///
@@ -718,9 +772,10 @@ pub fn gemm_bias_act(
     bias: &[f64],
     z: &mut [f64],
     act_out: &mut [f64],
-    act: fn(f64) -> f64,
+    act: impl Into<Epilogue>,
     scratch: &mut Scratch,
 ) {
+    let act = act.into();
     assert_eq!(x.len(), m * k, "gemm_bias_act: input length");
     assert_eq!(w.len(), k * n, "gemm_bias_act: weight length");
     assert_eq!(bias.len(), n, "gemm_bias_act: bias length");
@@ -730,12 +785,10 @@ pub fn gemm_bias_act(
         return;
     }
     if k == 0 {
-        for (zrow, arow) in z.chunks_exact_mut(n).zip(act_out.chunks_exact_mut(n)) {
-            for (j, (zv, av)) in zrow.iter_mut().zip(arow.iter_mut()).enumerate() {
-                *zv = bias[j];
-                *av = act(bias[j]);
-            }
+        for zrow in z.chunks_exact_mut(n) {
+            zrow.copy_from_slice(bias);
         }
+        act.apply(z, act_out);
         return;
     }
     let threads = thread_budget(scratch.parallelism, scratch.cores, m * k * n);
@@ -947,7 +1000,7 @@ mod tests {
             &bias,
             z.as_mut_slice(),
             a.as_mut_slice(),
-            |v| v.max(0.0),
+            Epilogue::Relu,
             &mut scratch,
         );
         let mut want_z = Matrix::zeros(m, n);
@@ -1006,7 +1059,7 @@ mod tests {
             &bias,
             z.as_mut_slice(),
             act.as_mut_slice(),
-            |v| v.max(0.0),
+            Epilogue::Relu,
             &mut scratch,
         );
         assert_eq!(z, Matrix::from_fn(3, 2, |_, j| bias[j]));

@@ -52,7 +52,7 @@
 //!
 //! [`IT`]: crate::kernels — the register-tile height (8 rows).
 
-use crate::kernels::{fused_rows, gemm_rows, Parallelism, IT};
+use crate::kernels::{fused_rows, gemm_rows, Epilogue, Parallelism, IT};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread;
@@ -97,10 +97,10 @@ enum JobKind {
     /// column-major by the caller).
     Gemm,
     /// The fused dense forward: `z = packed · rhs + bias` row-broadcast
-    /// and `a = act(z)`, both written in one pass.
+    /// and `a = act(z)`, both written per row block.
     Fused {
         /// The activation applied element-wise to `z`.
-        act: fn(f64) -> f64,
+        act: Epilogue,
     },
 }
 
@@ -614,7 +614,7 @@ pub(crate) fn run_fused(
     packed: &[f64],
     rhs: &[f64],
     bias: &[f64],
-    act: fn(f64) -> f64,
+    act: Epilogue,
     z: &mut [f64],
     a: &mut [f64],
 ) -> u64 {
@@ -669,7 +669,7 @@ pub(crate) fn run_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{gemm, gemm_bias_act, Scratch};
+    use crate::kernels::{gemm, gemm_bias_act, Epilogue, Scratch};
     use crate::Matrix;
 
     fn mat(r: usize, c: usize, seed: u64) -> Matrix {
@@ -741,7 +741,7 @@ mod tests {
                 &bias,
                 z.as_mut_slice(),
                 a.as_mut_slice(),
-                |v| v.max(0.0),
+                Epilogue::Relu,
                 &mut scratch,
             );
             (z, a)

@@ -122,6 +122,12 @@ pub fn diff(a: &[f64]) -> Vec<f64> {
     a.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
+/// Rectified linear unit `max(x, 0)`; a NaN input maps to `0`.
+#[inline]
+pub fn relu(x: f64) -> f64 {
+    x.max(0.0)
+}
+
 /// Numerically stable logistic sigmoid `1 / (1 + e^-x)`.
 pub fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {

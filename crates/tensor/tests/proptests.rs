@@ -158,6 +158,54 @@ fn matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
+/// Values that stress the fused epilogue: signed zeros, NaN,
+/// subnormals and magnitudes near the top of the range (kept below
+/// overflow, so no infinity or operation-generated NaN arises and
+/// every NaN carries the same payload).
+const SPECIALS: [f64; 8] = [0.0, -0.0, f64::NAN, 5e-324, -2.5e-310, 1e150, -1e150, 1e300];
+
+/// Strategy: one operand element — mostly uniform in ±100, one in
+/// eight drawn from [`SPECIALS`] (±1e300 only where `huge` allows it:
+/// in the bias, not in a product).
+fn element(huge: bool) -> impl Strategy<Value = f64> {
+    (0usize..64, -100.0f64..100.0).prop_map(move |(tag, v)| match SPECIALS.get(tag) {
+        Some(&s) if huge || s.abs() != 1e300 => s,
+        Some(_) => 1.0,
+        None => v,
+    })
+}
+
+/// Strategy: a fused-forward case `(x, w, bias)`. Half the cases have
+/// output widths 1–7, which only the narrow edge tile serves.
+fn fused_case() -> impl Strategy<Value = (Matrix, Matrix, Vec<f64>)> {
+    (0usize..=40, 0usize..=20, 1usize..=7, 0usize..=70, 0u8..2).prop_flat_map(
+        |(m, k, narrow, wide, pick)| {
+            let n = if pick == 0 { narrow } else { wide };
+            let x = prop::collection::vec(element(false), m * k)
+                .prop_map(move |data| Matrix::from_vec(m, k, data));
+            let w = prop::collection::vec(element(false), k * n)
+                .prop_map(move |data| Matrix::from_vec(k, n, data));
+            (x, w, prop::collection::vec(element(true), n))
+        },
+    )
+}
+
+/// Every epilogue the serving and training forwards use: the inlined
+/// ReLU and identity, and sigmoid/tanh through function pointers.
+fn epilogues() -> [kernels::Epilogue; 4] {
+    [
+        kernels::Epilogue::Identity,
+        kernels::Epilogue::Relu,
+        kernels::Epilogue::from(vecops::sigmoid as fn(f64) -> f64),
+        kernels::Epilogue::from(f64::tanh as fn(f64) -> f64),
+    ]
+}
+
+/// The bit patterns of `values`, so NaNs compare by payload.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     // ---- kernel layer: tiled / fused / parallel vs the naive oracle ----
 
@@ -227,52 +275,57 @@ proptest! {
 
     #[test]
     fn pooled_fused_forward_matches_inline_and_scoped_spawn_bitwise(
-        (x, w) in matmul_pair(),
+        (x, w, bias) in fused_case(),
         threads in 1usize..=8,
     ) {
+        // The persistent pool, the scoped-spawn path and the inline
+        // kernel must agree bit-for-bit for every epilogue, including
+        // the narrow edge tile (output widths 1–7).
         let (m, k) = x.shape();
         let n = w.cols();
-        let bias: Vec<f64> = (0..n).map(|j| (j as f64 * 0.125).cos()).collect();
-        let act = |v: f64| v.max(0.0);
-        let run = |par: Parallelism| {
-            let mut z = vec![1.0; m * n];
-            let mut a = vec![1.0; m * n];
-            let mut scratch = Scratch::with_parallelism(par);
-            kernels::gemm_bias_act(
-                m, k, n, x.as_slice(), w.as_slice(), &bias, &mut z, &mut a, act, &mut scratch,
-            );
-            (z, a)
-        };
-        let inline = run(Parallelism::Single);
-        let spawned = run(Parallelism::SpawnThreads(threads));
-        prop_assert_eq!(&spawned, &inline, "fused spawn path changed bits at {} threads", threads);
-        let pooled = run(Parallelism::Threads(threads));
-        prop_assert_eq!(&pooled, &inline, "fused pool changed bits at {} threads", threads);
+        for act in epilogues() {
+            let run = |par: Parallelism| {
+                let mut z = vec![1.0; m * n];
+                let mut a = vec![1.0; m * n];
+                let mut scratch = Scratch::with_parallelism(par);
+                kernels::gemm_bias_act(
+                    m, k, n, x.as_slice(), w.as_slice(), &bias, &mut z, &mut a, act, &mut scratch,
+                );
+                (bits(&z), bits(&a))
+            };
+            let inline = run(Parallelism::Single);
+            let spawned = run(Parallelism::SpawnThreads(threads));
+            prop_assert_eq!(&spawned, &inline, "{:?}: spawn path changed bits at {} threads", act, threads);
+            let pooled = run(Parallelism::Threads(threads));
+            prop_assert_eq!(&pooled, &inline, "{:?}: pool changed bits at {} threads", act, threads);
+        }
     }
 
     #[test]
-    fn fused_forward_matches_unfused_bitwise((x, w) in matmul_pair()) {
+    fn fused_forward_matches_unfused_bitwise((x, w, bias) in fused_case()) {
+        // The fused pass must be bitwise identical to matmul followed
+        // by a broadcast bias add and the activation mapped over every
+        // element — for each epilogue, on pre-activations that include
+        // ±0.0, NaN, subnormals and ±1e300.
         let (m, k) = x.shape();
         let n = w.cols();
-        let bias: Vec<f64> = (0..n).map(|j| j as f64 * 0.25 - 1.0).collect();
-        let act = |v: f64| v.max(0.0);
-        let mut z = vec![0.0; m * n];
-        let mut a = vec![0.0; m * n];
-        let mut scratch = Scratch::new();
-        kernels::gemm_bias_act(
-            m, k, n, x.as_slice(), w.as_slice(), &bias, &mut z, &mut a, act, &mut scratch,
-        );
-        // The fused pass must be bitwise identical to matmul followed
-        // by a broadcast bias add and activation.
-        let mut z_ref = x.matmul(&w);
-        for row in 0..m {
-            for (v, bv) in z_ref.row_mut(row).iter_mut().zip(&bias) {
-                *v += bv;
-            }
+        let z_ref = x.matmul(&w).add_row_broadcast(&bias);
+        for act in epilogues() {
+            let mut z = vec![0.0; m * n];
+            let mut a = vec![0.0; m * n];
+            let mut scratch = Scratch::new();
+            kernels::gemm_bias_act(
+                m, k, n, x.as_slice(), w.as_slice(), &bias, &mut z, &mut a, act, &mut scratch,
+            );
+            prop_assert_eq!(bits(&z), bits(z_ref.as_slice()), "{:?}: z", act);
+            let scalar: fn(f64) -> f64 = match act {
+                kernels::Epilogue::Identity => |v| v,
+                kernels::Epilogue::Relu => vecops::relu,
+                kernels::Epilogue::Map(f) => f,
+            };
+            let a_ref: Vec<f64> = z_ref.as_slice().iter().map(|&v| scalar(v)).collect();
+            prop_assert_eq!(bits(&a), bits(&a_ref), "{:?}: activation", act);
         }
-        prop_assert_eq!(&z, z_ref.as_slice());
-        let a_ref: Vec<f64> = z_ref.as_slice().iter().map(|&v| act(v)).collect();
-        prop_assert_eq!(&a, &a_ref);
     }
 
     #[test]

@@ -26,9 +26,12 @@ use occusense_dataset::{CsiRecord, N_SUBCARRIERS};
 use std::error::Error;
 use std::fmt;
 
-/// Protocol revision spoken by this codec. Bumped on any layout change;
-/// a decoder refuses other versions rather than guessing.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol revision spoken by this codec and its envelope. Bumped on
+/// any layout or checksum change; a decoder refuses other versions
+/// rather than guessing. Version 2 replaced version 1's FNV-1a envelope
+/// checksum with XXH64 (see [`crate::frame`]); payload layouts are
+/// unchanged.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Longest admissible `Hello` sensor id, in UTF-8 bytes.
 pub const MAX_SENSOR_ID_BYTES: usize = 256;
@@ -62,7 +65,7 @@ pub enum DecodeError {
         /// The version byte found.
         found: u8,
     },
-    /// The reserved flags field was non-zero (v1 defines no flags).
+    /// The reserved flags field was non-zero (no version defines flags).
     ReservedFlags {
         /// The flags value found.
         found: u16,

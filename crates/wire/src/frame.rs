@@ -5,25 +5,31 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic            b"OCW1"
-//!      4     1  version          PROTOCOL_VERSION (1)
+//!      0     4  magic            b"OCW1" (fixed across versions)
+//!      4     1  version          PROTOCOL_VERSION (2)
 //!      5     1  frame_type       1..=7, see codec::Frame::frame_type
-//!      6     2  flags            reserved, must be 0 in v1
+//!      6     2  flags            reserved, must be 0
 //!      8     4  payload_len      bytes of payload following the header
-//!     12     8  checksum         FNV-1a-64 over frame_type ++ payload
+//!     12     8  checksum         XXH64 of the payload, seeded with frame_type
 //! ```
 //!
-//! The checksum covers the frame-type byte as well as the payload, so
-//! a bit-flip that relabels a frame (turning a `Record` into a `Nack`
-//! of the same length) is caught even when the payload happens to
-//! parse under both types. FNV-1a is an error-*detection* hash here,
-//! not authentication — the transport boundary is assumed to be a
-//! trusted lab/edge network, exactly like the Nexmon sensor links of
-//! the source paper.
+//! The checksum covers the frame-type byte as well as the payload (the
+//! type is the hash seed), so a bit-flip that relabels a frame (turning
+//! a `Record` into a `Nack` of the same length) is caught even when the
+//! payload happens to parse under both types. XXH64 is an
+//! error-*detection* hash here, not authentication — the transport
+//! boundary is assumed to be a trusted lab/edge network, exactly like
+//! the Nexmon sensor links of the source paper.
+//!
+//! Version 1 checksummed `frame_type ++ payload` with byte-serial
+//! FNV-1a-64; version 2 changed only the checksum. The magic stays
+//! `OCW1` so a version-1 peer's frames still parse far enough to be
+//! refused as [`DecodeError::UnsupportedVersion`].
 
 use crate::codec::{self, DecodeError, EncodeError, Frame, PROTOCOL_VERSION};
 
-/// The four magic bytes opening every frame ("OCcusense Wire v1").
+/// The four magic bytes opening every frame ("OCcusense Wire"; the
+/// trailing `1` predates the version byte and never changes).
 pub const MAGIC: [u8; 4] = *b"OCW1";
 
 /// Size of the fixed envelope header.
@@ -42,22 +48,15 @@ pub struct FrameHeader {
     pub frame_type: u8,
     /// Bytes of payload following the header.
     pub payload_len: usize,
-    /// FNV-1a-64 over the frame-type byte and the payload.
+    /// The sender's [`checksum_of`] the frame type and payload, checked
+    /// against the received payload before it is decoded.
     pub checksum: u64,
 }
 
-/// FNV-1a 64-bit over `bytes` — the workspace-wide shared hash
-/// ([`occusense_core::hash`]), re-exported here so wire consumers keep
-/// their historical import path.
-pub use occusense_core::hash::fnv1a64 as fnv1a;
-
-/// The envelope checksum of a frame: FNV-1a seeded with the frame-type
-/// byte, then folded over the payload — expressed as two streaming
-/// extends of the shared hash, so it stays bit-identical to hashing
-/// the concatenation `frame_type ++ payload`.
+/// The envelope checksum of a frame: XXH64 of the payload, seeded with
+/// the frame-type byte ([`occusense_core::hash::xxh64`]).
 pub fn checksum_of(frame_type: u8, payload: &[u8]) -> u64 {
-    use occusense_core::hash::{fnv1a64_extend, FNV_OFFSET_BASIS};
-    fnv1a64_extend(fnv1a64_extend(FNV_OFFSET_BASIS, &[frame_type]), payload)
+    occusense_core::hash::xxh64(payload, u64::from(frame_type))
 }
 
 /// Parses the fixed header at the start of `bytes`.
@@ -271,34 +270,37 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn checksum_of_is_bitwise_compatible_with_the_legacy_loop() {
-        // The pre-dedup private implementation, verbatim: any frame
-        // checksummed before the shared hash existed must still
-        // validate, so the seeded construction is pinned against it.
-        fn legacy(frame_type: u8, payload: &[u8]) -> u64 {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            hash ^= u64::from(frame_type);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            for b in payload {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        }
-        for frame_type in [1u8, 3, 6, 7, 0, 255] {
+    fn checksum_of_is_xxh64_seeded_by_the_frame_type() {
+        // Pins the version-2 construction against the published XXH64
+        // vectors: a peer implementing XXH64 from its specification
+        // must agree with this checksum byte for byte.
+        assert_eq!(checksum_of(0, b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum_of(0, b"abc"), 0x44BC_2CF5_AD77_0999);
+        for frame_type in [1u8, 3, 6, 7, 255] {
             for payload in [&b""[..], b"x", b"record payload bytes", &[0u8; 64]] {
                 assert_eq!(
                     checksum_of(frame_type, payload),
-                    legacy(frame_type, payload),
+                    occusense_core::hash::xxh64(payload, u64::from(frame_type)),
                     "type {frame_type}, payload {payload:?}"
+                );
+                assert_ne!(
+                    checksum_of(frame_type, payload),
+                    checksum_of(frame_type ^ 1, payload),
+                    "the type byte must seed the checksum"
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_version_one_envelope_is_refused_as_unsupported() {
+        let mut bytes = Encoder::new()
+            .encode(&Frame::Goodbye(Goodbye { count: 1 }))
+            .unwrap();
+        bytes[4] = 1;
+        assert_eq!(
+            decode_frame(&bytes, DEFAULT_MAX_PAYLOAD),
+            Err(DecodeError::UnsupportedVersion { found: 1 })
+        );
     }
 }

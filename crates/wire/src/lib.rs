@@ -19,8 +19,8 @@
 //! * [`codec`] — the payload byte layout: bit-exact `f64`s (via
 //!   [`f64::to_bits`]), canonical encodings, typed [`DecodeError`]s,
 //!   no panicking paths (enforced by occusense-lint).
-//! * [`frame`] — the envelope: magic, version, length prefix,
-//!   FNV-1a-64 checksum over frame type + payload.
+//! * [`frame`] — the envelope: magic, version, length prefix, XXH64
+//!   checksum of the payload seeded with the frame type.
 //! * [`transport`] — [`Connection`]/[`Acceptor`] over an in-process
 //!   loopback (deterministic tests/benches) or std-only TCP, each
 //!   driven through its non-blocking [`PollConn`] face.
@@ -54,7 +54,7 @@ pub use codec::{
     MAX_SENSOR_ID_BYTES, MAX_TENANT_ID_BYTES, PROTOCOL_VERSION, RECORD_BYTES,
 };
 pub use frame::{
-    checksum_of, decode_frame, decode_header, fnv1a, Encoder, FrameHeader, DEFAULT_MAX_PAYLOAD,
+    checksum_of, decode_frame, decode_header, Encoder, FrameHeader, DEFAULT_MAX_PAYLOAD,
     HEADER_BYTES, MAGIC,
 };
 pub use gateway::{Gateway, GatewayConfig};
@@ -258,6 +258,116 @@ mod tests {
         assert_eq!(report.wire.predictions_sent, records.len() as u64);
     }
 
+    /// Writes all of `bytes` through a raw poll face.
+    fn write_all(io: &mut dyn PollConn, bytes: &[u8]) {
+        let mut offset = 0;
+        while offset < bytes.len() {
+            if let PollWrite::Wrote(n) = io.poll_write(&[IoSlice::new(&bytes[offset..])]).unwrap() {
+                offset += n;
+            }
+        }
+    }
+
+    /// Reads the next frame off a raw poll face; `None` once the
+    /// gateway has closed the connection.
+    fn read_frame(io: &mut dyn PollConn, inbuf: &mut FrameBuffer) -> Option<Frame> {
+        loop {
+            if let Some((header, payload)) = inbuf.peek().unwrap() {
+                let frame = decode_payload(header.frame_type, payload).unwrap();
+                inbuf.consume(header.payload_len);
+                return Some(frame);
+            }
+            match io.poll_read(inbuf.spare_mut()).unwrap() {
+                PollRead::Data(n) => inbuf.commit(n),
+                PollRead::WouldBlock => std::thread::sleep(Duration::from_millis(1)),
+                PollRead::Eof => return None,
+            }
+        }
+    }
+
+    /// `frame` as a protocol-version-1 peer sends it: the same payload
+    /// under the version-1 envelope (version byte 1, FNV-1a-64 over
+    /// the type byte followed by the payload).
+    fn v1_envelope(frame: &Frame) -> Vec<u8> {
+        use occusense_core::hash::{fnv1a64, fnv1a64_extend};
+        let mut bytes = Encoder::new().encode(frame).unwrap();
+        bytes[4] = 1;
+        let sum = fnv1a64_extend(fnv1a64(&[bytes[5]]), &bytes[HEADER_BYTES..]);
+        bytes[12..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn stale_protocol_version_is_refused_as_unsupported_and_nothing_is_scored() {
+        let detector = bootstrap_detector();
+        let (acceptor, connector) = loopback(LoopbackConfig::default());
+        let gateway = Gateway::start(
+            detector,
+            ServeConfig {
+                online: None,
+                ..ServeConfig::default()
+            },
+            GatewayConfig::default(),
+            Box::new(acceptor),
+        )
+        .unwrap();
+        let unsupported = Frame::Nack(NackFrame {
+            seq: 0,
+            reason: NackReason::Unsupported,
+        });
+        let record = *simulate(&ScenarioConfig::quick(1.0, 3))
+            .records()
+            .first()
+            .unwrap();
+
+        // A version-1 peer's Hello: refused from its header, then closed.
+        let mut io = connector.connect().unwrap().into_poll().unwrap();
+        write_all(
+            &mut *io,
+            &v1_envelope(&Frame::Hello(Hello {
+                protocol: 1,
+                sensor_id: "stale-hello".into(),
+                tenant: String::new(),
+            })),
+        );
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+        assert_eq!(read_frame(&mut *io, &mut inbuf), Some(unsupported.clone()));
+        assert_eq!(read_frame(&mut *io, &mut inbuf), None);
+
+        // A current handshake followed by a version-1 Record: the
+        // record is refused unscored and the connection closed.
+        let mut io = connector.connect().unwrap().into_poll().unwrap();
+        let hello = Encoder::new()
+            .encode(&Frame::Hello(Hello {
+                protocol: PROTOCOL_VERSION,
+                sensor_id: "stale-record".into(),
+                tenant: String::new(),
+            }))
+            .unwrap();
+        write_all(&mut *io, &hello);
+        let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+        assert!(matches!(
+            read_frame(&mut *io, &mut inbuf),
+            Some(Frame::HelloAck(_))
+        ));
+        write_all(
+            &mut *io,
+            &v1_envelope(&Frame::Record(RecordFrame {
+                seq: 0,
+                label: None,
+                record,
+            })),
+        );
+        assert_eq!(read_frame(&mut *io, &mut inbuf), Some(unsupported));
+        assert_eq!(read_frame(&mut *io, &mut inbuf), None);
+
+        let report = gateway.shutdown();
+        assert_eq!(report.wire.records_ingested, 0);
+        assert_eq!(report.wire.predictions_sent, 0);
+        assert_eq!(report.wire.malformed_frames, 0);
+        assert_eq!(report.unaccounted_records(), 0);
+    }
+
     #[test]
     fn protocol_mismatch_is_refused_with_a_nack() {
         let detector = bootstrap_detector();
@@ -282,23 +392,9 @@ mod tests {
                 tenant: String::new(),
             }))
             .unwrap();
-        let mut offset = 0;
-        while offset < hello.len() {
-            if let PollWrite::Wrote(n) = io.poll_write(&[IoSlice::new(&hello[offset..])]).unwrap() {
-                offset += n;
-            }
-        }
+        write_all(&mut *io, &hello);
         let mut inbuf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
-        let refusal = loop {
-            if let Some((header, payload)) = inbuf.peek().unwrap() {
-                break decode_payload(header.frame_type, payload).unwrap();
-            }
-            match io.poll_read(inbuf.spare_mut()).unwrap() {
-                PollRead::Data(n) => inbuf.commit(n),
-                PollRead::WouldBlock => std::thread::sleep(Duration::from_millis(1)),
-                PollRead::Eof => panic!("closed without a NACK"),
-            }
-        };
+        let refusal = read_frame(&mut *io, &mut inbuf).expect("closed without a NACK");
         assert_eq!(
             refusal,
             Frame::Nack(NackFrame {

@@ -563,6 +563,9 @@ enum Outcome {
     /// A decoded-but-illegal frame (client sent a server-role frame or
     /// a second `Hello`): refuse and close.
     Unsupported(usize),
+    /// The envelope names another protocol version: the peer speaks a
+    /// different wire revision, not a corrupt one.
+    StaleVersion,
     /// The stream is desynchronised or a payload refused to decode.
     Malformed,
     /// Backpressure pause: `(payload_len, frame, consume)` — stash the
@@ -570,17 +573,20 @@ enum Outcome {
     Pause(usize, Frame, bool),
 }
 
+/// Refuses a connection that has not completed its handshake: no
+/// outbound queue exists yet, so the NACK goes straight into the
+/// (empty) write ring, then the connection closes.
+fn refuse_handshake(conn: &mut Conn, ctx: &ReactorCtx, reason: NackReason) {
+    let _ = conn.out.push_frame(&mut conn.encoder, &nack(0, reason));
+    close_now(conn, ctx);
+}
+
 /// Completes the handshake: version check, tenant gate, runtime
 /// client, outbound queue registration, `HelloAck`.
 fn handshake(conn: &mut Conn, ctx: &ReactorCtx, hello: codec::Hello) {
     ctx.counters.frames_received.inc();
     if hello.protocol != PROTOCOL_VERSION {
-        // No outbound queue exists yet — the refusal goes straight
-        // into the (empty) write ring.
-        let _ = conn
-            .out
-            .push_frame(&mut conn.encoder, &nack(0, NackReason::Unsupported));
-        close_now(conn, ctx);
+        refuse_handshake(conn, ctx, NackReason::Unsupported);
         return;
     }
     // Tenant gate: a runtime labelled with a tenant serves only
@@ -589,20 +595,14 @@ fn handshake(conn: &mut Conn, ctx: &ReactorCtx, hello: codec::Hello) {
     // default namespace (empty label) enforces nothing.
     let expected = ctx.runtime.tenant();
     if !expected.is_empty() && hello.tenant != expected {
-        let _ = conn
-            .out
-            .push_frame(&mut conn.encoder, &nack(0, NackReason::Unsupported));
-        close_now(conn, ctx);
+        refuse_handshake(conn, ctx, NackReason::Unsupported);
         return;
     }
     // Drain-and-handoff: refuse *new* sensors while live ones finish,
     // with the retryable `Shutdown` reason so the fleet controller
     // re-routes them to a surviving worker.
     if ctx.draining.load(Ordering::SeqCst) {
-        let _ = conn
-            .out
-            .push_frame(&mut conn.encoder, &nack(0, NackReason::Shutdown));
-        close_now(conn, ctx);
+        refuse_handshake(conn, ctx, NackReason::Shutdown);
         return;
     }
     ctx.counters.connections.inc();
@@ -649,6 +649,7 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
             } = conn;
             match inbuf.peek() {
                 Ok(None) => Outcome::NeedBytes,
+                Err(DecodeError::UnsupportedVersion { .. }) => Outcome::StaleVersion,
                 Err(_) => Outcome::Malformed,
                 Ok(Some((header, payload))) if hello_phase => {
                     match codec::decode_payload(header.frame_type, payload) {
@@ -757,6 +758,16 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
             Outcome::Unsupported(len) => {
                 conn.inbuf.consume(len);
                 part(conn, ctx, nack(0, NackReason::Unsupported));
+                return;
+            }
+            Outcome::StaleVersion => {
+                // Refused from the header alone, like a `Hello` whose
+                // protocol field disagrees: the peer hears why.
+                if hello_phase {
+                    refuse_handshake(conn, ctx, NackReason::Unsupported);
+                } else {
+                    part(conn, ctx, nack(0, NackReason::Unsupported));
+                }
                 return;
             }
             Outcome::Malformed => {

@@ -7,9 +7,9 @@
 
 use occusense_dataset::CsiRecord;
 use occusense_wire::{
-    decode_frame, BatchFrame, DecodeError, EncodeError, Encoder, Frame, Goodbye, Hello, HelloAck,
-    NackFrame, NackReason, PredictionFrame, RecordFrame, DEFAULT_MAX_PAYLOAD, HEADER_BYTES,
-    MAX_BATCH_RECORDS, MAX_SENSOR_ID_BYTES, PROTOCOL_VERSION,
+    decode_frame, BatchFrame, DecodeError, EncodeError, Encoder, Frame, FrameBuffer, Goodbye,
+    Hello, HelloAck, NackFrame, NackReason, PredictionFrame, RecordFrame, DEFAULT_MAX_PAYLOAD,
+    HEADER_BYTES, MAX_BATCH_RECORDS, MAX_SENSOR_ID_BYTES, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -47,7 +47,104 @@ fn assert_roundtrip(frame: &Frame) {
     );
 }
 
+/// The wire image of a 64-record `Batch` frame — the bulk-ingest
+/// shape — whose every `f64` is raw bits drawn from `seed`
+/// (splitmix64), so the checksum sees NaNs, infinities and subnormals.
+fn batch64_bytes(first_seq: u64, seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let records = (0..64u8)
+        .map(|i| {
+            let bits: Vec<u64> = (0..67).map(|_| next()).collect();
+            (
+                record_from_bits(&bits, i % 7),
+                (i % 2 == 0).then_some(i % 5),
+            )
+        })
+        .collect();
+    Encoder::default()
+        .encode(&Frame::Batch(BatchFrame { first_seq, records }))
+        .expect("encode")
+}
+
+/// What the reactor makes of `bytes`: its in-place frame buffer either
+/// yields a verified frame, asks for more bytes, or refuses.
+fn reactor_peek(bytes: &[u8]) -> Result<bool, DecodeError> {
+    let mut buffer = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+    let mut fed = 0;
+    while fed < bytes.len() {
+        let spare = buffer.spare_mut();
+        let n = spare.len().min(bytes.len() - fed);
+        spare[..n].copy_from_slice(&bytes[fed..fed + n]);
+        buffer.commit(n);
+        fed += n;
+    }
+    buffer.peek().map(|frame| frame.is_some())
+}
+
 proptest! {
+    #[test]
+    fn batch64_corruption_is_refused_never_misdecoded(
+        first_seq in 0u64..=u64::MAX,
+        seed in 0u64..=u64::MAX,
+        flips in prop::collection::vec(0.0f64..1.0, 1..4),
+        cut_class in 0usize..3,
+        cut_fraction in 0.0f64..1.0,
+        relabel in 0u8..=u8::MAX,
+    ) {
+        let clean = batch64_bytes(first_seq, seed);
+        prop_assert!(decode_frame(&clean, DEFAULT_MAX_PAYLOAD).is_ok());
+        prop_assert_eq!(reactor_peek(&clean), Ok(true));
+
+        // 1–3 distinct bit flips anywhere in header or payload.
+        let mut bits: Vec<usize> = flips
+            .iter()
+            .map(|f| ((clean.len() * 8) as f64 * f) as usize)
+            .collect();
+        bits.sort_unstable();
+        bits.dedup();
+        let mut flipped = clean.clone();
+        for bit in &bits {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let outcome = decode_frame(&flipped, DEFAULT_MAX_PAYLOAD);
+        prop_assert!(outcome.is_err(), "flips {:?} decoded to {:?}", bits, outcome.map(|(_, n)| n));
+        // The reactor may wait for bytes a grown length field promises,
+        // but never hands the corrupted frame on.
+        prop_assert!(reactor_peek(&flipped) != Ok(true), "flips {:?} passed the reactor", bits);
+
+        // Truncation inside the header, exactly at its end, or inside
+        // the payload: always a typed `Truncated`, never a frame.
+        let cut = match cut_class {
+            0 => (HEADER_BYTES as f64 * cut_fraction) as usize,
+            1 => HEADER_BYTES,
+            _ => HEADER_BYTES + 1 + ((clean.len() - HEADER_BYTES - 1) as f64 * cut_fraction) as usize,
+        };
+        prop_assert!(cut < clean.len());
+        let err = decode_frame(&clean[..cut], DEFAULT_MAX_PAYLOAD).expect_err("strict prefix");
+        prop_assert!(matches!(err, DecodeError::Truncated { .. }), "cut {} gave {:?}", cut, err);
+        prop_assert_eq!(reactor_peek(&clean[..cut]), Ok(false));
+
+        // Relabelling the frame type under an intact payload and
+        // checksum: the type seeds the checksum, so it cannot verify.
+        let mut relabelled = clean.clone();
+        relabelled[5] = if relabel == clean[5] { relabel ^ 0x80 } else { relabel };
+        let err = decode_frame(&relabelled, DEFAULT_MAX_PAYLOAD).expect_err("relabelled");
+        prop_assert!(
+            matches!(err, DecodeError::ChecksumMismatch { .. }),
+            "type {} gave {:?}", relabelled[5], err
+        );
+        prop_assert!(
+            matches!(reactor_peek(&relabelled), Err(DecodeError::ChecksumMismatch { .. }))
+        );
+    }
+
     #[test]
     fn record_frames_round_trip_bitwise(
         seq in 0u64..=u64::MAX,
