@@ -8,9 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::CsiRecord;
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig, ServeRuntime};
+use occusense_serve::{BackpressurePolicy, ServeConfig, ServeRuntime};
 use std::hint::black_box;
-use std::time::Duration;
 
 const SENSORS: usize = 4;
 
@@ -47,10 +46,7 @@ fn serve_once(detector: &OccupancyDetector, traces: &[Vec<CsiRecord>], max_batch
             n_shards: 2,
             queue_capacity: 512,
             policy: BackpressurePolicy::Block,
-            batch: BatchConfig {
-                max_batch,
-                max_delay: Duration::from_millis(5),
-            },
+            max_batch,
             online: None,
             ..ServeConfig::default()
         },

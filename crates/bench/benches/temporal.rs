@@ -14,11 +14,10 @@ use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::temporal::{TemporalConfig, TemporalDetector, TemporalWorkspace};
 use occusense_core::tensor::Matrix;
 use occusense_core::CsiRecord;
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig, ServeRuntime};
+use occusense_serve::{BackpressurePolicy, ServeConfig, ServeRuntime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Duration;
 
 /// Training-shaped problem: the default detector window over the CSI
 /// feature dimension, a training-sized batch of windows.
@@ -129,10 +128,7 @@ fn bench_stateful_serve_cycle(c: &mut Criterion) {
                     n_shards: 2,
                     queue_capacity: 512,
                     policy: BackpressurePolicy::Block,
-                    batch: BatchConfig {
-                        max_batch: 32,
-                        max_delay: Duration::from_millis(2),
-                    },
+                    max_batch: 32,
                     online: None,
                     ..ServeConfig::default()
                 },

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::CsiRecord;
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig};
+use occusense_serve::{BackpressurePolicy, ServeConfig};
 use occusense_wire::{
     checksum_of, decode_frame, decode_header, loopback, tcp_connect, tcp_listen, BatchFrame,
     BatchView, ClientEvent, Encoder, Frame, Gateway, GatewayConfig, LoopbackConfig, RecordFrame,
@@ -132,17 +132,13 @@ fn round_trip(client: &mut WireClient, record: CsiRecord) -> u64 {
     }
 }
 
-/// Latency-biased serve config: 1-record micro-batches, no deadline
-/// slack, online training off.
+/// Latency-biased serve config: 1-record batches, online training off.
 fn latency_config() -> ServeConfig {
     ServeConfig {
         n_shards: 1,
         queue_capacity: 64,
         policy: BackpressurePolicy::Block,
-        batch: BatchConfig {
-            max_batch: 1,
-            max_delay: Duration::from_micros(100),
-        },
+        max_batch: 1,
         online: None,
         ..ServeConfig::default()
     }

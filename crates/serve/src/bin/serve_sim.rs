@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p occusense-serve --bin serve_sim -- \
-//!     --sensors 6 --shards 4 --batch 32 --delay-ms 5 \
+//!     --sensors 6 --shards 4 --batch 32 \
 //!     --policy drop-oldest --duration 600
 //! ```
 //!
@@ -17,19 +17,18 @@
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_serve::{
-    BackpressurePolicy, BatchConfig, CheckpointConfig, OnlineTrainingConfig, ServeConfig,
-    ServeRuntime, SubmitError,
+    BackpressurePolicy, CheckpointConfig, OnlineTrainingConfig, ServeConfig, ServeRuntime,
+    SubmitError,
 };
 use occusense_sim::{simulate, FaultPlan, OfficeSimulator, ScenarioConfig};
 use std::path::PathBuf;
-use std::time::Duration;
 
 const USAGE: &str = "serve_sim — replay simulated office sensors through the serving runtime
 
   --sensors N         concurrent simulated sensors (default 6)
   --shards N          worker shards (default 4)
-  --batch N           micro-batch size trigger (default 32)
-  --delay-ms N        micro-batch deadline trigger (default 5)
+  --batch N           most records one worker flush scores (default 32);
+                      workers score whatever is queued, up to N
   --policy P          block | drop-oldest | reject-newest (default drop-oldest)
   --duration S        simulated seconds replayed per sensor (default 600)
   --capacity N        per-shard queue capacity (default 256)
@@ -48,7 +47,7 @@ it ships as its own driver):
 
   wire_storm replays the same simulated fleets over the binary wire
   protocol instead of in-process calls. Its gateway flags mirror the
-  ones above (--shards, --batch, --delay-ms, --policy, --capacity) and
+  ones above (--shards, --batch, --policy, --capacity) and
   add --transport loopback|tcp, --addr HOST:PORT, --records N,
   --wire-batch N, --outbound-policy P (slow-client handling for the
   prediction stream), --seed S and --verify (bitwise comparison of
@@ -59,7 +58,6 @@ struct Args {
     sensors: usize,
     shards: usize,
     max_batch: usize,
-    max_delay_ms: u64,
     policy: BackpressurePolicy,
     duration_s: f64,
     queue_capacity: usize,
@@ -73,7 +71,6 @@ impl Default for Args {
             sensors: 6,
             shards: 4,
             max_batch: 32,
-            max_delay_ms: 5,
             policy: BackpressurePolicy::DropOldest,
             duration_s: 600.0,
             queue_capacity: 256,
@@ -106,7 +103,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--sensors",
             "--shards",
             "--batch",
-            "--delay-ms",
             "--policy",
             "--duration",
             "--capacity",
@@ -123,7 +119,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--sensors" => args.sensors = parse_value(&raw, "--sensors")?,
             "--shards" => args.shards = parse_value(&raw, "--shards")?,
             "--batch" => args.max_batch = parse_value(&raw, "--batch")?,
-            "--delay-ms" => args.max_delay_ms = parse_value(&raw, "--delay-ms")?,
             "--policy" => {
                 args.policy = BackpressurePolicy::parse(&raw).ok_or_else(|| {
                     format!("unknown policy {raw:?} (block | drop-oldest | reject-newest)")
@@ -143,6 +138,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if args.shards == 0 {
         return Err("--shards must be >= 1".into());
+    }
+    if args.max_batch == 0 {
+        return Err("--batch must be >= 1".into());
     }
     Ok(args)
 }
@@ -174,10 +172,7 @@ fn main() {
         n_shards: args.shards,
         queue_capacity: args.queue_capacity,
         policy: args.policy,
-        batch: BatchConfig {
-            max_batch: args.max_batch,
-            max_delay: Duration::from_millis(args.max_delay_ms),
-        },
+        max_batch: args.max_batch,
         online: Some(OnlineTrainingConfig::default()),
         ..ServeConfig::default()
     };
@@ -188,13 +183,8 @@ fn main() {
     config.checkpoint = args.checkpoint_dir.clone().map(CheckpointConfig::new);
 
     eprintln!(
-        "serving: {} sensors → {} shards, batch ≤{} / {}ms, policy {:?}, queue capacity {}",
-        args.sensors,
-        args.shards,
-        args.max_batch,
-        args.max_delay_ms,
-        args.policy,
-        args.queue_capacity
+        "serving: {} sensors → {} shards, batch ≤{}, policy {:?}, queue capacity {}",
+        args.sensors, args.shards, args.max_batch, args.policy, args.queue_capacity
     );
     if !args.faults.is_empty() {
         eprintln!(

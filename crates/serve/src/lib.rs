@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!  sensors ──▶ bounded shard queues ──▶ worker threads ──▶ predictions
-//!  (clients)   (Block / DropOldest /    (micro-batch +
+//!  (clients)   (Block / DropOldest /    (take what is queued,
 //!               RejectNewest, exact      one batched MLP
 //!               drop counters)           forward each)
 //!                                           │ labelled records
@@ -20,16 +20,16 @@
 //! * **Sharding** — sensors are FNV-1a hash-routed to a fixed worker
 //!   shard ([`routing`]), so per-sensor ordering is preserved and the
 //!   hot path shares no locks across shards.
-//! * **Micro-batching** — each worker flushes on a size or oldest-item
-//!   deadline trigger ([`batcher`]) and scores the whole batch with a
-//!   single batched forward pass, bitwise identical to per-record
-//!   scoring.
+//! * **Work-conserving batching** — each worker takes whatever is
+//!   queued, up to `max_batch`, the moment it is free ([`worker`]) and
+//!   scores it with a single batched forward pass, bitwise identical
+//!   to per-record scoring. Batch size follows load; no timer.
 //! * **Hot swap** — a trainer thread learns continually from labelled
 //!   records and publishes versioned snapshots workers pick up between
 //!   batches ([`model`]).
 //! * **Stateful sequence scoring** — a runtime booted with
 //!   [`ServeRuntime::start_temporal`] serves the GRU sequence model:
-//!   each sensor's hidden row is carried between micro-batches in a
+//!   each sensor's hidden row is carried between batches in a
 //!   per-shard [`state`] table, the current timestep of all sensors in
 //!   a batch advances in *one* batched GRU step (bitwise identical to
 //!   solo stepping, by row independence of the kernels), states
@@ -60,7 +60,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod batcher;
 pub mod metrics;
 pub mod model;
 pub mod queue;
@@ -72,7 +71,6 @@ pub mod supervisor;
 pub mod trainer;
 pub mod worker;
 
-pub use batcher::{BatchConfig, MicroBatcher};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use model::{ModelHandle, ModelSnapshot, ServedModel};
 pub use queue::{

@@ -2,7 +2,7 @@
 //!
 //! The trainer thread keeps learning on its own [`OnlineDetector`]
 //! (`occusense_core::online`) and periodically publishes an immutable
-//! snapshot here; workers re-read the slot between micro-batches, so a
+//! snapshot here; workers re-read the slot between batches, so a
 //! swap never interrupts an in-flight batch and the inference path
 //! never blocks on training. The slot is a single `RwLock<Arc<_>>`
 //! touched once per *batch* (not per record), so contention is

@@ -31,7 +31,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// What [`BoundedQueue::push`] does when the queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,12 +103,12 @@ impl<T> TryPushError<T> {
     }
 }
 
-/// Outcome of a deadline-bounded pop.
+/// Outcome of a non-blocking [`try_pop`](BoundedQueue::try_pop).
 #[derive(Debug, PartialEq, Eq)]
 pub enum PopResult<T> {
     /// An item was dequeued.
     Item(T),
-    /// The deadline passed with the queue empty.
+    /// The queue is momentarily empty but still open.
     TimedOut,
     /// The queue is closed and fully drained.
     Closed,
@@ -249,38 +248,30 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues, giving up at `deadline` — the wait primitive of the
-    /// micro-batcher's flush timer.
-    pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
+    /// Work-conserving batch dequeue: parks until at least one item is
+    /// queued, then appends up to `max` items (FIFO order) to `out`
+    /// under a single lock hold. Returns `false` — with `out`
+    /// untouched — only once the queue is closed *and* drained.
+    ///
+    /// One pop can free room for several parked
+    /// [`Block`](BackpressurePolicy::Block) producers, so all of them
+    /// are woken; each re-checks capacity under the lock.
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         // lint:allow(panic, reason = "poison propagation: see module doc — a poisoned queue must panic into the supervisor, not serve corrupted state")
         let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.popped.fetch_add(1, Ordering::Relaxed);
-                drop(state);
-                self.not_full.notify_one();
-                return PopResult::Item(item);
-            }
+        while state.items.is_empty() {
             if state.closed {
-                return PopResult::Closed;
+                return false;
             }
-            let now = Instant::now();
-            let Some(wait) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return PopResult::TimedOut;
-            };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(state, wait)
-                // lint:allow(panic, reason = "poison propagation: see module doc")
-                .expect("queue poisoned");
-            state = guard;
-            if timeout.timed_out() && state.items.is_empty() && !state.closed {
-                return PopResult::TimedOut;
-            }
+            // lint:allow(panic, reason = "poison propagation: see module doc")
+            state = self.not_empty.wait(state).expect("queue poisoned");
         }
+        let n = max.min(state.items.len());
+        out.extend(state.items.drain(..n));
+        self.popped.fetch_add(n as u64, Ordering::Relaxed);
+        drop(state);
+        self.not_full.notify_all();
+        true
     }
 
     /// Non-blocking dequeue: `Item` when something was buffered,
@@ -510,23 +501,108 @@ mod tests {
     }
 
     #[test]
-    fn pop_deadline_times_out_and_recovers() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(4, BackpressurePolicy::Block);
-        let t = Instant::now();
-        assert_eq!(
-            q.pop_deadline(t + Duration::from_millis(20)),
-            PopResult::TimedOut
+    fn pop_batch_takes_at_most_max_in_fifo_order() {
+        let q = BoundedQueue::new(8, BackpressurePolicy::Block);
+        for i in 0..5 {
+            q.push(i).unwrap();
+        }
+        let mut out = vec![-1];
+        assert!(q.pop_batch(3, &mut out));
+        // Appends after what the caller already holds.
+        assert_eq!(out, vec![-1, 0, 1, 2]);
+        out.clear();
+        assert!(q.pop_batch(3, &mut out));
+        assert_eq!(out, vec![3, 4]);
+        let c = q.counters();
+        assert_eq!((c.pushed, c.popped, c.depth), (5, 5, 0));
+    }
+
+    #[test]
+    fn pop_batch_blocks_until_the_first_push() {
+        let q = Arc::new(BoundedQueue::new(4, BackpressurePolicy::Block));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let more = q.pop_batch(4, &mut out);
+                (more, out)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            !consumer.is_finished(),
+            "pop_batch returned on an empty queue"
         );
-        assert!(t.elapsed() >= Duration::from_millis(20));
-        q.push(9).unwrap();
-        assert_eq!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(20)),
-            PopResult::Item(9)
-        );
+        q.push(7).unwrap();
+        let (more, out) = consumer.join().unwrap();
+        assert!(more);
+        assert_eq!(out, vec![7]);
+    }
+
+    #[test]
+    fn pop_batch_ends_only_when_closed_and_drained() {
+        let q = BoundedQueue::new(4, BackpressurePolicy::Block);
+        q.push('a').unwrap();
+        q.push('b').unwrap();
         q.close();
+        let mut out = Vec::new();
+        // Closed but not drained: still hands out what it holds.
+        assert!(q.pop_batch(1, &mut out));
+        assert!(q.pop_batch(8, &mut out));
+        assert_eq!(out, vec!['a', 'b']);
+        assert!(!q.pop_batch(8, &mut out));
         assert_eq!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(5)),
-            PopResult::Closed
+            out,
+            vec!['a', 'b'],
+            "a closed, drained pop must not touch out"
         );
+
+        // Closing wakes a consumer parked on an empty queue.
+        let q: Arc<BoundedQueue<u8>> = Arc::new(BoundedQueue::new(4, BackpressurePolicy::Block));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_batch(4, &mut Vec::new()))
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        q.close();
+        assert!(!consumer.join().unwrap());
+    }
+
+    #[test]
+    fn pop_batch_wakes_every_parked_producer() {
+        let q = Arc::new(BoundedQueue::new(4, BackpressurePolicy::Block));
+        for i in 0..4 {
+            q.push(i).unwrap();
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let producers: Vec<_> = (4..8)
+            .map(|i| {
+                let q = Arc::clone(&q);
+                let done = done_tx.clone();
+                std::thread::spawn(move || {
+                    q.push(i).unwrap();
+                    done.send(i).unwrap();
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(q.len(), 4, "producers should all be parked");
+        let mut out = Vec::new();
+        assert!(q.pop_batch(4, &mut out));
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        // One pop freed four slots: every parked producer must get in
+        // without any further consumer activity.
+        for _ in 0..4 {
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a parked producer was never woken");
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        let mut rest = Vec::new();
+        assert!(q.pop_batch(8, &mut rest));
+        rest.sort_unstable();
+        assert_eq!(rest, vec![4, 5, 6, 7]);
     }
 }

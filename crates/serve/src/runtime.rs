@@ -1,11 +1,10 @@
 //! Assembly of the serving pipeline:
-//! `SensorClient → shard queue → supervised worker (micro-batch →
+//! `SensorClient → shard queue → supervised worker (drain queue →
 //! batched forward) → prediction channel`, with a side path
 //! `labelled records → trainer queue → OnlineDetector → hot swap`
 //! and a fault-tolerance layer (supervised restarts, dead-letter
 //! quarantine, crash-safe checkpoints) around all of it.
 
-use crate::batcher::BatchConfig;
 use crate::metrics::MetricsRegistry;
 use crate::model::{ModelHandle, ServedModel};
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushError, QueueCounters};
@@ -64,8 +63,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Full-queue behaviour of the ingestion queues.
     pub policy: BackpressurePolicy,
-    /// Per-worker micro-batching knobs.
-    pub batch: BatchConfig,
+    /// Most records one worker flush scores. Workers take whatever is
+    /// queued up to this many, so batches are only this large when a
+    /// shard is behind.
+    pub max_batch: usize,
     /// `Some` enables continual training + hot model swap.
     pub online: Option<OnlineTrainingConfig>,
     /// Panic supervision and quarantine knobs.
@@ -85,7 +86,7 @@ impl Default for ServeConfig {
             n_shards: 4,
             queue_capacity: 1024,
             policy: BackpressurePolicy::DropOldest,
-            batch: BatchConfig::default(),
+            max_batch: 32,
             online: Some(OnlineTrainingConfig::default()),
             supervisor: SupervisorConfig::default(),
             checkpoint: None,
@@ -99,6 +100,8 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// `n_shards` was zero.
     ZeroShards,
+    /// `max_batch` was zero.
+    ZeroBatch,
     /// Online training was requested for a detector that is not
     /// MLP-backed (only the MLP supports the paper's continual-
     /// training path).
@@ -116,6 +119,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::ZeroShards => write!(f, "serve: n_shards must be positive"),
+            ServeError::ZeroBatch => write!(f, "serve: max_batch must be positive"),
             ServeError::OnlineRequiresMlp => {
                 write!(f, "serve: online training requires an MLP-backed detector")
             }
@@ -496,7 +500,8 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// [`ServeError::ZeroShards`] for an empty topology,
+    /// [`ServeError::ZeroShards`] / [`ServeError::ZeroBatch`] for an
+    /// empty topology or batch size,
     /// [`ServeError::OnlineRequiresMlp`] when online training is
     /// requested for a non-MLP detector, and
     /// [`ServeError::CheckpointDir`] when the checkpoint directory
@@ -510,14 +515,15 @@ impl ServeRuntime {
 
     /// Boots the runtime around a temporal (GRU) sequence model:
     /// workers keep one hidden row per sensor in a shared
-    /// [`StateTable`] and score each micro-batch as batched GRU steps.
+    /// [`StateTable`] and score each batch as batched GRU steps.
     /// Swap models with [`publish_temporal`](Self::publish_temporal),
     /// drop a disconnected sensor's state with
     /// [`evict_sensor`](Self::evict_sensor).
     ///
     /// # Errors
     ///
-    /// [`ServeError::ZeroShards`] for an empty topology and
+    /// [`ServeError::ZeroShards`] / [`ServeError::ZeroBatch`] for an
+    /// empty topology or batch size and
     /// [`ServeError::OnlineUnsupportedForTemporal`] when `config`
     /// enables the (frame-only) continual trainer.
     pub fn start_temporal(
@@ -536,6 +542,9 @@ impl ServeRuntime {
     ) -> Result<(Self, mpsc::Receiver<Prediction>), ServeError> {
         if config.n_shards == 0 {
             return Err(ServeError::ZeroShards);
+        }
+        if config.max_batch == 0 {
+            return Err(ServeError::ZeroBatch);
         }
         // Validate the whole configuration before spawning anything,
         // so a refused start never leaks threads.
@@ -577,7 +586,6 @@ impl ServeRuntime {
         let worker_metrics = WorkerMetrics {
             records: metrics.counter("serve.records"),
             batches: metrics.counter("serve.batches"),
-            deadline_flushes: metrics.counter("serve.deadline_flushes"),
             restarts: metrics.counter("serve.restarts"),
             poisoned: metrics.counter("serve.poisoned_records"),
             state_resets: metrics.counter("serve.state_resets"),
@@ -595,7 +603,7 @@ impl ServeRuntime {
                 shard,
                 queue,
                 model: Arc::clone(&model),
-                batch: config.batch,
+                max_batch: config.max_batch,
                 out: out_tx.clone(),
                 trainer_queue: trainer_queue.clone(),
                 metrics: worker_metrics.clone(),
@@ -976,10 +984,7 @@ mod tests {
             n_shards: 2,
             policy: BackpressurePolicy::Block,
             online: None,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(1),
-            },
+            max_batch: 8,
             ..ServeConfig::default()
         }
     }
@@ -991,6 +996,30 @@ mod tests {
                     .expect("prediction within the deadline")
             })
             .collect()
+    }
+
+    #[test]
+    fn empty_topology_or_batch_size_is_refused() {
+        let (temporal, _) = tiny_temporal(29);
+        for (config, want) in [
+            (
+                ServeConfig {
+                    n_shards: 0,
+                    ..temporal_config()
+                },
+                ServeError::ZeroShards,
+            ),
+            (
+                ServeConfig {
+                    max_batch: 0,
+                    ..temporal_config()
+                },
+                ServeError::ZeroBatch,
+            ),
+        ] {
+            let got = ServeRuntime::start_temporal(temporal.clone(), config).err();
+            assert_eq!(got, Some(want));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-sensor hidden-state table for stateful temporal serving.
 //!
 //! Each sensor scored by a temporal snapshot carries one GRU hidden
-//! row between micro-batches. States are partitioned by worker shard —
+//! row between batches. States are partitioned by worker shard —
 //! a sensor's records are hash-routed to a fixed shard, so its state
 //! is only ever touched by that shard's worker (during a flush) and by
 //! the control plane (eviction on disconnect, census). One `Mutex` per

@@ -1,5 +1,11 @@
-//! The worker shard: dequeue → micro-batch → one batched forward,
-//! supervised against panics.
+//! The worker shard: dequeue whatever is queued → one batched
+//! forward, supervised against panics.
+//!
+//! Batching is work-conserving: the worker parks until at least one
+//! job is queued, takes everything waiting (up to `max_batch`) under
+//! one queue lock, scores it, and repeats. Batch size follows load —
+//! one record when the shard is idle, `max_batch` when it is behind —
+//! and no record ever waits for company, so the loop needs no timer.
 //!
 //! Each worker owns its queue end and scores against an immutable
 //! model snapshot re-read *between* batches (never mid-batch), so the
@@ -14,10 +20,9 @@
 //! it closes its queue (producers see `SubmitError::Shutdown`) and
 //! quarantines the remnant so every accepted record stays accounted.
 
-use crate::batcher::{BatchConfig, MicroBatcher};
 use crate::metrics::{Counter, Histogram};
 use crate::model::{ModelHandle, ServedModel};
-use crate::queue::{BoundedQueue, PopResult};
+use crate::queue::BoundedQueue;
 use crate::state::{SensorState, StateTable};
 use crate::supervisor::{is_scorable, panic_message, SupervisorState};
 use crate::trainer::LabelledRecord;
@@ -67,7 +72,6 @@ pub struct Prediction {
 pub(crate) struct WorkerMetrics {
     pub records: Arc<Counter>,
     pub batches: Arc<Counter>,
-    pub deadline_flushes: Arc<Counter>,
     pub restarts: Arc<Counter>,
     pub poisoned: Arc<Counter>,
     pub state_resets: Arc<Counter>,
@@ -81,7 +85,8 @@ pub(crate) struct WorkerContext {
     pub shard: usize,
     pub queue: Arc<BoundedQueue<Job>>,
     pub model: Arc<ModelHandle>,
-    pub batch: BatchConfig,
+    /// Most jobs one flush scores.
+    pub max_batch: usize,
     pub out: mpsc::Sender<Prediction>,
     pub trainer_queue: Option<Arc<BoundedQueue<LabelledRecord>>>,
     pub metrics: WorkerMetrics,
@@ -120,6 +125,23 @@ struct TemporalBuffers {
     step_probas: Vec<f64>,
 }
 
+impl ScoreBuffers {
+    fn new(ctx: &WorkerContext) -> Self {
+        Self {
+            records: Vec::new(),
+            probas: Vec::new(),
+            ws: ScoreWorkspace::with_parallelism(ctx.parallelism),
+            temporal: ctx.states.as_ref().map(|_| TemporalBuffers {
+                ws: TemporalWorkspace::with_parallelism(ctx.parallelism),
+                h: Matrix::zeros(0, 0),
+                records: Vec::new(),
+                positions: Vec::new(),
+                step_probas: Vec::new(),
+            }),
+        }
+    }
+}
+
 impl WorkerContext {
     fn quarantine(&self, jobs: Vec<Job>, reason: &str) {
         let n = self.supervision.quarantine(self.shard, jobs, reason);
@@ -130,124 +152,79 @@ impl WorkerContext {
 /// The supervision loop around the batch-scoring loop. Runs until the
 /// queue is closed and drained, surviving up to `max_restarts` panics.
 pub(crate) fn run(ctx: WorkerContext) {
-    // Both cells live *outside* the unwind boundary so a panic while
-    // scoring cannot lose records: `in_flight` holds the batch being
-    // scored, the batcher holds the not-yet-flushed remainder.
-    let in_flight: RefCell<Option<Vec<Job>>> = RefCell::new(None);
-    let batcher = RefCell::new(MicroBatcher::new(ctx.batch));
+    // The batch lives *outside* the unwind boundary: jobs move from the
+    // queue straight into `in_flight` and leave it only once scored, so
+    // a panic anywhere between the pop and the fan-out cannot lose a
+    // record. Its capacity is recycled across flushes.
+    let in_flight: RefCell<Vec<Job>> = RefCell::new(Vec::new());
     // Scoring buffers also live outside the unwind boundary: a restart
     // keeps the warmed capacity (every flush overwrites them whole, so
     // no stale state can leak across a panic).
-    let buffers = RefCell::new(ScoreBuffers {
-        records: Vec::new(),
-        probas: Vec::new(),
-        ws: ScoreWorkspace::with_parallelism(ctx.parallelism),
-        temporal: ctx.states.as_ref().map(|_| TemporalBuffers {
-            ws: TemporalWorkspace::with_parallelism(ctx.parallelism),
-            h: Matrix::zeros(0, 0),
-            records: Vec::new(),
-            positions: Vec::new(),
-            step_probas: Vec::new(),
-        }),
-    });
+    let buffers = RefCell::new(ScoreBuffers::new(&ctx));
     loop {
-        match catch_unwind(AssertUnwindSafe(|| {
-            batch_loop(&ctx, &batcher, &in_flight, &buffers)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| batch_loop(&ctx, &in_flight, &buffers))) {
             Ok(()) => return, // queue closed and fully drained
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
-                if let Some(batch) = in_flight.borrow_mut().take() {
+                let batch = std::mem::take(&mut *in_flight.borrow_mut());
+                if !batch.is_empty() {
                     ctx.quarantine(batch, &format!("worker panic: {message}"));
                 }
                 let restarts = ctx.supervision.record_shard_panic(ctx.shard, &message);
                 ctx.metrics.restarts.inc();
                 if restarts > ctx.max_restarts {
-                    fail_shard(&ctx, &batcher);
+                    fail_shard(&ctx);
                     return;
                 }
                 // Respawn: next iteration re-enters the batch loop on
-                // the same queue with the surviving batcher state.
+                // the same queue.
             }
         }
     }
 }
 
 /// Permanent failure past the restart limit: stop ingestion and
-/// quarantine everything still held, so the accounting identity
+/// quarantine everything still queued, so the accounting identity
 /// `pushed = scored + quarantined + dropped` holds even here.
-fn fail_shard(ctx: &WorkerContext, batcher: &RefCell<MicroBatcher<Job>>) {
+fn fail_shard(ctx: &WorkerContext) {
     ctx.queue.close();
-    let mut remnant = batcher.borrow_mut().take();
-    while let Some(job) = ctx.queue.pop() {
-        remnant.push(job);
-    }
+    let mut remnant = Vec::new();
+    while ctx.queue.pop_batch(usize::MAX, &mut remnant) {}
     if !remnant.is_empty() {
         ctx.quarantine(remnant, "shard failed: restart limit exceeded");
     }
 }
 
-/// The batch-scoring loop (the unwind-protected region).
-fn batch_loop(
-    ctx: &WorkerContext,
-    batcher: &RefCell<MicroBatcher<Job>>,
-    in_flight: &RefCell<Option<Vec<Job>>>,
-    buffers: &RefCell<ScoreBuffers>,
-) {
-    loop {
-        let deadline = batcher.borrow().deadline();
-        let next = match deadline {
-            Some(deadline) => ctx.queue.pop_deadline(deadline),
-            None => match ctx.queue.pop() {
-                Some(job) => PopResult::Item(job),
-                None => PopResult::Closed,
-            },
-        };
-        match next {
-            PopResult::Item(job) => {
-                let full = batcher.borrow_mut().push(job, Instant::now());
-                if let Some(batch) = full {
-                    flush(ctx, in_flight, buffers, batch, false);
-                }
-            }
-            PopResult::TimedOut => {
-                let due = batcher.borrow_mut().flush_due(Instant::now());
-                if let Some(batch) = due {
-                    flush(ctx, in_flight, buffers, batch, true);
-                }
-            }
-            PopResult::Closed => {
-                let rest = batcher.borrow_mut().take();
-                if !rest.is_empty() {
-                    flush(ctx, in_flight, buffers, rest, false);
-                }
-                return;
-            }
-        }
+/// The batch-scoring loop (the unwind-protected region): take
+/// whatever is queued, score it, repeat until the queue is closed and
+/// drained.
+fn batch_loop(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefCell<ScoreBuffers>) {
+    while ctx
+        .queue
+        .pop_batch(ctx.max_batch, &mut in_flight.borrow_mut())
+    {
+        flush(ctx, in_flight, buffers);
     }
 }
 
-/// Scores one micro-batch with a single batched forward pass and fans
-/// the results out to the prediction channel and (labelled records
-/// only) the trainer queue. Non-finite records are quarantined before
-/// scoring; the scorable remainder is parked in `in_flight` so the
-/// supervisor can quarantine it if the forward pass panics.
-fn flush(
-    ctx: &WorkerContext,
-    in_flight: &RefCell<Option<Vec<Job>>>,
-    buffers: &RefCell<ScoreBuffers>,
-    batch: Vec<Job>,
-    deadline_triggered: bool,
-) {
-    let (scorable, poisoned): (Vec<Job>, Vec<Job>) =
-        batch.into_iter().partition(|job| is_scorable(&job.record));
+/// Scores the batch parked in `in_flight` with a single batched
+/// forward pass and fans the results out to the prediction channel
+/// and (labelled records only) the trainer queue. Non-finite records
+/// are split out and quarantined first — a clean batch is scored in
+/// place, with no allocation. The batch stays parked until the
+/// forward pass succeeds, so the supervisor can quarantine it if the
+/// pass panics.
+fn flush(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefCell<ScoreBuffers>) {
+    let poisoned: Vec<Job> = in_flight
+        .borrow_mut()
+        .extract_if(.., |job| !is_scorable(&job.record))
+        .collect();
     if !poisoned.is_empty() {
         ctx.quarantine(poisoned, "non-finite input record");
     }
-    if scorable.is_empty() {
+    if in_flight.borrow().is_empty() {
         return;
     }
-    *in_flight.borrow_mut() = Some(scorable);
 
     let snapshot = ctx.model.current();
     let infer_start = Instant::now();
@@ -255,9 +232,7 @@ fn flush(
         ServedModel::Frame(detector) => {
             // lint:no_alloc
             {
-                let guard = in_flight.borrow();
-                // lint:allow(panic, reason = "invariant: the batch was parked into in_flight two statements ago and nothing can take it in between")
-                let batch = guard.as_deref().expect("in-flight batch just parked");
+                let batch = in_flight.borrow();
                 if ctx.panic_on_trigger && batch.iter().any(|j| is_worker_panic_trigger(&j.record))
                 {
                     // lint:allow(panic, reason = "fault injection: this panic IS the feature under test; it exercises the supervisor's restart path")
@@ -282,37 +257,36 @@ fn flush(
             // lint:end_no_alloc
         }
         ServedModel::Temporal(temporal) => {
-            if !score_temporal(ctx, temporal, snapshot.version, in_flight, buffers) {
+            let scored = score_temporal(
+                ctx,
+                temporal,
+                snapshot.version,
+                &in_flight.borrow(),
+                &mut buffers.borrow_mut(),
+            );
+            if !scored {
                 // A temporal snapshot reached a worker without a state
                 // table — a frame-mode runtime was handed a temporal
                 // publish. Quarantining keeps the accounting identity
                 // exact rather than scoring with fabricated state.
-                if let Some(batch) = in_flight.borrow_mut().take() {
-                    ctx.quarantine(batch, "temporal snapshot on a runtime without sensor state");
-                }
+                let batch = std::mem::take(&mut *in_flight.borrow_mut());
+                ctx.quarantine(batch, "temporal snapshot on a runtime without sensor state");
                 return;
             }
         }
     }
-    // The forward pass succeeded: the batch is no longer at risk.
-    let batch = in_flight
-        .borrow_mut()
-        .take()
-        // lint:allow(panic, reason = "invariant: the batch was parked into in_flight above and the forward pass cannot consume it")
-        .expect("in-flight batch still parked");
-
     ctx.metrics
         .inference_ns
         .record(infer_start.elapsed().as_nanos() as u64);
     ctx.metrics.batches.inc();
-    ctx.metrics.batch_size.record(batch.len() as u64);
-    if deadline_triggered {
-        ctx.metrics.deadline_flushes.inc();
-    }
 
+    // The forward pass succeeded: the batch is no longer at risk, so
+    // it drains out of `in_flight` (keeping the buffer's capacity).
+    let mut batch = in_flight.borrow_mut();
+    ctx.metrics.batch_size.record(batch.len() as u64);
     let scored_at = Instant::now();
     let buffers = buffers.borrow();
-    for (job, &proba) in batch.into_iter().zip(&buffers.probas) {
+    for (job, &proba) in batch.drain(..).zip(&buffers.probas) {
         let latency = scored_at.duration_since(job.enqueued_at);
         ctx.metrics.records.inc();
         ctx.metrics.latency_ns.record(latency.as_nanos() as u64);
@@ -340,7 +314,7 @@ fn flush(
     }
 }
 
-/// Stateful sequence scoring of one micro-batch: records are grouped
+/// Stateful sequence scoring of one batch: records are grouped
 /// per sensor (arrival order preserved within a sensor) and replayed
 /// in *rounds* — round `r` takes each active sensor's `r`-th record,
 /// gathers those sensors' hidden rows out of the shard's state table,
@@ -354,7 +328,7 @@ fn flush(
 /// mismatch zero-resets it — counted in `state_resets`, and visible to
 /// replay verifiers through each prediction's `model_version`.
 ///
-/// Fills `buffers.probas` aligned with the parked batch (position
+/// Fills `buffers.probas` aligned with `batch` (position
 /// `i` = job `i`'s presence probability), so the caller's fan-out is
 /// shared with the frame path. Returns `false` when the worker has no
 /// state table (frame-mode runtime handed a temporal snapshot).
@@ -362,20 +336,17 @@ fn score_temporal(
     ctx: &WorkerContext,
     temporal: &TemporalDetector,
     version: u64,
-    in_flight: &RefCell<Option<Vec<Job>>>,
-    buffers: &RefCell<ScoreBuffers>,
+    batch: &[Job],
+    buffers: &mut ScoreBuffers,
 ) -> bool {
     let Some(table) = &ctx.states else {
         return false;
     };
-    let guard = in_flight.borrow();
-    // lint:allow(panic, reason = "invariant: the batch was parked into in_flight by the caller immediately before this call")
-    let batch = guard.as_deref().expect("in-flight batch just parked");
     let ScoreBuffers {
         probas,
         temporal: bufs,
         ..
-    } = &mut *buffers.borrow_mut();
+    } = buffers;
     let Some(bufs) = bufs else {
         return false;
     };
@@ -457,4 +428,149 @@ fn score_temporal(
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::MetricsRegistry;
+    use crate::queue::BackpressurePolicy;
+    use crate::supervisor::SupervisorConfig;
+    use occusense_core::temporal::TemporalConfig;
+    use occusense_sim::{simulate, ScenarioConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    const SENSORS: usize = 3;
+    const PER_SENSOR: usize = 12;
+    const MAX_BATCH: usize = 8;
+
+    /// A small trained GRU and one record stream per sensor.
+    fn fixture() -> &'static (TemporalDetector, Vec<Vec<CsiRecord>>) {
+        static FIXTURE: OnceLock<(TemporalDetector, Vec<Vec<CsiRecord>>)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let ds = simulate(&ScenarioConfig::quick(600.0, 31));
+            let temporal = TemporalDetector::train(
+                &ds,
+                &TemporalConfig {
+                    window: 8,
+                    stride: 4,
+                    hidden: 8,
+                    epochs: 1,
+                    seed: 31,
+                    ..TemporalConfig::default()
+                },
+            );
+            let streams = ds
+                .records()
+                .chunks(PER_SENSOR)
+                .take(SENSORS)
+                .map(<[CsiRecord]>::to_vec)
+                .collect();
+            (temporal, streams)
+        })
+    }
+
+    fn temporal_worker(temporal: &TemporalDetector) -> (WorkerContext, mpsc::Receiver<Prediction>) {
+        let registry = MetricsRegistry::new();
+        let (out, rx) = mpsc::channel();
+        let ctx = WorkerContext {
+            shard: 0,
+            queue: Arc::new(BoundedQueue::new(1, BackpressurePolicy::Block)),
+            model: Arc::new(ModelHandle::new_temporal(temporal.clone())),
+            max_batch: MAX_BATCH,
+            out,
+            trainer_queue: None,
+            metrics: WorkerMetrics {
+                records: registry.counter("records"),
+                batches: registry.counter("batches"),
+                restarts: registry.counter("restarts"),
+                poisoned: registry.counter("poisoned"),
+                state_resets: registry.counter("state_resets"),
+                latency_ns: registry.histogram("latency_ns"),
+                batch_size: registry.histogram("batch_size"),
+                inference_ns: registry.histogram("inference_ns"),
+            },
+            supervision: Arc::new(SupervisorState::new(1, &SupervisorConfig::default())),
+            max_restarts: 0,
+            panic_on_trigger: false,
+            parallelism: Parallelism::Single,
+            states: Some(Arc::new(StateTable::new(1))),
+        };
+        (ctx, rx)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Work-conserving batching makes flush boundaries depend on
+        /// load. Any interleaving of the sensor streams, cut into any
+        /// consecutive chunks of 1..=max_batch jobs, must score every
+        /// record and leave every hidden row bitwise equal to stepping
+        /// each sensor alone.
+        #[test]
+        fn batch_boundaries_never_change_a_temporal_score(
+            keys in prop::collection::vec(0u64..1_000, SENSORS * PER_SENSOR),
+            chunks in prop::collection::vec(1usize..=MAX_BATCH, SENSORS * PER_SENSOR),
+        ) {
+            let (temporal, streams) = fixture();
+            let sensors: Vec<Arc<str>> = (0..SENSORS).map(|i| Arc::from(format!("s{i}"))).collect();
+            // Random keys order the sensor labels into an interleaving;
+            // each sensor's own records stay in stream order.
+            let mut order: Vec<usize> = (0..SENSORS * PER_SENSOR).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut next = [0usize; SENSORS];
+            let mut jobs = order.iter().map(|&i| {
+                let sensor = i % SENSORS;
+                let seq = next[sensor];
+                next[sensor] += 1;
+                Job {
+                    sensor_id: Arc::clone(&sensors[sensor]),
+                    seq: seq as u64,
+                    record: streams[sensor][seq],
+                    label: None,
+                    enqueued_at: Instant::now(),
+                }
+            });
+
+            let (ctx, rx) = temporal_worker(temporal);
+            let in_flight = RefCell::new(Vec::new());
+            let buffers = RefCell::new(ScoreBuffers::new(&ctx));
+            for &size in &chunks {
+                in_flight.borrow_mut().extend(jobs.by_ref().take(size));
+                if in_flight.borrow().is_empty() {
+                    break;
+                }
+                flush(&ctx, &in_flight, &buffers);
+                prop_assert!(in_flight.borrow().is_empty());
+            }
+
+            let mut got: Vec<Vec<Prediction>> = vec![Vec::new(); SENSORS];
+            for p in rx.try_iter() {
+                let sensor = sensors.iter().position(|s| *s == p.sensor_id).unwrap();
+                got[sensor].push(p);
+            }
+            let Some(table) = &ctx.states else { unreachable!() };
+            let (states, wiped) = table.lock_shard(0).unwrap();
+            prop_assert_eq!(wiped, 0);
+            for (sensor, stream) in streams.iter().enumerate() {
+                let solo = temporal.score_stream(stream);
+                prop_assert_eq!(got[sensor].len(), solo.len());
+                for (k, (p, (_, proba))) in got[sensor].iter().zip(&solo).enumerate() {
+                    prop_assert_eq!(p.seq, k as u64);
+                    prop_assert_eq!(p.proba.to_bits(), proba.to_bits());
+                }
+                let mut h = temporal.zero_state(1);
+                let mut ws = TemporalWorkspace::new();
+                let mut probas = Vec::new();
+                for r in stream {
+                    temporal.step_batch_into(std::slice::from_ref(r), &mut h, &mut ws, &mut probas);
+                }
+                let carried = &states[sensors[sensor].as_ref()].h;
+                let carried: Vec<u64> = carried.iter().map(|v| v.to_bits()).collect();
+                let alone: Vec<u64> = h.row(0).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(carried, alone);
+            }
+        }
+    }
 }

@@ -35,7 +35,7 @@
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::temporal::{TemporalConfig, TemporalDetector};
 use occusense_dataset::CsiRecord;
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig, ServeReport};
+use occusense_serve::{BackpressurePolicy, ServeConfig, ServeReport};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
     loopback, tcp_connect, tcp_listen, ClientEvent, Connection, Gateway, GatewayConfig,
@@ -53,8 +53,8 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
   --transport T         loopback | tcp (default loopback)
   --addr A              tcp listen address (default 127.0.0.1:0 = OS port)
   --shards N            worker shards (default 4)
-  --batch N             micro-batch size trigger (default 32)
-  --delay-ms N          micro-batch deadline trigger, ms (default 2)
+  --batch N             most records one worker flush scores; workers
+                        score whatever is queued, up to N (default 32)
   --wire-batch N        records per Batch frame; 1 = single Record
                         frames (default 16)
   --policy P            ingress backpressure: block | drop-oldest |
@@ -90,7 +90,6 @@ struct Args {
     addr: String,
     shards: usize,
     max_batch: usize,
-    max_delay_ms: u64,
     wire_batch: usize,
     policy: BackpressurePolicy,
     outbound_policy: BackpressurePolicy,
@@ -119,7 +118,6 @@ impl Default for Args {
             addr: "127.0.0.1:0".to_string(),
             shards: 4,
             max_batch: 32,
-            max_delay_ms: 2,
             wire_batch: 16,
             policy: BackpressurePolicy::Block,
             outbound_policy: BackpressurePolicy::Block,
@@ -178,7 +176,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--addr",
             "--shards",
             "--batch",
-            "--delay-ms",
             "--wire-batch",
             "--policy",
             "--outbound-policy",
@@ -207,7 +204,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--addr" => args.addr = raw,
             "--shards" => args.shards = parse_value(&raw, "--shards")?,
             "--batch" => args.max_batch = parse_value(&raw, "--batch")?,
-            "--delay-ms" => args.max_delay_ms = parse_value(&raw, "--delay-ms")?,
             "--wire-batch" => args.wire_batch = parse_value(&raw, "--wire-batch")?,
             "--policy" => args.policy = parse_policy(&raw, "--policy")?,
             "--outbound-policy" => args.outbound_policy = parse_policy(&raw, "--outbound-policy")?,
@@ -224,6 +220,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if args.records == 0 {
         return Err("--records must be >= 1".into());
+    }
+    if args.max_batch == 0 {
+        return Err("--batch must be >= 1".into());
     }
     if args.wire_batch == 0 {
         return Err("--wire-batch must be >= 1".into());
@@ -652,10 +651,7 @@ fn main() {
         n_shards: args.shards,
         queue_capacity: args.capacity,
         policy: args.policy,
-        batch: BatchConfig {
-            max_batch: args.max_batch,
-            max_delay: Duration::from_millis(args.max_delay_ms),
-        },
+        max_batch: args.max_batch,
         online: None,
         ..ServeConfig::default()
     };

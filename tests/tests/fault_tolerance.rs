@@ -8,11 +8,10 @@ use occusense_core::persist;
 use occusense_core::sim::{FaultKind, FaultPlan, OfficeSimulator, ScenarioConfig};
 use occusense_core::CsiRecord;
 use occusense_serve::{
-    BackpressurePolicy, BatchConfig, CheckpointConfig, OnlineTrainingConfig, ServeConfig,
-    ServeRuntime, SubmitError,
+    BackpressurePolicy, CheckpointConfig, OnlineTrainingConfig, ServeConfig, ServeRuntime,
+    SubmitError,
 };
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn quick_detector(seed: u64) -> OccupancyDetector {
     let train = occusense_core::sim::simulate(&ScenarioConfig::quick(1200.0, seed));
@@ -47,10 +46,7 @@ fn precise_config() -> ServeConfig {
         n_shards: 1,
         queue_capacity: 64,
         policy: BackpressurePolicy::Block,
-        batch: BatchConfig {
-            max_batch: 1,
-            max_delay: Duration::from_millis(5),
-        },
+        max_batch: 1,
         online: None,
         ..ServeConfig::default()
     };
@@ -191,7 +187,6 @@ fn trainer_panic_falls_back_to_last_snapshot_without_losing_serving() {
         n_shards: 1,
         queue_capacity: 128,
         policy: BackpressurePolicy::Block,
-        batch: BatchConfig::default(),
         online: Some(OnlineTrainingConfig {
             publish_every_updates: 1,
             ..OnlineTrainingConfig::default()

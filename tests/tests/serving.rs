@@ -1,12 +1,11 @@
 //! Serving-runtime integration tests: backpressure accounting,
-//! micro-batch deadlines, deterministic routing, bitwise batched
+//! work-conserving batching, deterministic routing, bitwise batched
 //! inference and a fixed-seed end-to-end smoke run.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::sim::{simulate, OfficeSimulator, ScenarioConfig};
 use occusense_serve::{
-    shard_for, BackpressurePolicy, BatchConfig, BoundedQueue, OnlineTrainingConfig, ServeConfig,
-    ServeRuntime,
+    shard_for, BackpressurePolicy, BoundedQueue, OnlineTrainingConfig, ServeConfig, ServeRuntime,
 };
 use std::collections::HashMap;
 use std::sync::mpsc::RecvTimeoutError;
@@ -86,15 +85,13 @@ fn routing_is_deterministic_and_stable_across_runtimes() {
 }
 
 #[test]
-fn deadline_flushes_partial_batches() {
+fn partial_batches_are_scored_without_a_timer() {
     let (runtime, predictions) = ServeRuntime::start(
         quick_detector(12),
         ServeConfig {
             n_shards: 1,
-            batch: BatchConfig {
-                max_batch: 1_000, // unreachable: only the deadline can flush
-                max_delay: Duration::from_millis(10),
-            },
+            // Never reached: the worker scores whatever is queued.
+            max_batch: 1_000,
             online: None,
             ..ServeConfig::default()
         },
@@ -108,11 +105,11 @@ fn deadline_flushes_partial_batches() {
     for _ in 0..3 {
         predictions
             .recv_timeout(Duration::from_secs(5))
-            .expect("deadline flush never delivered the partial batch");
+            .expect("a partial batch waited for company");
     }
     let report = runtime.shutdown();
     assert_eq!(report.records_served, 3);
-    assert!(report.metrics_text.contains("serve.deadline_flushes"));
+    assert!(!report.metrics_text.contains("serve.deadline_flushes"));
 }
 
 #[test]
@@ -182,7 +179,6 @@ fn end_to_end_smoke_with_online_training() {
             n_shards: 2,
             queue_capacity: 128,
             policy: BackpressurePolicy::Block,
-            batch: BatchConfig::default(),
             online: Some(OnlineTrainingConfig::default()),
             ..ServeConfig::default()
         },

@@ -8,7 +8,7 @@
 //! accounted for in `ServeReport`.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig};
+use occusense_serve::{BackpressurePolicy, ServeConfig};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
     decode_payload, loopback, tcp_connect, tcp_listen, ClientEvent, Encoder, Frame, FrameBuffer,
@@ -37,12 +37,12 @@ fn quick_detector() -> OccupancyDetector {
 
 /// Pinned-model gateway config: online training disabled so wire
 /// predictions can be compared bitwise against a local clone.
-fn pinned(policy: BackpressurePolicy, capacity: usize, batch: BatchConfig) -> ServeConfig {
+fn pinned(policy: BackpressurePolicy, capacity: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         online: None,
         policy,
         queue_capacity: capacity,
-        batch,
+        max_batch,
         ..ServeConfig::default()
     }
 }
@@ -72,7 +72,7 @@ fn loopback_soak_is_bitwise_identical_to_direct_scoring() {
     let (acceptor, connector) = loopback(LoopbackConfig::default());
     let gateway = Gateway::start(
         detector,
-        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        pinned(BackpressurePolicy::Block, 1024, 32),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -144,14 +144,7 @@ fn reject_newest_surfaces_as_nacks_and_stays_accounted() {
     // must come back as a QueueFull NACK carrying the refused seq.
     let gateway = Gateway::start(
         detector,
-        pinned(
-            BackpressurePolicy::RejectNewest,
-            1,
-            BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(2),
-            },
-        ),
+        pinned(BackpressurePolicy::RejectNewest, 1, 1),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -214,7 +207,7 @@ fn tcp_gateway_round_trips_bitwise_over_localhost() {
     let (acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).expect("listen");
     let gateway = Gateway::start(
         detector,
-        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        pinned(BackpressurePolicy::Block, 1024, 32),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -262,14 +255,7 @@ fn slow_client_soak_resolves_every_seq_exactly_once() {
     let (acceptor, connector) = loopback(LoopbackConfig::default());
     let gateway = Gateway::start(
         detector,
-        pinned(
-            BackpressurePolicy::RejectNewest,
-            1,
-            BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(1),
-            },
-        ),
+        pinned(BackpressurePolicy::RejectNewest, 1, 1),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             outbound_capacity: 4,
@@ -366,14 +352,7 @@ fn one_thread_client_never_deadlocks_against_a_full_block_queue() {
     });
     let gateway = Gateway::start(
         detector,
-        pinned(
-            BackpressurePolicy::RejectNewest,
-            1,
-            BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(2),
-            },
-        ),
+        pinned(BackpressurePolicy::RejectNewest, 1, 1),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             outbound_capacity: 4,
@@ -452,7 +431,7 @@ fn tcp_gateway_reassembles_dribbled_bytes_and_refuses_oversize_headers() {
     let (acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).expect("listen");
     let gateway = Gateway::start(
         detector,
-        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        pinned(BackpressurePolicy::Block, 1024, 32),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             max_payload: 4096,
