@@ -15,6 +15,7 @@
 //! the headline number of the persistent compute pool.
 
 use occusense_bench::gate::{compare, parse_results, speedup, BenchResult};
+use occusense_driver::{CliError, Parser, Usage, Verdict};
 use std::process::ExitCode;
 
 /// The pool's headline pair in `BENCH_train.json`.
@@ -63,58 +64,48 @@ fn gate_pair(
         .collect())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = 0.20;
-    let mut paths = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+const USAGE: Usage = Usage::new(
+    "bench_gate",
+    "bench_gate — gate fresh BENCH_*.json runs against committed baselines
+
+usage: bench_gate <baseline.json> <current.json> [<baseline2> <current2> …]
+                  [--tolerance <fraction>]
+
+  --tolerance F   allowed median regression, as a fraction (default 0.20)
+  -h, --help      print this help",
+);
+
+/// `(tolerance, baseline/current paths)`.
+fn parse_cli(p: &mut Parser) -> Result<(f64, Vec<String>), CliError> {
+    let (mut tolerance, mut paths) = (0.20, Vec::new());
+    let valid = |t: &f64| t.is_finite() && *t >= 0.0;
+    while let Some(arg) = p.next() {
         match arg.as_str() {
-            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t.is_finite() && t >= 0.0 => tolerance = t,
-                _ => {
-                    eprintln!("bench_gate: --tolerance needs a non-negative number");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => paths.push(arg),
+            "--tolerance" => tolerance = p.value_with(&arg, |v| v.parse().ok().filter(valid))?,
+            _ if !arg.starts_with('-') => paths.push(arg),
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
-    if paths.is_empty() || paths.len() % 2 != 0 {
-        eprintln!(
-            "usage: bench_gate <baseline.json> <current.json> \
-             [<baseline2> <current2> …] [--tolerance <fraction>]"
-        );
-        return ExitCode::from(2);
+    if paths.is_empty() || !paths.len().is_multiple_of(2) {
+        let pairs = "expected (baseline, current) path pairs";
+        return Err(CliError::Invalid(pairs.into()));
     }
+    Ok((tolerance, paths))
+}
 
+fn main() -> ExitCode {
+    let (tolerance, paths) = USAGE.parse(parse_cli);
     let mut total_benchmarks = 0usize;
-    let mut failures: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new("bench_gate", true);
     for pair in paths.chunks_exact(2) {
-        match gate_pair(&pair[0], &pair[1], tolerance) {
-            Ok(pair_failures) => {
-                total_benchmarks += load(&pair[0]).map_or(0, |b| b.len());
-                failures.extend(pair_failures);
-            }
-            Err(e) => {
-                eprintln!("bench_gate: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let failures = gate_pair(&pair[0], &pair[1], tolerance).unwrap_or_else(|e| USAGE.abort(e));
+        total_benchmarks += load(&pair[0]).map_or(0, |b| b.len());
+        failures.into_iter().for_each(|f| verdict.fail(f));
     }
-
-    if failures.is_empty() {
-        println!(
-            "bench_gate: PASS ({} benchmarks across {} suites within {:.0}% of baseline)",
-            total_benchmarks,
-            paths.len() / 2,
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("bench_gate: FAIL {f}");
-        }
-        ExitCode::FAILURE
-    }
+    verdict.finish(&format!(
+        "{} benchmarks across {} suites within {:.0}% of baseline",
+        total_benchmarks,
+        paths.len() / 2,
+        tolerance * 100.0
+    ))
 }

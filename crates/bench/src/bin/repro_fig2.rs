@@ -8,6 +8,7 @@
 use occusense_core::channel::scene::Scene;
 use occusense_core::sim::mobility::MobilityConfig;
 use occusense_core::sim::occupants::{DESKS, DOOR_XY};
+use occusense_driver::{no_flags, Usage};
 
 const COLS: usize = 73; // 12 m  → 6 chars per metre
 const ROWS: usize = 25; // 6 m   → 4 chars per metre
@@ -18,7 +19,10 @@ fn plot(grid: &mut [Vec<char>], x_m: f64, y_m: f64, c: char) {
     grid[row.min(ROWS - 1)][col.min(COLS - 1)] = c;
 }
 
+const USAGE: &str = "repro_fig2 — Figure 2 as an ASCII floor plan; no flags but -h, --help";
+
 fn main() {
+    Usage::new("repro_fig2", USAGE).parse(no_flags);
     let scene = Scene::office_default();
     let mobility = MobilityConfig::office_default();
     let mut grid = vec![vec![' '; COLS]; ROWS];

@@ -12,9 +12,11 @@
 //!   tolerance (default 20% — CI runners are noisy; the committed
 //!   baselines themselves are refreshed manually on a quiet machine).
 //!
-//! Parsing is hand-rolled over the shim's fixed shape — the workspace
-//! is offline, so no JSON dependency — and deliberately strict: any
-//! result object it cannot fully read is an error, not a skip.
+//! Documents are read with the strict `occusense_driver::json`
+//! reader: any result object it cannot fully read is an error, not a
+//! skip.
+
+use occusense_driver::json::{self, Value};
 
 /// One benchmark measurement from a `BENCH_*.json` document.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,78 +29,35 @@ pub struct BenchResult {
     pub p99_ns_per_iter: f64,
 }
 
-/// Extracts the string value of `key` from one result object.
-fn field_str(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing key {pat} in `{obj}`"))?;
-    let rest = &obj[at + pat.len()..];
-    let open = rest
-        .find('"')
-        .ok_or_else(|| format!("{pat}: no opening quote in `{obj}`"))?;
-    let rest = &rest[open + 1..];
-    // The shim escapes only quotes and backslashes.
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next() {
-            Some('\\') => match chars.next() {
-                Some(c) => out.push(c),
-                None => return Err(format!("{pat}: unterminated escape in `{obj}`")),
-            },
-            Some('"') => return Ok(out),
-            Some(c) => out.push(c),
-            None => return Err(format!("{pat}: unterminated string in `{obj}`")),
-        }
-    }
-}
-
-/// Extracts the numeric value of `key` from one result object. A value
-/// that does not parse as a finite number (`NaN`, `null`, garbage) is
-/// reported as [`f64::NAN`] so the gate can flag it by name instead of
-/// erroring out of the whole run.
-fn field_num(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing key {pat} in `{obj}`"))?;
-    let rest = obj[at + pat.len()..]
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("{pat}: expected `:` in `{obj}`"))?
-        .trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    Ok(rest[..end].parse::<f64>().unwrap_or(f64::NAN))
-}
-
-/// Parses a full `BENCH_*.json` document into its results.
-///
-/// # Errors
-///
-/// Returns a message when the document has no `results` array or a
-/// result object is structurally unreadable.
+/// Parses a full `BENCH_*.json` document into its results. A result
+/// whose number is not a number (`NaN`, `null`) is kept as
+/// [`f64::NAN`], so the gate flags it by name instead of refusing the
+/// whole run. A document that is not JSON, has no `results` array, or
+/// has a result without its name or a number field is an error.
 pub fn parse_results(doc: &str) -> Result<Vec<BenchResult>, String> {
-    let at = doc
-        .find("\"results\"")
-        .ok_or_else(|| "no \"results\" key in document".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = &doc[at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated result object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        out.push(BenchResult {
-            name: field_str(obj, "name")?,
-            ns_per_iter: field_num(obj, "ns_per_iter")?,
-            p99_ns_per_iter: field_num(obj, "p99_ns_per_iter")?,
-        });
-        rest = &rest[open + close + 1..];
-    }
-    Ok(out)
+    let doc = json::parse(doc).map_err(|e| e.to_string())?;
+    let Some(Value::Array(results)) = doc.get("results") else {
+        return Err("no \"results\" array in document".into());
+    };
+    let field = |r: &Value, key: &str| {
+        r.get(key)
+            .cloned()
+            .ok_or_else(|| format!("result {r} has no \"{key}\""))
+    };
+    let num = |r: &Value, key: &str| field(r, key).map(|v| v.as_f64().unwrap_or(f64::NAN));
+    results
+        .iter()
+        .map(|r| {
+            Ok(BenchResult {
+                name: field(r, "name")?
+                    .as_str()
+                    .ok_or_else(|| format!("result {r}: \"name\" is not a string"))?
+                    .to_string(),
+                ns_per_iter: num(r, "ns_per_iter")?,
+                p99_ns_per_iter: num(r, "p99_ns_per_iter")?,
+            })
+        })
+        .collect()
 }
 
 /// Looks up a benchmark by exact name.
@@ -167,14 +126,20 @@ pub fn speedup(results: &[BenchResult], fast: &str, slow: &str) -> Option<f64> {
 mod tests {
     use super::*;
 
+    /// A shim-format document; each number is given as JSON text.
     fn doc(entries: &[(&str, &str, &str)]) -> String {
-        let body: Vec<String> = entries
+        let num = |text: &str| json::parse(text).unwrap();
+        let results = entries
             .iter()
             .map(|(n, v, p)| {
-                format!("    {{\"name\": \"{n}\", \"ns_per_iter\": {v}, \"p99_ns_per_iter\": {p}}}")
+                json::obj([
+                    ("name", (*n).into()),
+                    ("ns_per_iter", num(v)),
+                    ("p99_ns_per_iter", num(p)),
+                ])
             })
             .collect();
-        format!("{{\n  \"results\": [\n{}\n  ]\n}}\n", body.join(",\n"))
+        json::obj([("results", Value::Array(results))]).to_string()
     }
 
     fn results(entries: &[(&str, f64)]) -> Vec<BenchResult> {

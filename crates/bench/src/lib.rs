@@ -3,16 +3,9 @@
 //! The reproduction harness: one `repro_*` binary per table/figure of the
 //! paper plus Criterion micro-benchmarks (see `benches/`). Every binary
 //! prints measured values side by side with the paper's reported numbers
-//! so the *shape* comparison is immediate.
-//!
-//! Common CLI flags (all binaries):
-//!
-//! * `--rate <hz>` — CSI sampling rate of the simulated campaign
-//!   (default 2.0; the paper's hardware ran at 20 Hz).
-//! * `--seed <u64>` — master scenario seed (default 0).
-//! * `--train-cap <n>` — stratified cap on model training sets
-//!   (default 40 000).
-//! * `--epochs <n>` — MLP/NN training epochs (default 10).
+//! so the *shape* comparison is immediate. Every binary but
+//! `repro_fig2` takes the flags of [`USAGE`] (the paper's hardware
+//! sampled at 20 Hz; the default campaign is simulated at 2 Hz).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -22,7 +15,8 @@ pub mod gate;
 use occusense_core::experiments::ExperimentConfig;
 use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::Dataset;
-use std::fmt;
+pub use occusense_driver::CliError;
+use occusense_driver::{Parser, Usage};
 
 /// Usage text every `repro_*` binary prints when its flags are refused.
 pub const USAGE: &str = "common flags of the occusense repro binaries
@@ -30,7 +24,8 @@ pub const USAGE: &str = "common flags of the occusense repro binaries
   --rate HZ          CSI sampling rate of the simulated campaign (default 2.0)
   --seed S           master scenario seed (default 0)
   --train-cap N      stratified cap on model training sets (default 40000)
-  --epochs N         MLP/NN training epochs (default 10)";
+  --epochs N         MLP/NN training epochs (default 10)
+  -h, --help         print this help";
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,58 +51,20 @@ impl Default for Cli {
     }
 }
 
-/// Why [`Cli::parse`] refused a command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliError {
-    /// A flag the repro binaries do not know.
-    UnknownFlag(String),
-    /// A flag given last, without its value.
-    MissingValue(String),
-    /// A value that does not parse as its flag's type.
-    BadValue {
-        /// The flag.
-        flag: String,
-        /// The value as given.
-        value: String,
-    },
-}
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
-            CliError::MissingValue(flag) => write!(f, "missing value for {flag}"),
-            CliError::BadValue { flag, value } => write!(f, "bad value {value:?} for {flag}"),
-        }
-    }
-}
-
-impl std::error::Error for CliError {}
-
 impl Cli {
-    /// Parses `std::env::args()`-style arguments.
-    ///
-    /// # Errors
-    ///
-    /// A [`CliError`] naming the unknown flag, the flag missing its
-    /// value, or the value that does not parse.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, CliError> {
-        fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, CliError> {
-            let raw = raw.ok_or_else(|| CliError::MissingValue(flag.to_string()))?;
-            raw.parse().map_err(|_| CliError::BadValue {
-                flag: flag.to_string(),
-                value: raw,
-            })
-        }
+    /// Parses `std::env::args()`-style arguments, or names the unknown
+    /// flag, the flag missing its value, or the value that does not
+    /// parse (a `--rate` must be finite and positive).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let mut cli = Cli::default();
-        let mut args = args;
-        while let Some(flag) = args.next() {
+        let mut p = Parser::new(args);
+        while let Some(flag) = p.next() {
             match flag.as_str() {
-                "--rate" => cli.rate_hz = value(&flag, args.next())?,
-                "--seed" => cli.seed = value(&flag, args.next())?,
-                "--train-cap" => cli.train_cap = value(&flag, args.next())?,
-                "--epochs" => cli.epochs = value(&flag, args.next())?,
-                _ => return Err(CliError::UnknownFlag(flag)),
+                "--rate" => cli.rate_hz = p.positive(&flag)?,
+                "--seed" => cli.seed = p.value(&flag)?,
+                "--train-cap" => cli.train_cap = p.value(&flag)?,
+                "--epochs" => cli.epochs = p.value(&flag)?,
+                _ => return Err(CliError::unexpected(flag)),
             }
         }
         Ok(cli)
@@ -117,10 +74,7 @@ impl Cli {
     /// refused command line, prints the reason and [`USAGE`] and exits
     /// with status 2.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("{e}\n\n{USAGE}");
-            std::process::exit(2);
-        })
+        Usage::new("occusense repro", USAGE).parse(|p| Self::parse(p))
     }
 
     /// The experiment configuration implied by these options.
@@ -221,6 +175,18 @@ mod tests {
             parse(&["--rate", "fast"]),
             Err(CliError::BadValue { .. })
         ));
+        // A rate must be finite and positive, or the campaign has no
+        // records and every table is NaN.
+        for rate in ["nan", "inf", "0", "-3"] {
+            assert_eq!(
+                parse(&["--rate", rate]),
+                Err(CliError::BadValue {
+                    flag: "--rate".into(),
+                    value: rate.into(),
+                }),
+                "{rate}"
+            );
+        }
     }
 
     #[test]

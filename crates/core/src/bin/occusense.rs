@@ -15,7 +15,7 @@ use occusense_core::explain::Explanation;
 use occusense_core::persist;
 use occusense_core::sim::{simulate, ScenarioConfig};
 use occusense_core::{Dataset, FeatureView};
-use std::collections::HashMap;
+use occusense_driver::{CliError, Parser, Usage};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -34,73 +34,82 @@ first --split fraction (default 0.7) and saves it; evaluate reports the
 confusion matrix on the remaining fraction; explain prints Grad-CAM
 feature importance.";
 
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("\n{USAGE}");
-            ExitCode::FAILURE
+/// Every flag of every subcommand; each subcommand reads its own.
+struct Flags {
+    out: String,
+    data: String,
+    model: String,
+    quick: f64,
+    campaign: bool,
+    rate: f64,
+    seed: u64,
+    features: FeatureView,
+    epochs: usize,
+    split: f64,
+    top: usize,
+}
+
+fn parse_cli(p: &mut Parser) -> Result<(String, Flags), CliError> {
+    let command = p.next().unwrap_or_default();
+    let required: &[&str] = match command.as_str() {
+        "simulate" => &["--out"],
+        "train" => &["--data", "--out"],
+        "evaluate" | "explain" => &["--data", "--model"],
+        "help" => return Err(CliError::Help),
+        "" => return Err(CliError::Invalid("missing subcommand".into())),
+        _ if command.starts_with('-') => return Err(CliError::unexpected(command)),
+        _ => return Err(CliError::Invalid(format!("unknown subcommand '{command}'"))),
+    };
+    let mut f = Flags {
+        out: String::new(),
+        data: String::new(),
+        model: String::new(),
+        quick: 2400.0,
+        campaign: false,
+        rate: 2.0,
+        seed: 0,
+        features: FeatureView::Csi,
+        epochs: 10,
+        split: 0.7,
+        top: 10,
+    };
+    let mut given = Vec::new();
+    while let Some(flag) = p.next() {
+        match flag.as_str() {
+            "--out" => f.out = p.value(&flag)?,
+            "--data" => f.data = p.value(&flag)?,
+            "--model" => f.model = p.value(&flag)?,
+            "--quick" => f.quick = p.value(&flag)?,
+            "--campaign" => f.campaign = true,
+            "--rate" => f.rate = p.value(&flag)?,
+            "--seed" => f.seed = p.value(&flag)?,
+            "--features" => f.features = p.value_with(&flag, feature_view)?,
+            "--epochs" => f.epochs = p.value(&flag)?,
+            "--split" => f.split = p.value(&flag)?,
+            "--top" => f.top = p.value(&flag)?,
+            _ => return Err(CliError::unexpected(flag)),
         }
+        given.push(flag);
+    }
+    match required.iter().find(|r| !given.iter().any(|g| g == *r)) {
+        Some(flag) => Err(CliError::Invalid(format!("missing required flag {flag}"))),
+        None => Ok((command, f)),
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or("missing subcommand")?;
-    let flags = parse_flags(args)?;
-    match command.as_str() {
+fn main() -> ExitCode {
+    let (command, flags) = Usage::new("occusense", USAGE).parse(parse_cli);
+    let done = match command.as_str() {
         "simulate" => cmd_simulate(&flags),
         "train" => cmd_train(&flags),
         "evaluate" => cmd_evaluate(&flags),
-        "explain" => cmd_explain(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand '{other}'")),
+        _ => cmd_explain(&flags),
+    };
+    if let Err(msg) = done {
+        eprintln!("error: {msg}");
+        return ExitCode::FAILURE;
     }
-}
-
-fn parse_flags(args: impl Iterator<Item = String>) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        let name = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{flag}'"))?;
-        // --campaign is a boolean flag; everything else takes a value.
-        if name == "campaign" {
-            flags.insert(name.to_owned(), "true".to_owned());
-            continue;
-        }
-        let value = args
-            .next()
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        flags.insert(name.to_owned(), value);
-    }
-    Ok(flags)
-}
-
-fn get<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
-    flags
-        .get(name)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required flag --{name}"))
-}
-
-fn parse<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("bad --{name} '{v}': {e}")),
-    }
+    ExitCode::SUCCESS
 }
 
 fn load_dataset(path: &str) -> Result<Dataset, String> {
@@ -117,30 +126,28 @@ fn split_dataset(ds: &Dataset, fraction: f64) -> (Dataset, Dataset) {
     )
 }
 
-fn feature_view(flags: &HashMap<String, String>) -> Result<FeatureView, String> {
-    match flags.get("features").map(String::as_str) {
-        None | Some("csi") => Ok(FeatureView::Csi),
-        Some("env") => Ok(FeatureView::Env),
-        Some("c+e") | Some("csi-env") => Ok(FeatureView::CsiEnv),
-        Some(other) => Err(format!("unknown --features '{other}' (csi|env|c+e)")),
+fn feature_view(raw: &str) -> Option<FeatureView> {
+    match raw {
+        "csi" => Some(FeatureView::Csi),
+        "env" => Some(FeatureView::Env),
+        "c+e" | "csi-env" => Some(FeatureView::CsiEnv),
+        _ => None,
     }
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let out = get(flags, "out")?;
-    let seed = parse(flags, "seed", 0u64)?;
-    let rate = parse(flags, "rate", 2.0f64)?;
-    let config = if flags.contains_key("campaign") {
-        let mut cfg = ScenarioConfig::turetta2022(seed);
-        cfg.sample_rate_hz = rate;
-        cfg
+fn cmd_simulate(flags: &Flags) -> Result<(), String> {
+    let out = &flags.out;
+    let mut config = if flags.campaign {
+        ScenarioConfig::turetta2022(flags.seed)
     } else {
-        let secs = parse(flags, "quick", 2400.0f64)?;
-        let mut cfg = ScenarioConfig::quick(secs, seed);
-        cfg.sample_rate_hz = rate;
-        cfg
+        ScenarioConfig::quick(flags.quick, flags.seed)
     };
-    eprintln!("simulating {} samples at {} Hz…", config.n_samples(), rate);
+    config.sample_rate_hz = flags.rate;
+    eprintln!(
+        "simulating {} samples at {} Hz…",
+        config.n_samples(),
+        flags.rate
+    );
     let ds = simulate(&config);
     let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
     csv::write_csv(BufWriter::new(file), &ds).map_err(|e| e.to_string())?;
@@ -148,16 +155,15 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = load_dataset(get(flags, "data")?)?;
-    let out = get(flags, "out")?;
-    let fraction = parse(flags, "split", 0.7f64)?;
-    let (train, holdout) = split_dataset(&ds, fraction);
+fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let ds = load_dataset(&flags.data)?;
+    let out = &flags.out;
+    let (train, holdout) = split_dataset(&ds, flags.split);
     let config = DetectorConfig {
         model: ModelKind::Mlp,
-        features: feature_view(flags)?,
-        seed: parse(flags, "seed", 0u64)?,
-        mlp_epochs: parse(flags, "epochs", 10usize)?,
+        features: flags.features,
+        seed: flags.seed,
+        mlp_epochs: flags.epochs,
         ..DetectorConfig::default()
     };
     eprintln!(
@@ -174,13 +180,16 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = load_dataset(get(flags, "data")?)?;
-    let model_path = get(flags, "model")?;
+fn load_model(flags: &Flags) -> Result<OccupancyDetector, String> {
+    let model_path = &flags.model;
     let file = File::open(model_path).map_err(|e| format!("open {model_path}: {e}"))?;
-    let detector = persist::load_detector(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let fraction = parse(flags, "split", 0.7f64)?;
-    let (_, holdout) = split_dataset(&ds, fraction);
+    persist::load_detector(BufReader::new(file)).map_err(|e| e.to_string())
+}
+
+fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
+    let ds = load_dataset(&flags.data)?;
+    let detector = load_model(flags)?;
+    let (_, holdout) = split_dataset(&ds, flags.split);
     let cm = detector.evaluate(&holdout);
     println!("evaluated {} records: {cm}", holdout.len());
     println!(
@@ -192,16 +201,13 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
-    let ds = load_dataset(get(flags, "data")?)?;
-    let model_path = get(flags, "model")?;
-    let file = File::open(model_path).map_err(|e| format!("open {model_path}: {e}"))?;
-    let detector = persist::load_detector(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let top = parse(flags, "top", 10usize)?;
+fn cmd_explain(flags: &Flags) -> Result<(), String> {
+    let ds = load_dataset(&flags.data)?;
+    let detector = load_model(flags)?;
     let explanation =
         Explanation::of(&detector, &ds).ok_or("detector is not explainable (not an MLP)")?;
-    println!("top {top} features by |Grad-CAM importance|:");
-    for idx in explanation.top_features(top) {
+    println!("top {} features by |Grad-CAM importance|:", flags.top);
+    for idx in explanation.top_features(flags.top) {
         println!(
             "  {:>4}  {:+.5}",
             explanation.feature_names[idx], explanation.importance[idx]

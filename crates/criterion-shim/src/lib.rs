@@ -29,42 +29,31 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+use occusense_driver::{obj, percentile, Value};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Results accumulated for the optional JSON sink, process-wide (one
 /// bench binary may run several `criterion_group!`s, each with its own
 /// [`Criterion`]).
-static JSON_RESULTS: Mutex<Vec<(String, u64, u64)>> = Mutex::new(Vec::new());
+static JSON_RESULTS: Mutex<Vec<Value>> = Mutex::new(Vec::new());
 
 /// Appends one measurement to the JSON sink (when enabled) and
 /// rewrites the whole document, so the file is complete and valid
 /// after every benchmark.
 fn record_json(name: &str, ns: u64, p99: u64) {
-    let Ok(path) = std::env::var("OCCUSENSE_BENCH_JSON") else {
-        return;
-    };
+    let path = std::env::var("OCCUSENSE_BENCH_JSON").unwrap_or_default();
     if path.is_empty() {
         return;
     }
     let mut results = JSON_RESULTS.lock().expect("bench json results poisoned");
-    results.push((name.to_string(), ns, p99));
-    let mut doc = String::from("{\n  \"results\": [\n");
-    for (i, (n, v, p)) in results.iter().enumerate() {
-        let escaped: String = n
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                c => vec![c],
-            })
-            .collect();
-        doc.push_str(&format!(
-            "    {{\"name\": \"{escaped}\", \"ns_per_iter\": {v}, \"p99_ns_per_iter\": {p}}}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&path, &doc) {
+    results.push(obj([
+        ("name", name.into()),
+        ("ns_per_iter", ns.into()),
+        ("p99_ns_per_iter", p99.into()),
+    ]));
+    let doc = obj([("results", Value::Array(results.clone()))]);
+    if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
         eprintln!("criterion-shim: cannot write {path}: {e}");
     }
 }
@@ -131,9 +120,7 @@ impl Criterion {
         f(&mut bencher);
         if self.test_mode {
             println!("test {name} ... ok");
-        } else if let (Some(ns), Some(p99)) =
-            (bencher.percentile_ns(0.50), bencher.percentile_ns(0.99))
-        {
+        } else if let (Some(ns), Some(p99)) = (bencher.sample_ns(50.0), bencher.sample_ns(99.0)) {
             println!(
                 "{name:<50} {:>14} ns/iter (p99 {})",
                 format_thousands(ns),
@@ -213,18 +200,14 @@ impl Bencher {
         }
     }
 
-    /// The `q`-quantile (nearest-rank) of the recorded samples, in
-    /// nanoseconds per iteration. Note the samples are per-batch means,
-    /// so this is the tail across timed batches, not across raw
-    /// iterations.
-    fn percentile_ns(&self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() {
-            return None;
-        }
+    /// The nearest-rank percentile `p` (0–100) of the recorded
+    /// samples, in nanoseconds per iteration. Note the samples are
+    /// per-batch means, so this is the tail across timed batches, not
+    /// across raw iterations.
+    fn sample_ns(&self, p: f64) -> Option<u64> {
         let mut s = self.samples.clone();
         s.sort_by(|a, b| a.total_cmp(b));
-        let rank = ((s.len() as f64 * q) as usize).min(s.len() - 1);
-        Some(s[rank] as u64)
+        (!s.is_empty()).then(|| percentile(&s, p) as u64)
     }
 }
 

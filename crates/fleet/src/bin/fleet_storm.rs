@@ -23,6 +23,7 @@
 use occusense_core::detector::OccupancyDetector;
 use occusense_core::persist::{checkpoint_path, save_detector_atomic, QUARANTINE_SUFFIX};
 use occusense_dataset::{CsiRecord, FeatureView};
+use occusense_driver::{obj, percentile, CliError, Parser, Usage, Value, Verdict};
 use occusense_fleet::{
     bootstrap_detector, FleetConfig, FleetController, FleetReport, PlaceError, SloBudget,
     TenantRegistry, TenantSpec,
@@ -34,6 +35,7 @@ use occusense_wire::{
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,117 +62,66 @@ const USAGE: &str = "fleet_storm — multi-tenant chaos driver for the occusense
                         any violation
   -h, --help            print this help";
 
-#[derive(Clone)]
 struct Args {
     tenants: usize,
-    procs: usize,
+    /// Worker processes, heartbeat period and worker binary.
+    fleet: FleetConfig,
     sensors: usize,
     records: usize,
     baseline_records: usize,
     window: usize,
-    hb_ms: u64,
     seed: u64,
     p99_floor_ms: u64,
-    worker_bin: Option<String>,
     kill_one: bool,
     json: Option<String>,
     verify: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            tenants: 3,
+fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
+    let mut args = Args {
+        tenants: 3,
+        fleet: FleetConfig {
+            // Next to this binary unless --worker-bin says otherwise.
+            worker_bin: std::env::current_exe()
+                .ok()
+                .and_then(|p| p.parent().map(|d| d.join("fleet_worker")))
+                .unwrap_or_else(|| PathBuf::from("fleet_worker")),
             procs: 4,
-            sensors: 6,
-            records: 400,
-            baseline_records: 200,
-            window: 32,
             hb_ms: 100,
-            seed: 100,
-            p99_floor_ms: 200,
-            worker_bin: None,
-            kill_one: false,
-            json: None,
-            verify: false,
-        }
-    }
-}
-
-fn parse_value<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse()
-        .map_err(|e| format!("bad value {raw:?} for {what}: {e}"))
-}
-
-/// Parses the command line. `Err` carries a user-facing message — the
-/// caller prints it with the usage text and exits 2 (the shared CLI
-/// convention of `serve_sim` and `wire_storm`).
-fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = argv;
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        if flag == "--kill-one" {
-            args.kill_one = true;
-            continue;
-        }
-        if flag == "--verify" {
-            args.verify = true;
-            continue;
-        }
-        const KNOWN: &[&str] = &[
-            "--tenants",
-            "--procs",
-            "--sensors",
-            "--records",
-            "--baseline-records",
-            "--window",
-            "--hb-ms",
-            "--seed",
-            "--p99-floor-ms",
-            "--worker-bin",
-            "--json",
-        ];
-        if !KNOWN.contains(&flag.as_str()) {
-            return Err(format!("unknown flag {flag:?}"));
-        }
-        let raw = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
+            ..FleetConfig::default()
+        },
+        sensors: 6,
+        records: 400,
+        baseline_records: 200,
+        window: 32,
+        seed: 100,
+        p99_floor_ms: 200,
+        kill_one: false,
+        json: None,
+        verify: false,
+    };
+    while let Some(flag) = p.next() {
         match flag.as_str() {
-            "--tenants" => args.tenants = parse_value(&raw, "--tenants")?,
-            "--procs" => args.procs = parse_value(&raw, "--procs")?,
-            "--sensors" => args.sensors = parse_value(&raw, "--sensors")?,
-            "--records" => args.records = parse_value(&raw, "--records")?,
-            "--baseline-records" => {
-                args.baseline_records = parse_value(&raw, "--baseline-records")?
-            }
-            "--window" => args.window = parse_value(&raw, "--window")?,
-            "--hb-ms" => args.hb_ms = parse_value(&raw, "--hb-ms")?,
-            "--seed" => args.seed = parse_value(&raw, "--seed")?,
-            "--p99-floor-ms" => args.p99_floor_ms = parse_value(&raw, "--p99-floor-ms")?,
-            "--worker-bin" => args.worker_bin = Some(raw),
-            "--json" => args.json = Some(raw),
-            _ => unreachable!("flag was vetted against KNOWN"),
+            "--kill-one" => args.kill_one = true,
+            "--verify" => args.verify = true,
+            "--tenants" => args.tenants = p.nonzero(&flag)?,
+            "--procs" => args.fleet.procs = p.nonzero(&flag)?,
+            "--sensors" => args.sensors = p.nonzero(&flag)?,
+            "--records" => args.records = p.nonzero(&flag)?,
+            "--baseline-records" => args.baseline_records = p.value(&flag)?,
+            "--window" => args.window = p.nonzero(&flag)?,
+            "--hb-ms" => args.fleet.hb_ms = p.value(&flag)?,
+            "--seed" => args.seed = p.value(&flag)?,
+            "--p99-floor-ms" => args.p99_floor_ms = p.value(&flag)?,
+            "--worker-bin" => args.fleet.worker_bin = p.value(&flag)?,
+            "--json" => args.json = Some(p.value(&flag)?),
+            _ => return Err(CliError::unexpected(flag)),
         }
     }
-    if args.tenants == 0 {
-        return Err("--tenants must be >= 1".into());
-    }
-    if args.procs == 0 {
-        return Err("--procs must be >= 1".into());
-    }
-    if args.sensors == 0 || args.records == 0 || args.window == 0 {
-        return Err("--sensors, --records and --window must be >= 1".into());
-    }
-    if args.kill_one && args.procs < 2 {
-        return Err("--kill-one needs --procs >= 2 (someone must survive)".into());
+    if args.kill_one && args.fleet.procs < 2 {
+        return Err(CliError::Invalid(
+            "--kill-one needs --procs >= 2 (someone must survive)".into(),
+        ));
     }
     Ok(args)
 }
@@ -446,15 +397,6 @@ fn drive_sensor(
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Per-tenant latency verdict inputs.
 struct TenantLatency {
     baseline_p99_ns: u64,
@@ -472,27 +414,24 @@ fn verify(
     polluted: &std::path::Path,
     quarantined: &std::path::Path,
     kill_happened: bool,
-) -> Vec<String> {
-    let mut failures: Vec<String> = Vec::new();
+    verdict: &mut Verdict,
+) {
     let mut shed_by_tenant: BTreeMap<usize, u64> = BTreeMap::new();
     let mut nacked_t0 = 0u64;
     let mut reconnects = 0u64;
     for o in outcomes {
         let who = format!("tenant-{}/s{}", o.tenant, o.sensor);
         for e in &o.errors {
-            failures.push(format!("{who}: {e}"));
+            verdict.fail(format!("{who}: {e}"));
         }
         reconnects += o.reconnects;
         if o.admission_shed {
             *shed_by_tenant.entry(o.tenant).or_default() += 1;
             continue;
         }
-        if o.duplicates > 0 {
-            failures.push(format!(
-                "{who}: {} duplicate resolutions (a record resolved twice)",
-                o.duplicates
-            ));
-        }
+        verdict.check(o.duplicates == 0, || {
+            format!("{who}: {} records resolved twice", o.duplicates)
+        });
         let mut unsent = 0u64;
         let mut unresolved = 0u64;
         for (idx, slot) in o.slots.iter().enumerate() {
@@ -513,129 +452,93 @@ fn verify(
                         continue;
                     };
                     let (occupied, proba) = detector.predict_record(record);
-                    if p.occupied != occupied || p.proba.to_bits() != proba.to_bits() {
-                        failures.push(format!(
-                            "{who} seq {idx}: wire ({}, {:#018x}) != tenant model ({}, {:#018x})",
-                            p.occupied,
-                            p.proba.to_bits(),
-                            occupied,
-                            proba.to_bits()
-                        ));
-                    }
-                    if p.model_version != 1 {
-                        failures.push(format!(
-                            "{who} seq {idx}: scored by model v{} (online training is off)",
+                    let (wire, own) = (p.proba.to_bits(), proba.to_bits());
+                    verdict.check(p.occupied == occupied && wire == own, || {
+                        let o = p.occupied;
+                        format!("{who} seq {idx}: wire ({o}, {wire:#018x}) != tenant model ({occupied}, {own:#018x})")
+                    });
+                    verdict.check(p.model_version == 1, || {
+                        format!(
+                            "{who} seq {idx}: scored by v{} (online training is off)",
                             p.model_version
-                        ));
-                    }
+                        )
+                    });
                 }
             }
         }
-        if unsent > 0 {
-            failures.push(format!("{who}: {unsent} records never sent"));
-        }
-        if unresolved > 0 {
-            failures.push(format!(
-                "{who}: {unresolved} records sent but never resolved"
-            ));
-        }
+        verdict.check(unsent == 0, || {
+            format!("{who}: {unsent} records never sent")
+        });
+        verdict.check(unresolved == 0, || {
+            format!("{who}: {unresolved} records sent but never resolved")
+        });
     }
     // The saturated tenant must actually saturate, both at admission
     // and at the ingress queue; everyone else must be untouched.
-    if shed_by_tenant.get(&0).copied().unwrap_or(0) == 0 {
-        failures.push("tenant-0 had no admission-shed sensors (not saturated?)".to_string());
-    }
-    for (&tenant, &shed) in &shed_by_tenant {
-        if tenant != 0 {
-            failures.push(format!(
-                "tenant-{tenant}: {shed} sensors refused at admission (only tenant-0 should shed)"
-            ));
-        }
+    verdict.check(shed_by_tenant.contains_key(&0), || {
+        "tenant-0 had no admission-shed sensors (not saturated?)".into()
+    });
+    for (&tenant, &shed) in shed_by_tenant.range(1..) {
+        verdict.fail(format!(
+            "tenant-{tenant}: {shed} sensors refused at admission (only tenant-0 should shed)"
+        ));
     }
     let rejected_t0 = report
         .tenants
         .get("tenant-0")
         .map_or(0, |r| r.records_rejected());
-    if nacked_t0 == 0 && rejected_t0 == 0 {
-        failures.push("tenant-0 produced no QueueFull sheds (queue never saturated?)".to_string());
-    }
+    verdict.check(nacked_t0 > 0 || rejected_t0 > 0, || {
+        "tenant-0 produced no QueueFull sheds (queue never saturated?)".into()
+    });
     let unaccounted = report.unaccounted_records();
-    if unaccounted != 0 {
-        failures.push(format!(
-            "fleet residue open: {unaccounted} records unaccounted"
-        ));
-    }
+    verdict.check(unaccounted == 0, || {
+        format!("fleet residue open: {unaccounted} records unaccounted")
+    });
     for (&tenant, lat) in latencies {
         let budget = (2 * lat.baseline_p99_ns).max(args.p99_floor_ms * 1_000_000);
-        if lat.storm_p99_ns > budget {
-            failures.push(format!(
+        verdict.check(lat.storm_p99_ns <= budget, || {
+            format!(
                 "tenant-{tenant}: storm p99 {:.2} ms over budget {:.2} ms (baseline {:.2} ms)",
                 lat.storm_p99_ns as f64 / 1e6,
                 budget as f64 / 1e6,
                 lat.baseline_p99_ns as f64 / 1e6
-            ));
-        }
+            )
+        });
     }
+    let (lost, clean) = (report.workers_lost, report.workers_stopped_clean);
     if args.kill_one {
-        if !kill_happened {
-            failures.push("--kill-one never fired (storm finished too fast?)".to_string());
-        }
-        if report.workers_lost != 1 {
-            failures.push(format!(
-                "expected exactly 1 lost worker, report says {}",
-                report.workers_lost
-            ));
-        }
-        if report.workers_stopped_clean != (args.procs as u64).saturating_sub(1) {
-            failures.push(format!(
-                "expected {} clean stops, report says {}",
-                args.procs - 1,
-                report.workers_stopped_clean
-            ));
-        }
-        if kill_happened && reconnects == 0 {
-            failures.push("worker killed but no sensor ever re-routed".to_string());
-        }
-    } else if report.workers_lost != 0 {
-        failures.push(format!(
-            "{} workers lost without --kill-one",
-            report.workers_lost
-        ));
+        verdict.check(kill_happened, || {
+            "--kill-one never fired (storm finished too fast?)".into()
+        });
+        verdict.check(lost == 1, || {
+            format!("expected 1 lost worker, report says {lost}")
+        });
+        let survivors = args.fleet.procs as u64 - 1;
+        verdict.check(clean == survivors, || {
+            format!("expected {survivors} clean stops, report says {clean}")
+        });
+        verdict.check(!kill_happened || reconnects > 0, || {
+            "worker killed but no sensor ever re-routed".into()
+        });
+    } else {
+        verdict.check(lost == 0, || {
+            format!("{lost} workers lost without --kill-one")
+        });
     }
-    if polluted.exists() {
-        failures.push(format!(
-            "polluted lineage checkpoint {} was not quarantined",
+    verdict.check(!polluted.exists(), || {
+        format!(
+            "polluted lineage {} was not quarantined",
             polluted.display()
-        ));
-    }
-    if !quarantined.exists() {
-        failures.push(format!(
-            "quarantine marker {} missing",
-            quarantined.display()
-        ));
-    }
-    failures
+        )
+    });
+    verdict.check(quarantined.exists(), || {
+        format!("quarantine marker {} missing", quarantined.display())
+    });
 }
 
-fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("fleet_storm: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    let worker_bin = args
-        .worker_bin
-        .clone()
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::current_exe()
-                .ok()
-                .and_then(|p| p.parent().map(|d| d.join("fleet_worker")))
-                .unwrap_or_else(|| PathBuf::from("fleet_worker"))
-        });
+fn main() -> ExitCode {
+    let cli = Usage::new("fleet_storm", USAGE);
+    let args = cli.parse(parse_cli);
 
     // Tenant specs: tenant-0 is the saturated one — half the sensor
     // budget (admission shed) and a tiny RejectNewest queue (QueueFull
@@ -653,17 +556,10 @@ fn main() {
         eprintln!("training {tenant} bootstrap model (seed {seed})…");
         let detector = bootstrap_detector(seed, FeatureView::Csi);
         let dir = lineage_root.join(&tenant);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "fleet_storm: cannot create lineage dir {}: {e}",
-                dir.display()
-            );
-            std::process::exit(2);
-        }
-        if let Err(e) = save_detector_atomic(&checkpoint_path(&dir, 1), &detector) {
-            eprintln!("fleet_storm: cannot write {tenant} checkpoint: {e}");
-            std::process::exit(2);
-        }
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| cli.abort(format!("cannot create {}: {e}", dir.display())));
+        save_detector_atomic(&checkpoint_path(&dir, 1), &detector)
+            .unwrap_or_else(|e| cli.abort(format!("cannot write {tenant} checkpoint: {e}")));
         let mut spec = TenantSpec::new(&tenant, FeatureView::Csi, seed);
         spec.lineage = Some(dir);
         if scenario.is_saturated(t) {
@@ -674,10 +570,7 @@ fn main() {
                 ..SloBudget::default()
             };
         }
-        if let Err(e) = registry.register(spec) {
-            eprintln!("fleet_storm: {e}");
-            std::process::exit(2);
-        }
+        registry.register(spec).unwrap_or_else(|e| cli.abort(e));
         detectors.push(detector);
     }
 
@@ -692,31 +585,18 @@ fn main() {
         PathBuf::from(format!("{}.{QUARANTINE_SUFFIX}", polluted_path.display()));
     eprintln!("polluting tenant-0 lineage with a wrong-architecture v2 checkpoint…");
     let pollutant = bootstrap_detector(args.seed + 999, FeatureView::Env);
-    if let Err(e) = save_detector_atomic(&polluted_path, &pollutant) {
-        eprintln!("fleet_storm: cannot write pollutant: {e}");
-        std::process::exit(2);
-    }
+    save_detector_atomic(&polluted_path, &pollutant)
+        .unwrap_or_else(|e| cli.abort(format!("cannot write pollutant: {e}")));
 
-    let config = FleetConfig {
-        worker_bin,
-        procs: args.procs,
-        hb_ms: args.hb_ms,
-        ..FleetConfig::default()
-    };
     eprintln!(
         "launching fleet: {} workers × {} tenants (worker bin {})…",
-        args.procs,
+        args.fleet.procs,
         args.tenants,
-        config.worker_bin.display()
+        args.fleet.worker_bin.display()
     );
     let started = Instant::now();
-    let controller = match FleetController::launch(config, registry) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("fleet_storm: {e}");
-            std::process::exit(2);
-        }
-    };
+    let controller =
+        FleetController::launch(args.fleet.clone(), registry).unwrap_or_else(|e| cli.abort(e));
     let ctrl = Arc::new(Mutex::new(controller));
     let worker_load: Arc<Mutex<BTreeMap<String, i64>>> = Arc::new(Mutex::new(BTreeMap::new()));
     let progress = Arc::new(AtomicU64::new(0));
@@ -883,19 +763,18 @@ fn main() {
 
     // Client-side chaos bookkeeping onto the roll-up: re-booked sheds
     // resolve their records; anything still pending is lost.
-    let mut rebooked = 0u64;
-    let mut unresolved = 0u64;
-    for o in outcomes.iter().chain(baseline_outcomes.iter()) {
-        for slot in &o.slots {
-            match slot {
-                Slot::Rebooked => rebooked += 1,
-                Slot::Pending => unresolved += 1,
-                _ => {}
-            }
+    // (`shutdown` leaves both lanes at zero for the caller to fill.)
+    for slot in outcomes
+        .iter()
+        .chain(&baseline_outcomes)
+        .flat_map(|o| &o.slots)
+    {
+        match slot {
+            Slot::Rebooked => report.rebooked_shed += 1,
+            Slot::Pending => report.unresolved_records += 1,
+            _ => {}
         }
     }
-    report.rebooked_shed = rebooked;
-    report.unresolved_records = unresolved;
 
     println!("\n=== fleet_storm report ===");
     print!("{report}");
@@ -908,9 +787,9 @@ fn main() {
     }
     println!("fleet wall time {wall:.2?}");
 
-    let mut failures: Vec<String> = Vec::new();
+    let mut verdict = Verdict::new("verify verdict", args.verify);
     if args.verify {
-        failures = verify(
+        verify(
             &args,
             &outcomes,
             &detectors,
@@ -919,32 +798,17 @@ fn main() {
             &polluted_path,
             &quarantined_path,
             kill_happened,
+            &mut verdict,
         );
         for o in &baseline_outcomes {
             for e in &o.errors {
-                failures.push(format!("baseline tenant-{}: {e}", o.tenant));
+                verdict.fail(format!("baseline tenant-{}: {e}", o.tenant));
             }
-        }
-        if failures.is_empty() {
-            println!(
-                "verify verdict: PASS ({} tenants, {} workers{}, residue 0, all predictions bitwise, saturated tenant shed, p99 within budget)",
-                args.tenants,
-                args.procs,
-                if kill_happened { ", 1 killed mid-storm" } else { "" }
-            );
         }
     }
 
     if let Some(path) = &args.json {
-        let verdict = if !args.verify {
-            "off"
-        } else if failures.is_empty() {
-            "pass"
-        } else {
-            "fail"
-        };
-        let mut tenants_json = String::new();
-        for t in 0..args.tenants {
+        let per_tenant = (0..args.tenants).map(|t| {
             let tenant = format!("tenant-{t}");
             let roll = report.tenants.get(&tenant);
             let (served, rejected, shed) = roll.map_or((0, 0, 0), |r| {
@@ -953,80 +817,46 @@ fn main() {
             let (base_p99, storm_p99) = latencies
                 .get(&t)
                 .map_or((0, 0), |l| (l.baseline_p99_ns, l.storm_p99_ns));
-            tenants_json.push_str(&format!(
-                concat!(
-                    "    {{\"tenant\": \"{}\", \"served\": {}, \"rejected\": {}, ",
-                    "\"shed\": {}, \"baseline_p99_us\": {:.1}, \"storm_p99_us\": {:.1}, ",
-                    "\"saturated\": {}}}{}\n"
-                ),
-                tenant,
-                served,
-                rejected,
-                shed,
-                base_p99 as f64 / 1e3,
-                storm_p99 as f64 / 1e3,
-                t == 0,
-                if t + 1 < args.tenants { "," } else { "" }
-            ));
-        }
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"tenants\": {},\n",
-                "  \"procs\": {},\n",
-                "  \"sensors_per_tenant\": {},\n",
-                "  \"records_per_sensor\": {},\n",
-                "  \"kill_one\": {},\n",
-                "  \"kill_happened\": {},\n",
-                "  \"wall_s\": {:.3},\n",
-                "  \"workers_spawned\": {},\n",
-                "  \"workers_stopped_clean\": {},\n",
-                "  \"workers_lost\": {},\n",
-                "  \"heartbeats\": {},\n",
-                "  \"placements_shed\": {},\n",
-                "  \"rebooked_shed\": {},\n",
-                "  \"unresolved_records\": {},\n",
-                "  \"truncated_reports\": {},\n",
-                "  \"unaccounted\": {},\n",
-                "  \"per_tenant\": [\n",
-                "{}",
-                "  ],\n",
-                "  \"verdict\": \"{}\"\n",
-                "}}\n"
-            ),
-            args.tenants,
-            args.procs,
-            args.sensors,
-            args.records,
-            args.kill_one,
-            kill_happened,
-            wall.as_secs_f64(),
-            report.workers_spawned,
-            report.workers_stopped_clean,
-            report.workers_lost,
-            report.heartbeats,
-            report.placements_shed,
-            report.rebooked_shed,
-            report.unresolved_records,
-            report.truncated_reports,
-            report.unaccounted_records(),
-            tenants_json,
-            verdict
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("soak summary written to {path}"),
-            Err(e) => eprintln!("fleet_storm: cannot write {path}: {e}"),
-        }
+            obj([
+                ("tenant", tenant.into()),
+                ("served", served.into()),
+                ("rejected", rejected.into()),
+                ("shed", shed.into()),
+                ("baseline_p99_us", Value::fixed(base_p99 as f64 / 1e3, 1)),
+                ("storm_p99_us", Value::fixed(storm_p99 as f64 / 1e3, 1)),
+                ("saturated", (t == 0).into()),
+            ])
+        });
+        let summary = obj([
+            ("tenants", args.tenants.into()),
+            ("procs", args.fleet.procs.into()),
+            ("sensors_per_tenant", args.sensors.into()),
+            ("records_per_sensor", args.records.into()),
+            ("kill_one", args.kill_one.into()),
+            ("kill_happened", kill_happened.into()),
+            ("wall_s", Value::fixed(wall.as_secs_f64(), 3)),
+            ("workers_spawned", report.workers_spawned.into()),
+            ("workers_stopped_clean", report.workers_stopped_clean.into()),
+            ("workers_lost", report.workers_lost.into()),
+            ("heartbeats", report.heartbeats.into()),
+            ("placements_shed", report.placements_shed.into()),
+            ("rebooked_shed", report.rebooked_shed.into()),
+            ("unresolved_records", report.unresolved_records.into()),
+            ("truncated_reports", report.truncated_reports.into()),
+            ("unaccounted", report.unaccounted_records().into()),
+            ("per_tenant", Value::Array(per_tenant.collect())),
+        ]);
+        verdict.write_summary(path, summary);
     }
 
     // Keep the quarantined pollutant around only long enough to
     // assert on it; the whole per-run temp tree goes at the end.
     let _ = std::fs::remove_dir_all(&lineage_root);
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fleet_storm verdict: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
+    verdict.finish(&format!(
+        "{} tenants, {} workers{}, residue 0, all predictions bitwise, saturated tenant shed, p99 within budget",
+        args.tenants,
+        args.fleet.procs,
+        if kill_happened { ", 1 killed mid-storm" } else { "" }
+    ))
 }

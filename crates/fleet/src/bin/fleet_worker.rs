@@ -22,6 +22,7 @@
 //! weights.
 
 use occusense_core::persist::load_latest_compatible;
+use occusense_driver::{CliError, Parser, Usage};
 use occusense_fleet::protocol::{ready_line, CMD_DRAIN, CMD_STOP};
 use occusense_fleet::registry::{bootstrap_detector, parse_features, valid_tenant_id};
 use occusense_serve::{BackpressurePolicy, ServeConfig};
@@ -48,24 +49,27 @@ const USAGE: &str = "fleet_worker — supervised multi-tenant serving process
 Protocol: stdout READY/HB/DRAINING/REPORT/BYE, stdin drain/stop;
 stdin EOF is treated as stop.";
 
-/// One `--tenant` group from argv.
+/// One `--tenant` group from argv: the tenant's runtime (id, queue,
+/// policy) and where its model comes from.
 struct TenantArgs {
-    tenant: String,
+    serve: ServeConfig,
     features: occusense_dataset::FeatureView,
     seed: u64,
-    policy: BackpressurePolicy,
-    capacity: usize,
     lineage: Option<PathBuf>,
 }
 
 impl TenantArgs {
     fn new(tenant: String) -> Self {
         Self {
-            tenant,
+            serve: ServeConfig {
+                tenant,
+                queue_capacity: 1024,
+                policy: BackpressurePolicy::Block,
+                online: None,
+                ..ServeConfig::default()
+            },
             features: occusense_dataset::FeatureView::Csi,
             seed: 7,
-            policy: BackpressurePolicy::Block,
-            capacity: 1024,
             lineage: None,
         }
     }
@@ -77,77 +81,43 @@ struct Args {
     tenants: Vec<TenantArgs>,
 }
 
-/// The `--tenant` group a per-tenant flag applies to.
-fn tenant_scope<'a>(
-    tenants: &'a mut [TenantArgs],
-    flag: &str,
-) -> Result<&'a mut TenantArgs, String> {
-    tenants
-        .last_mut()
-        .ok_or_else(|| format!("{flag} before any --tenant"))
-}
-
-fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
     let mut args = Args {
         hb_ms: 100,
         shards: 2,
         tenants: Vec::new(),
     };
-    let mut it = argv;
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        let raw = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
+    while let Some(flag) = p.next() {
         match flag.as_str() {
-            "--hb-ms" => {
-                args.hb_ms = raw
-                    .parse()
-                    .map_err(|e| format!("bad --hb-ms {raw:?}: {e}"))?;
-            }
-            "--shards" => {
-                args.shards = raw
-                    .parse()
-                    .map_err(|e| format!("bad --shards {raw:?}: {e}"))?;
-            }
+            "--hb-ms" => args.hb_ms = p.value(&flag)?,
+            "--shards" => args.shards = p.nonzero(&flag)?,
             "--tenant" => {
-                if !valid_tenant_id(&raw) {
-                    return Err(format!("bad tenant id {raw:?}"));
+                let id =
+                    p.value_with(&flag, |raw| valid_tenant_id(raw).then(|| raw.to_string()))?;
+                args.tenants.push(TenantArgs::new(id));
+            }
+            "--features" | "--seed" | "--policy" | "--capacity" | "--lineage" => {
+                // Per-tenant flags apply to the most recent --tenant.
+                let Some(t) = args.tenants.last_mut() else {
+                    return Err(CliError::Invalid(format!("{flag} before any --tenant")));
+                };
+                match flag.as_str() {
+                    "--features" => t.features = p.value_with(&flag, parse_features)?,
+                    "--seed" => t.seed = p.value(&flag)?,
+                    "--policy" => {
+                        t.serve.policy = p.value_with(&flag, BackpressurePolicy::parse)?
+                    }
+                    "--capacity" => t.serve.queue_capacity = p.value(&flag)?,
+                    _ => t.lineage = Some(p.value(&flag)?),
                 }
-                args.tenants.push(TenantArgs::new(raw));
             }
-            "--features" => {
-                tenant_scope(&mut args.tenants, &flag)?.features =
-                    parse_features(&raw).ok_or_else(|| format!("bad --features {raw:?}"))?;
-            }
-            "--seed" => {
-                tenant_scope(&mut args.tenants, &flag)?.seed = raw
-                    .parse()
-                    .map_err(|e| format!("bad --seed {raw:?}: {e}"))?;
-            }
-            "--policy" => {
-                tenant_scope(&mut args.tenants, &flag)?.policy = BackpressurePolicy::parse(&raw)
-                    .ok_or_else(|| format!("bad --policy {raw:?}"))?;
-            }
-            "--capacity" => {
-                tenant_scope(&mut args.tenants, &flag)?.capacity = raw
-                    .parse()
-                    .map_err(|e| format!("bad --capacity {raw:?}: {e}"))?;
-            }
-            "--lineage" => {
-                tenant_scope(&mut args.tenants, &flag)?.lineage = Some(PathBuf::from(raw));
-            }
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Err(CliError::unexpected(flag)),
         }
     }
     if args.tenants.is_empty() {
-        return Err("at least one --tenant is required".into());
-    }
-    if args.shards == 0 {
-        return Err("--shards must be >= 1".into());
+        return Err(CliError::Invalid(
+            "at least one --tenant is required".into(),
+        ));
     }
     Ok(args)
 }
@@ -161,64 +131,45 @@ fn say(line: &str) {
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("fleet_worker: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = Usage::new("fleet_worker", USAGE);
+    let args = cli.parse(parse_cli);
 
     // Boot one tenant-labelled gateway per spec, each on its own
     // OS-assigned TCP port.
     let mut gateways: Vec<(String, Gateway)> = Vec::with_capacity(args.tenants.len());
     let mut ports: BTreeMap<String, String> = BTreeMap::new();
     for spec in &args.tenants {
-        let detector = match &spec.lineage {
-            Some(dir) => {
-                let want = spec.features;
-                match load_latest_compatible(dir, |d| d.features() == want) {
-                    Ok(Some((version, _, detector))) => {
-                        eprintln!(
-                            "fleet_worker: tenant {} serving lineage checkpoint v{version}",
-                            spec.tenant
-                        );
-                        detector
-                    }
-                    Ok(None) | Err(_) => bootstrap_detector(spec.seed, spec.features),
-                }
+        let want = spec.features;
+        let recovered = spec.lineage.as_ref().and_then(|dir| {
+            load_latest_compatible(dir, |d| d.features() == want)
+                .ok()
+                .flatten()
+        });
+        let detector = match recovered {
+            Some((version, _, detector)) => {
+                eprintln!(
+                    "fleet_worker: tenant {} serving lineage checkpoint v{version}",
+                    spec.serve.tenant
+                );
+                detector
             }
             None => bootstrap_detector(spec.seed, spec.features),
         };
-        let (acceptor, local) = match tcp_listen("127.0.0.1:0", TcpConfig::default()) {
-            Ok(bound) => bound,
-            Err(e) => {
-                eprintln!("fleet_worker: tenant {}: cannot listen: {e}", spec.tenant);
-                std::process::exit(2);
-            }
-        };
+        let tenant = &spec.serve.tenant;
+        let (acceptor, local) = tcp_listen("127.0.0.1:0", TcpConfig::default())
+            .unwrap_or_else(|e| cli.abort(format!("tenant {tenant}: cannot listen: {e}")));
         let serve = ServeConfig {
-            tenant: spec.tenant.clone(),
             n_shards: args.shards,
-            queue_capacity: spec.capacity,
-            policy: spec.policy,
-            online: None,
-            ..ServeConfig::default()
+            ..spec.serve.clone()
         };
         let gateway_cfg = GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
         };
-        match Gateway::start(detector, serve, gateway_cfg, Box::new(acceptor)) {
-            Ok(gateway) => {
-                ports.insert(spec.tenant.clone(), local.to_string());
-                gateways.push((spec.tenant.clone(), gateway));
-            }
-            Err(e) => {
-                eprintln!("fleet_worker: tenant {}: {e}", spec.tenant);
-                std::process::exit(2);
-            }
-        }
+        let gateway = Gateway::start(detector, serve, gateway_cfg, Box::new(acceptor))
+            .unwrap_or_else(|e| cli.abort(format!("tenant {tenant}: {e}")));
+        ports.insert(tenant.clone(), local.to_string());
+        gateways.push((tenant.clone(), gateway));
     }
     say(&ready_line(&ports));
 

@@ -131,12 +131,16 @@ pub const WALK_EXCLUDE: &[&str] = &["crates/lint/tests/fixtures/", "target/"];
 /// manifest dependency edge must point to a **strictly lower** layer:
 /// `tensor → nn → core → serve` with no back- or lateral edges.
 pub const LAYERS: &[(&str, u32)] = &[
-    // Offline shims and the linter itself: depend on nothing in-tree.
+    // The rand shim and the command-line harness: depend on nothing
+    // in-tree.
     ("occusense-rand", 0),
-    ("occusense-criterion", 0),
-    ("occusense-lint", 0),
-    // proptest-shim sits above rand-shim (seeded case generation).
+    ("occusense-driver", 0),
+    // proptest-shim sits above rand-shim (seeded case generation); the
+    // bench shim and the linter write JSON and parse flags through the
+    // harness.
     ("occusense-proptest", 1),
+    ("occusense-criterion", 1),
+    ("occusense-lint", 1),
     // The numeric substrate.
     ("occusense-tensor", 2),
     // Domain crates over tensor.

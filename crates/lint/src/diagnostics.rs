@@ -1,4 +1,4 @@
-//! Diagnostic types, rule identities, and the text / JSON renderers.
+//! Diagnostic types, rule identities and source positions.
 
 use std::fmt;
 
@@ -181,25 +181,6 @@ pub fn byte_offset(src: &str, line: u32, col: u32) -> u32 {
         }
     }
     offset
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //! temporally-disjoint folds depend on; this crate makes that a
 //! build-breaking diagnostic instead.
 //!
-//! The analyzer has **no dependencies** (not even the in-tree shims):
-//! it carries its own lightweight Rust tokenizer
+//! The analyzer depends only on the std-only command-line harness
+//! (`occusense-driver`, for its flags and its JSON report). It
+//! carries its own lightweight Rust tokenizer
 //! ([`tokenizer`] — string/char/raw-string/comment aware, no `syn`;
 //! the build environment is offline), so rules can never be fooled by
 //! `unwrap(` inside a string literal or a doc comment.
@@ -64,7 +65,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use diagnostics::{byte_offset, json_escape, Diagnostic};
+use diagnostics::{byte_offset, Diagnostic};
+use occusense_driver::{obj, Value};
 
 /// Result of linting a whole tree.
 #[derive(Debug, Default)]
@@ -119,30 +121,23 @@ impl LintReport {
 
     /// Machine-readable report (the CI artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"violations\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"offset\": {}, \"line\": {}, \"col\": {}, \
-                 \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&d.file),
-                d.offset,
-                d.line,
-                d.col,
-                d.rule,
-                json_escape(&d.message)
-            ));
-        }
-        out.push_str(&format!(
-            "\n  ],\n  \"sources_scanned\": {},\n  \"manifests_checked\": {},\n  \
-             \"exit_code\": {}\n}}\n",
-            self.sources_scanned,
-            self.manifests_checked,
-            self.exit_code()
-        ));
-        out
+        let violations = self.diagnostics.iter().map(|d| {
+            obj([
+                ("file", d.file.as_str().into()),
+                ("offset", d.offset.into()),
+                ("line", d.line.into()),
+                ("col", d.col.into()),
+                ("rule", d.rule.name().into()),
+                ("message", d.message.as_str().into()),
+            ])
+        });
+        let report = obj([
+            ("violations", Value::Array(violations.collect())),
+            ("sources_scanned", self.sources_scanned.into()),
+            ("manifests_checked", self.manifests_checked.into()),
+            ("exit_code", self.exit_code().unsigned_abs().into()),
+        ]);
+        format!("{report}\n")
     }
 }
 

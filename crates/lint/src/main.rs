@@ -22,73 +22,46 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use occusense_driver::{CliError, Parser, Usage};
 use occusense_lint::{find_workspace_root, run};
 
-const USAGE: &str = "usage: occusense-lint [--json] [--graph-dot <path>] [--root <workspace-dir>]";
+/// Usage errors exit 64: the low bits are the rule families'.
+const USAGE: Usage = Usage {
+    name: "occusense-lint",
+    text: "usage: occusense-lint [--json] [--graph-dot <path>] [--root <workspace-dir>]",
+    exit_code: 64,
+};
+
+/// `(--json, --root, --graph-dot)`.
+type Args = (bool, Option<PathBuf>, Option<PathBuf>);
+
+fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
+    let (mut json, mut root, mut graph_dot) = (false, None, None);
+    while let Some(flag) = p.next() {
+        match flag.as_str() {
+            "--json" => json = true,
+            "--root" => root = Some(p.value(&flag)?),
+            "--graph-dot" => graph_dot = Some(p.value(&flag)?),
+            _ => return Err(CliError::unexpected(flag)),
+        }
+    }
+    Ok((json, root, graph_dot))
+}
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    let mut graph_dot: Option<PathBuf> = None;
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--root needs a directory\n{USAGE}");
-                    return ExitCode::from(64);
-                }
-            },
-            "--graph-dot" => match args.next() {
-                Some(path) => graph_dot = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--graph-dot needs a file path\n{USAGE}");
-                    return ExitCode::from(64);
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(64);
-            }
-        }
+    let (json, root, graph_dot) = USAGE.parse(parse_cli);
+    let root = root
+        .or_else(|| find_workspace_root(&env::current_dir().ok()?))
+        .unwrap_or_else(|| USAGE.abort("no workspace root found (try --root)"));
+    let report = run(&root).unwrap_or_else(|err| USAGE.abort(format!("io error: {err}")));
+    if let Some(path) = graph_dot {
+        fs::write(&path, report.lock_graph.to_dot())
+            .unwrap_or_else(|err| USAGE.abort(format!("cannot write {}: {err}", path.display())));
     }
-
-    let root = match root.or_else(|| {
-        env::current_dir()
-            .ok()
-            .and_then(|cwd| find_workspace_root(&cwd))
-    }) {
-        Some(root) => root,
-        None => {
-            eprintln!("occusense-lint: no workspace root found (try --root)");
-            return ExitCode::from(64);
-        }
-    };
-
-    match run(&root) {
-        Ok(report) => {
-            if let Some(path) = graph_dot {
-                if let Err(err) = fs::write(&path, report.lock_graph.to_dot()) {
-                    eprintln!("occusense-lint: cannot write {}: {err}", path.display());
-                    return ExitCode::from(64);
-                }
-            }
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            ExitCode::from(report.exit_code().clamp(0, 255) as u8)
-        }
-        Err(err) => {
-            eprintln!("occusense-lint: io error: {err}");
-            ExitCode::from(64)
-        }
+    if json {
+        print!("{}", report.to_json());
+    } else {
+        print!("{}", report.render_text());
     }
+    ExitCode::from(report.exit_code().clamp(0, 255) as u8)
 }

@@ -16,12 +16,14 @@
 //! scripted panic produced a supervised restart.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
+use occusense_driver::{CliError, Parser, Usage, Verdict};
 use occusense_serve::{
     BackpressurePolicy, CheckpointConfig, OnlineTrainingConfig, ServeConfig, ServeRuntime,
     SubmitError,
 };
 use occusense_sim::{simulate, FaultPlan, OfficeSimulator, ScenarioConfig};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 const USAGE: &str = "serve_sim — replay simulated office sensors through the serving runtime
 
@@ -39,120 +41,55 @@ const USAGE: &str = "serve_sim — replay simulated office sensors through the s
   --checkpoint-dir D  write crash-safe model checkpoints into D
   -h, --help          print this help
 
-networked serving (the occusense-wire gateway; layered above serve, so
-it ships as its own driver):
-
-  cargo run --release -p occusense-wire --bin wire_storm -- \\
-      --sensors 8 --records 5000 --transport loopback --verify
-
-  wire_storm replays the same simulated fleets over the binary wire
-  protocol instead of in-process calls. Its gateway flags mirror the
-  ones above (--shards, --batch, --policy, --capacity) and
-  add --transport loopback|tcp, --addr HOST:PORT, --records N,
-  --wire-batch N, --outbound-policy P (slow-client handling for the
-  prediction stream), --seed S and --verify (bitwise comparison of
-  every wire prediction against direct in-process scoring). See
-  `wire_storm --help`.";
+The same fleets over the binary wire protocol: `wire_storm --help`
+(crate occusense-wire).";
 
 struct Args {
     sensors: usize,
-    shards: usize,
-    max_batch: usize,
-    policy: BackpressurePolicy,
+    serve: ServeConfig,
     duration_s: f64,
-    queue_capacity: usize,
     faults: FaultPlan,
-    checkpoint_dir: Option<PathBuf>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            sensors: 6,
-            shards: 4,
-            max_batch: 32,
-            policy: BackpressurePolicy::DropOldest,
-            duration_s: 600.0,
+fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
+    let mut args = Args {
+        sensors: 6,
+        serve: ServeConfig {
+            n_shards: 4,
             queue_capacity: 256,
-            faults: FaultPlan::new(),
-            checkpoint_dir: None,
-        }
-    }
-}
-
-fn parse_value<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse()
-        .map_err(|e| format!("bad value {raw:?} for {what}: {e}"))
-}
-
-/// Parses the command line. `Err` carries a user-facing message — the
-/// caller prints it with the usage text and exits non-zero; malformed
-/// flags must never panic.
-fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = argv;
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        const KNOWN: &[&str] = &[
-            "--sensors",
-            "--shards",
-            "--batch",
-            "--policy",
-            "--duration",
-            "--capacity",
-            "--faults",
-            "--checkpoint-dir",
-        ];
-        if !KNOWN.contains(&flag.as_str()) {
-            return Err(format!("unknown flag {flag:?}"));
-        }
-        let raw = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
+            policy: BackpressurePolicy::DropOldest,
+            max_batch: 32,
+            online: Some(OnlineTrainingConfig::default()),
+            ..ServeConfig::default()
+        },
+        duration_s: 600.0,
+        faults: FaultPlan::new(),
+    };
+    while let Some(flag) = p.next() {
         match flag.as_str() {
-            "--sensors" => args.sensors = parse_value(&raw, "--sensors")?,
-            "--shards" => args.shards = parse_value(&raw, "--shards")?,
-            "--batch" => args.max_batch = parse_value(&raw, "--batch")?,
-            "--policy" => {
-                args.policy = BackpressurePolicy::parse(&raw).ok_or_else(|| {
-                    format!("unknown policy {raw:?} (block | drop-oldest | reject-newest)")
-                })?;
-            }
-            "--duration" => args.duration_s = parse_value(&raw, "--duration")?,
-            "--capacity" => args.queue_capacity = parse_value(&raw, "--capacity")?,
+            "--sensors" => args.sensors = p.nonzero(&flag)?,
+            "--shards" => args.serve.n_shards = p.nonzero(&flag)?,
+            "--batch" => args.serve.max_batch = p.nonzero(&flag)?,
+            "--policy" => args.serve.policy = p.value_with(&flag, BackpressurePolicy::parse)?,
+            "--duration" => args.duration_s = p.positive(&flag)?,
+            "--capacity" => args.serve.queue_capacity = p.value(&flag)?,
             "--faults" => {
-                args.faults = FaultPlan::parse(&raw).map_err(|e| format!("bad --faults: {e}"))?;
+                let raw: String = p.value(&flag)?;
+                args.faults = FaultPlan::parse(&raw)
+                    .map_err(|e| CliError::Invalid(format!("bad --faults {raw:?}: {e}")))?;
             }
-            "--checkpoint-dir" => args.checkpoint_dir = Some(PathBuf::from(raw)),
-            _ => unreachable!("flag was vetted against KNOWN"),
+            "--checkpoint-dir" => {
+                args.serve.checkpoint = Some(CheckpointConfig::new(p.value::<PathBuf>(&flag)?))
+            }
+            _ => return Err(CliError::unexpected(flag)),
         }
-    }
-    if args.sensors == 0 {
-        return Err("--sensors must be >= 1".into());
-    }
-    if args.shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
-    if args.max_batch == 0 {
-        return Err("--batch must be >= 1".into());
     }
     Ok(args)
 }
 
-fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("serve_sim: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    let cli = Usage::new("serve_sim", USAGE);
+    let args = cli.parse(parse_cli);
 
     // Offline bootstrap: train the paper's MLP on a quick scenario, the
     // same way EXPERIMENTS.md trains the Table IV models.
@@ -168,23 +105,15 @@ fn main() {
         },
     );
 
-    let mut config = ServeConfig {
-        n_shards: args.shards,
-        queue_capacity: args.queue_capacity,
-        policy: args.policy,
-        max_batch: args.max_batch,
-        online: Some(OnlineTrainingConfig::default()),
-        ..ServeConfig::default()
-    };
+    let mut config = args.serve.clone();
     // Scripted panic sentinels only fire when supervision is armed for
     // them, so a plain run can never be crashed by record contents.
     config.supervisor.panic_on_trigger =
         args.faults.has_worker_panics() || args.faults.has_trainer_panics();
-    config.checkpoint = args.checkpoint_dir.clone().map(CheckpointConfig::new);
 
     eprintln!(
         "serving: {} sensors → {} shards, batch ≤{}, policy {:?}, queue capacity {}",
-        args.sensors, args.shards, args.max_batch, args.policy, args.queue_capacity
+        args.sensors, config.n_shards, config.max_batch, config.policy, config.queue_capacity
     );
     if !args.faults.is_empty() {
         eprintln!(
@@ -192,13 +121,8 @@ fn main() {
             args.faults.faults().len()
         );
     }
-    let (runtime, predictions) = match ServeRuntime::start(detector, config) {
-        Ok(started) => started,
-        Err(e) => {
-            eprintln!("serve_sim: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (runtime, predictions) =
+        ServeRuntime::start(detector, config).unwrap_or_else(|e| cli.abort(e));
 
     // One thread per sensor, each flood-replaying its own simulated
     // scenario (distinct seed ⇒ distinct occupancy schedule) as fast as
@@ -241,8 +165,10 @@ fn main() {
         (n, occupied, max_version)
     });
 
+    let mut submitted = 0u64;
     for (i, s) in sensors.into_iter().enumerate() {
         let (shard, sent, shed) = s.join().expect("sensor thread panicked");
+        submitted += sent;
         eprintln!("sensor-{i}: shard {shard}, submitted {sent}, shed at ingress {shed}");
     }
 
@@ -257,33 +183,39 @@ fn main() {
     println!("\n=== metrics ===\n{}", report.metrics_text);
 
     // In faults mode the run is a verdict, not just a demo: recovery
-    // must be provable from the report or the process fails.
-    if !args.faults.is_empty() {
-        let mut failures = Vec::new();
-        let unaccounted = report.unaccounted_records();
-        if unaccounted != 0 {
-            failures.push(format!("{unaccounted} records unaccounted for"));
-        }
-        if args.faults.has_worker_panics() && report.faults.shard_restarts.iter().sum::<u64>() == 0
-        {
-            failures.push("scripted worker panics produced no supervised restarts".into());
-        }
-        if args.faults.has_trainer_panics() && report.faults.trainer_restarts == 0 {
-            failures.push("scripted trainer panics produced no supervised restarts".into());
-        }
-        if report.faults.uncontained_panics > 0 {
-            failures.push(format!(
-                "{} panics escaped supervision",
-                report.faults.uncontained_panics
-            ));
-        }
-        if failures.is_empty() {
-            println!("fault-injection verdict: PASS (all records accounted, restarts observed)");
-        } else {
-            for f in &failures {
-                eprintln!("fault-injection verdict: FAIL — {f}");
-            }
-            std::process::exit(1);
-        }
+    // must be provable from the report or the process fails. The PASS
+    // line names exactly the checks that ran.
+    let faults = &args.faults;
+    let mut verdict = Verdict::new("fault-injection verdict", !faults.is_empty());
+    if faults.is_empty() {
+        return verdict.finish("");
     }
+    let mut checked = vec![format!("all {submitted} records accounted")];
+    verdict.check(submitted > 0, || {
+        "no record was submitted, so nothing was checked".into()
+    });
+    let unaccounted = report.unaccounted_records();
+    verdict.check(unaccounted == 0, || {
+        format!("{unaccounted} records unaccounted for")
+    });
+    if faults.has_worker_panics() {
+        checked.push("worker restarts observed".into());
+        verdict.check(report.faults.shard_restarts.iter().sum::<u64>() > 0, || {
+            "scripted worker panics produced no supervised restarts".into()
+        });
+    }
+    if faults.has_trainer_panics() {
+        checked.push("trainer restarts observed".into());
+        verdict.check(report.faults.trainer_restarts > 0, || {
+            "scripted trainer panics produced no supervised restarts".into()
+        });
+    }
+    checked.push("no panic escaped supervision".into());
+    verdict.check(report.faults.uncontained_panics == 0, || {
+        format!(
+            "{} panics escaped supervision",
+            report.faults.uncontained_panics
+        )
+    });
+    verdict.finish(&checked.join(", "))
 }

@@ -35,13 +35,15 @@
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::temporal::{TemporalConfig, TemporalDetector};
 use occusense_dataset::CsiRecord;
+use occusense_driver::{obj, percentile, CliError, Parser, Usage, Value, Verdict};
 use occusense_serve::{BackpressurePolicy, ServeConfig, ServeReport};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
-    loopback, tcp_connect, tcp_listen, ClientEvent, Connection, Gateway, GatewayConfig,
-    LoopbackConfig, LoopbackConnector, PredictionFrame, TcpConfig, WireClient, WireError,
+    loopback, tcp_connect, tcp_listen, Acceptor, ClientEvent, Connection, Gateway, GatewayConfig,
+    LoopbackConfig, PredictionFrame, TcpConfig, TransportError, WireClient, WireError,
 };
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,162 +84,88 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
                         residue
   -h, --help            print this help";
 
-#[derive(Clone)]
 struct Args {
     sensors: usize,
     records: usize,
-    transport: Transport,
+    tcp: bool,
     addr: String,
-    shards: usize,
-    max_batch: usize,
+    /// Online training is off: the model only changes version at an
+    /// explicit `--swap`.
+    serve: ServeConfig,
+    gateway: GatewayConfig,
     wire_batch: usize,
-    policy: BackpressurePolicy,
-    outbound_policy: BackpressurePolicy,
-    capacity: usize,
     seed: u64,
     drivers: usize,
-    reactors: usize,
     json: Option<String>,
     temporal: bool,
     swap: bool,
     verify: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    Loopback,
-    Tcp,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            sensors: 8,
-            records: 5000,
-            transport: Transport::Loopback,
-            addr: "127.0.0.1:0".to_string(),
-            shards: 4,
-            max_batch: 32,
-            wire_batch: 16,
+fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
+    let mut args = Args {
+        sensors: 8,
+        records: 5000,
+        tcp: false,
+        addr: "127.0.0.1:0".to_string(),
+        serve: ServeConfig {
+            n_shards: 4,
+            queue_capacity: 1024,
             policy: BackpressurePolicy::Block,
+            max_batch: 32,
+            online: None,
+            ..ServeConfig::default()
+        },
+        gateway: GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
-            capacity: 1024,
-            seed: 100,
-            drivers: 1,
             reactors: 1,
-            json: None,
-            temporal: false,
-            swap: false,
-            verify: false,
-        }
-    }
-}
-
-fn parse_value<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse()
-        .map_err(|e| format!("bad value {raw:?} for {what}: {e}"))
-}
-
-fn parse_policy(raw: &str, what: &str) -> Result<BackpressurePolicy, String> {
-    BackpressurePolicy::parse(raw)
-        .ok_or_else(|| format!("unknown {what} {raw:?} (block | drop-oldest | reject-newest)"))
-}
-
-/// Parses the command line. `Err` carries a user-facing message — the
-/// caller prints it with the usage text and exits 2 (the PR 2 CLI
-/// convention shared with `serve_sim`); malformed flags never panic.
-fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = argv;
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        if flag == "--verify" {
-            args.verify = true;
-            continue;
-        }
-        if flag == "--temporal" {
-            args.temporal = true;
-            continue;
-        }
-        if flag == "--swap" {
-            args.swap = true;
-            continue;
-        }
-        const KNOWN: &[&str] = &[
-            "--sensors",
-            "--records",
-            "--transport",
-            "--addr",
-            "--shards",
-            "--batch",
-            "--wire-batch",
-            "--policy",
-            "--outbound-policy",
-            "--capacity",
-            "--seed",
-            "--drivers",
-            "--reactors",
-            "--json",
-        ];
-        if !KNOWN.contains(&flag.as_str()) {
-            return Err(format!("unknown flag {flag:?}"));
-        }
-        let raw = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
+            ..GatewayConfig::default()
+        },
+        wire_batch: 16,
+        seed: 100,
+        drivers: 1,
+        json: None,
+        temporal: false,
+        swap: false,
+        verify: false,
+    };
+    let policy = BackpressurePolicy::parse;
+    while let Some(flag) = p.next() {
         match flag.as_str() {
-            "--sensors" => args.sensors = parse_value(&raw, "--sensors")?,
-            "--records" => args.records = parse_value(&raw, "--records")?,
+            "--verify" => args.verify = true,
+            "--temporal" => args.temporal = true,
+            "--swap" => args.swap = true,
+            "--sensors" => args.sensors = p.nonzero(&flag)?,
+            "--records" => args.records = p.nonzero(&flag)?,
             "--transport" => {
-                args.transport = match raw.as_str() {
-                    "loopback" => Transport::Loopback,
-                    "tcp" => Transport::Tcp,
-                    _ => return Err(format!("unknown transport {raw:?} (loopback | tcp)")),
-                };
+                args.tcp = p.value_with(&flag, |raw| match raw {
+                    "loopback" => Some(false),
+                    "tcp" => Some(true),
+                    _ => None,
+                })?
             }
-            "--addr" => args.addr = raw,
-            "--shards" => args.shards = parse_value(&raw, "--shards")?,
-            "--batch" => args.max_batch = parse_value(&raw, "--batch")?,
-            "--wire-batch" => args.wire_batch = parse_value(&raw, "--wire-batch")?,
-            "--policy" => args.policy = parse_policy(&raw, "--policy")?,
-            "--outbound-policy" => args.outbound_policy = parse_policy(&raw, "--outbound-policy")?,
-            "--capacity" => args.capacity = parse_value(&raw, "--capacity")?,
-            "--seed" => args.seed = parse_value(&raw, "--seed")?,
-            "--drivers" => args.drivers = parse_value(&raw, "--drivers")?,
-            "--reactors" => args.reactors = parse_value(&raw, "--reactors")?,
-            "--json" => args.json = Some(raw),
-            _ => unreachable!("flag was vetted against KNOWN"),
+            "--addr" => args.addr = p.value(&flag)?,
+            "--shards" => args.serve.n_shards = p.value(&flag)?,
+            "--batch" => args.serve.max_batch = p.nonzero(&flag)?,
+            "--wire-batch" => args.wire_batch = p.nonzero(&flag)?,
+            "--policy" => args.serve.policy = p.value_with(&flag, policy)?,
+            "--outbound-policy" => args.gateway.outbound_policy = p.value_with(&flag, policy)?,
+            "--capacity" => args.serve.queue_capacity = p.value(&flag)?,
+            "--seed" => args.seed = p.value(&flag)?,
+            "--drivers" => args.drivers = p.nonzero(&flag)?,
+            "--reactors" => args.gateway.reactors = p.nonzero(&flag)?,
+            "--json" => args.json = Some(p.value(&flag)?),
+            _ => return Err(CliError::unexpected(flag)),
         }
-    }
-    if args.sensors == 0 {
-        return Err("--sensors must be >= 1".into());
-    }
-    if args.records == 0 {
-        return Err("--records must be >= 1".into());
-    }
-    if args.max_batch == 0 {
-        return Err("--batch must be >= 1".into());
-    }
-    if args.wire_batch == 0 {
-        return Err("--wire-batch must be >= 1".into());
     }
     if args.swap && !args.temporal {
-        return Err("--swap requires --temporal".into());
-    }
-    if args.drivers == 0 {
-        return Err("--drivers must be >= 1".into());
-    }
-    if args.reactors == 0 {
-        return Err("--reactors must be >= 1".into());
+        return Err(CliError::Invalid("--swap requires --temporal".into()));
     }
     Ok(args)
 }
+
+/// Opens one client connection to the gateway, over either transport.
+type Connect = Box<dyn Fn() -> Result<Box<dyn Connection>, TransportError>>;
 
 /// What one sensor brings home.
 struct SensorOutcome {
@@ -405,15 +333,6 @@ fn run_driver(
     sensors
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// The in-process reference the `--verify` replay scores against.
 enum VerifyTarget {
     /// Stateless per-frame MLP, version pinned at 1.
@@ -425,186 +344,154 @@ enum VerifyTarget {
 
 /// The `--verify` verdict: bitwise agreement with in-process scoring
 /// plus exact accounting, per sensor and globally.
-fn verify(outcomes: &[SensorOutcome], target: &VerifyTarget, report: &ServeReport) -> Vec<String> {
-    let mut failures = Vec::new();
+fn verify(
+    outcomes: &[SensorOutcome],
+    target: &VerifyTarget,
+    report: &ServeReport,
+    verdict: &mut Verdict,
+) {
     let mut delivered_total = 0u64;
     for o in outcomes {
         delivered_total += o.predictions.len() as u64;
-        if o.sent != o.records.len() as u64 {
-            failures.push(format!(
-                "sensor-{}: sent {} of {} records",
-                o.index,
-                o.sent,
+        let (sensor, sent, delivered) = (o.index, o.sent, o.predictions.len() as u64);
+        verdict.check(sent == o.records.len() as u64, || {
+            format!(
+                "sensor-{sensor}: sent {sent} of {} records",
                 o.records.len()
-            ));
-        }
-        let resolved = o.predictions.len() as u64 + o.nacks;
-        if resolved != o.sent {
-            failures.push(format!(
-                "sensor-{}: {} records sent but only {} resolved ({} predictions + {} NACKs)",
-                o.index,
-                o.sent,
-                resolved,
-                o.predictions.len(),
+            )
+        });
+        verdict.check(delivered + o.nacks == sent, || {
+            format!(
+                "sensor-{sensor}: {sent} records sent but only {delivered} predictions + {} NACKs",
                 o.nacks
+            )
+        });
+        let expected = match target {
+            VerifyTarget::Frame(detector) => frame_reference(o, detector, verdict),
+            VerifyTarget::Temporal(models) => temporal_reference(o, models, verdict),
+        };
+        let mismatches: Vec<_> = expected
+            .iter()
+            .filter(|(p, occupied, proba)| {
+                p.occupied != *occupied || p.proba.to_bits() != proba.to_bits()
+            })
+            .collect();
+        for (p, occupied, proba) in mismatches.iter().take(3) {
+            verdict.fail(format!(
+                "sensor-{} seq {} (v{}): wire ({}, {:#018x}) != in-process ({occupied}, {:#018x})",
+                o.index,
+                p.seq,
+                p.model_version,
+                p.occupied,
+                p.proba.to_bits(),
+                proba.to_bits()
             ));
         }
-        match target {
-            VerifyTarget::Frame(detector) => verify_frame_sensor(o, detector, &mut failures),
-            VerifyTarget::Temporal(models) => verify_temporal_sensor(o, models, &mut failures),
-        }
+        verdict.check(mismatches.len() <= 3, || {
+            format!(
+                "sensor-{}: {} bitwise mismatches total",
+                o.index,
+                mismatches.len()
+            )
+        });
     }
     let unaccounted = report.unaccounted_records();
-    if unaccounted != 0 {
-        failures.push(format!("{unaccounted} records unaccounted for"));
-    }
-    if report.wire.predictions_sent != delivered_total {
-        failures.push(format!(
-            "gateway sent {} predictions but clients received {}",
-            report.wire.predictions_sent, delivered_total
-        ));
-    }
-    failures
+    verdict.check(unaccounted == 0, || {
+        format!("{unaccounted} records unaccounted for")
+    });
+    verdict.check(report.wire.predictions_sent == delivered_total, || {
+        format!(
+            "gateway sent {} predictions but clients received {delivered_total}",
+            report.wire.predictions_sent
+        )
+    });
 }
 
-/// Frame-mode replay: every prediction independently rescorable, and
-/// the model version must stay pinned at 1 (online training disabled).
-fn verify_frame_sensor(
-    o: &SensorOutcome,
+/// One delivered prediction with the `(occupied, proba)` in-process
+/// scoring gives for it.
+type Expected<'a> = (&'a PredictionFrame, u8, f64);
+
+/// Frame-mode reference: every prediction independently rescorable,
+/// and the model version must stay pinned at 1 (online training
+/// disabled).
+fn frame_reference<'a>(
+    o: &'a SensorOutcome,
     detector: &OccupancyDetector,
-    failures: &mut Vec<String>,
-) {
-    let mut mismatches = 0usize;
+    verdict: &mut Verdict,
+) -> Vec<Expected<'a>> {
+    let mut expected = Vec::with_capacity(o.predictions.len());
     for p in &o.predictions {
-        let Some(record) = o.records.get(p.seq as usize) else {
-            failures.push(format!(
-                "sensor-{}: prediction for unknown seq {}",
-                o.index, p.seq
-            ));
-            continue;
-        };
-        let (occupied, proba) = detector.predict_record(record);
-        if p.occupied != occupied || p.proba.to_bits() != proba.to_bits() {
-            mismatches += 1;
-            if mismatches <= 3 {
-                failures.push(format!(
-                    "sensor-{} seq {}: wire ({}, {:#018x}) != direct ({}, {:#018x})",
-                    o.index,
-                    p.seq,
-                    p.occupied,
-                    p.proba.to_bits(),
-                    occupied,
-                    proba.to_bits()
-                ));
-            }
-        }
-        if p.model_version != 1 {
-            failures.push(format!(
+        verdict.check(p.model_version == 1, || {
+            format!(
                 "sensor-{} seq {}: scored by model v{} (hot swap while pinned?)",
                 o.index, p.seq, p.model_version
-            ));
+            )
+        });
+        match o.records.get(p.seq as usize) {
+            Some(record) => {
+                let (occupied, proba) = detector.predict_record(record);
+                expected.push((p, occupied, proba));
+            }
+            None => verdict.fail(format!("sensor-{}: unknown seq {}", o.index, p.seq)),
         }
     }
-    if mismatches > 3 {
-        failures.push(format!(
-            "sensor-{}: {} bitwise mismatches total",
-            o.index, mismatches
-        ));
-    }
+    expected
 }
 
-/// Temporal-mode replay. The server scored this sensor's records in
+/// Temporal-mode reference. The server scored this sensor's records in
 /// seq order, carrying hidden state and zero-resetting it at every
 /// model swap — so the reference is `score_stream` (zero state) over
 /// each maximal run of predictions scored by the same version. Only
 /// scored records ever advanced the server's state (a NACKed record
 /// never reached a worker), so replaying exactly the delivered
 /// predictions reconstructs the state trajectory.
-fn verify_temporal_sensor(
-    o: &SensorOutcome,
+fn temporal_reference<'a>(
+    o: &'a SensorOutcome,
     models: &BTreeMap<u64, TemporalDetector>,
-    failures: &mut Vec<String>,
-) {
+    verdict: &mut Verdict,
+) -> Vec<Expected<'a>> {
     let mut preds: Vec<&PredictionFrame> = o.predictions.iter().collect();
     preds.sort_by_key(|p| p.seq);
-    let mut mismatches = 0usize;
-    let mut last_version = 0u64;
-    let mut i = 0usize;
-    while i < preds.len() {
-        let Some(first) = preds.get(i) else { break };
-        let version = first.model_version;
-        if version < last_version {
-            failures.push(format!(
-                "sensor-{} seq {}: version went backwards (v{last_version} → v{version})",
-                o.index, first.seq
+    let mut expected = Vec::with_capacity(preds.len());
+    for run in preds.chunk_by(|a, b| a.model_version == b.model_version) {
+        let version = run[0].model_version;
+        if expected
+            .last()
+            .is_some_and(|(p, _, _): &Expected| p.model_version > version)
+        {
+            verdict.fail(format!(
+                "sensor-{} seq {}: version went backwards to v{version}",
+                o.index, run[0].seq
             ));
             break;
         }
-        last_version = version;
-        let mut j = i;
-        while preds.get(j).is_some_and(|p| p.model_version == version) {
-            j += 1;
-        }
-        let run = &preds[i..j];
-        i = j;
-        let Some(model) = models.get(&version) else {
-            failures.push(format!(
-                "sensor-{}: predictions scored by unknown model v{version}",
+        let records: Option<Vec<CsiRecord>> = run
+            .iter()
+            .map(|p| o.records.get(p.seq as usize).copied())
+            .collect();
+        let (Some(model), Some(records)) = (models.get(&version), records) else {
+            verdict.fail(format!(
+                "sensor-{}: predictions of unknown model v{version} or unknown seqs",
                 o.index
             ));
             continue;
         };
-        let mut records = Vec::with_capacity(run.len());
-        for p in run {
-            match o.records.get(p.seq as usize) {
-                Some(r) => records.push(*r),
-                None => failures.push(format!(
-                    "sensor-{}: prediction for unknown seq {}",
-                    o.index, p.seq
-                )),
-            }
-        }
-        if records.len() != run.len() {
-            continue;
-        }
         let solo = model.score_stream(&records);
-        for (p, (_, proba)) in run.iter().zip(&solo) {
-            if p.proba.to_bits() != proba.to_bits() || p.occupied != u8::from(*proba > 0.5) {
-                mismatches += 1;
-                if mismatches <= 3 {
-                    failures.push(format!(
-                        "sensor-{} seq {} (v{version}): wire ({}, {:#018x}) != replay ({}, {:#018x})",
-                        o.index,
-                        p.seq,
-                        p.occupied,
-                        p.proba.to_bits(),
-                        u8::from(*proba > 0.5),
-                        proba.to_bits()
-                    ));
-                }
-            }
+        for (p, (_, proba)) in run.iter().zip(solo) {
+            expected.push((p, u8::from(proba > 0.5), proba));
         }
     }
-    if mismatches > 3 {
-        failures.push(format!(
-            "sensor-{}: {} bitwise mismatches total",
-            o.index, mismatches
-        ));
-    }
+    expected
 }
 
-fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("wire_storm: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+fn main() -> ExitCode {
+    let cli = Usage::new("wire_storm", USAGE);
+    let args = cli.parse(parse_cli);
+    let transport = if args.tcp { "tcp" } else { "loopback" };
+    let model = if args.temporal { "temporal" } else { "frame" };
 
-    // Offline bootstrap, same recipe as serve_sim; online training is
-    // *disabled* so the serving model only changes version at an
-    // explicit --swap — the precondition for replaying wire
+    // Offline bootstrap, same recipe as serve_sim. Online training is
+    // disabled (`Args::serve`), the precondition for replaying wire
     // predictions bitwise against identical local models.
     let train = simulate(&ScenarioConfig::quick(1200.0, 7));
     let temporal_recipe = |seed| TemporalConfig {
@@ -615,20 +502,36 @@ fn main() {
         seed,
         ..TemporalConfig::default()
     };
-    let (boot_model, swap_model, mut target) = if args.temporal {
+    // At storm scale every connection is opened before the drivers
+    // start flushing Hellos, so the handshake deadline has to cover the
+    // whole fleet's first sweep, not one socket.
+    let mut gateway_cfg = args.gateway;
+    gateway_cfg.handshake_timeout =
+        Duration::from_secs(5).max(Duration::from_millis(args.sensors as u64 * 20));
+    let (acceptor, connect): (Box<dyn Acceptor>, Connect) = if args.tcp {
+        let (acceptor, local) = tcp_listen(&args.addr, TcpConfig::default())
+            .unwrap_or_else(|e| cli.abort(format!("cannot listen on {}: {e}", args.addr)));
+        eprintln!("listening on {local}");
+        let addr = local.to_string();
+        (
+            Box::new(acceptor),
+            Box::new(move || tcp_connect(&addr, TcpConfig::default())),
+        )
+    } else {
+        let (acceptor, connector) = loopback(LoopbackConfig::default());
+        (Box::new(acceptor), Box::new(move || connector.connect()))
+    };
+    let serve = args.serve.clone();
+    let (gateway, swap_model, mut target) = if args.temporal {
         eprintln!("training bootstrap temporal (GRU) model…");
         let boot = TemporalDetector::train(&train, &temporal_recipe(7));
         let swap = args.swap.then(|| {
             eprintln!("training swap temporal model…");
             TemporalDetector::train(&train, &temporal_recipe(23))
         });
-        let mut published = BTreeMap::new();
-        published.insert(1, boot.clone());
-        (
-            BootModel::Temporal(boot),
-            swap,
-            VerifyTarget::Temporal(published),
-        )
+        let published = BTreeMap::from([(1, boot.clone())]);
+        let gateway = Gateway::start_temporal(boot, serve, gateway_cfg, acceptor);
+        (gateway, swap, VerifyTarget::Temporal(published))
     } else {
         eprintln!("training bootstrap detector…");
         let detector = OccupancyDetector::train(
@@ -640,31 +543,10 @@ fn main() {
                 ..DetectorConfig::default()
             },
         );
-        (
-            BootModel::Frame(detector.clone()),
-            None,
-            VerifyTarget::Frame(detector),
-        )
+        let gateway = Gateway::start(detector.clone(), serve, gateway_cfg, acceptor);
+        (gateway, None, VerifyTarget::Frame(detector))
     };
-
-    let serve = ServeConfig {
-        n_shards: args.shards,
-        queue_capacity: args.capacity,
-        policy: args.policy,
-        max_batch: args.max_batch,
-        online: None,
-        ..ServeConfig::default()
-    };
-    let gateway_cfg = GatewayConfig {
-        outbound_policy: args.outbound_policy,
-        reactors: args.reactors,
-        // At storm scale every connection is opened before the
-        // drivers start flushing Hellos, so the handshake deadline has
-        // to cover the whole fleet's first sweep, not one socket.
-        handshake_timeout: Duration::from_secs(5)
-            .max(Duration::from_millis(args.sensors as u64 * 20)),
-        ..GatewayConfig::default()
-    };
+    let gateway = gateway.unwrap_or_else(|e| cli.abort(e));
 
     // Replay sources are collected up front so the verify pass can
     // rescore the exact same records locally.
@@ -679,41 +561,15 @@ fn main() {
         .collect();
 
     let started = Instant::now();
-    let (acceptor, connectors): (Box<dyn occusense_wire::Acceptor>, Connectors) =
-        match args.transport {
-            Transport::Loopback => {
-                let (acceptor, connector) = loopback(LoopbackConfig::default());
-                (Box::new(acceptor), Connectors::Loopback(connector))
-            }
-            Transport::Tcp => {
-                let (acceptor, local) = tcp_listen(&args.addr, TcpConfig::default())
-                    .unwrap_or_else(|e| {
-                        eprintln!("wire_storm: cannot listen on {}: {e}", args.addr);
-                        std::process::exit(2);
-                    });
-                eprintln!("listening on {local}");
-                (Box::new(acceptor), Connectors::Tcp(local.to_string()))
-            }
-        };
-    let gateway = boot_model
-        .start(serve, gateway_cfg, acceptor)
-        .unwrap_or_else(|e| {
-            eprintln!("wire_storm: {e}");
-            std::process::exit(2);
-        });
-
     eprintln!(
         "storming: {} sensors × {} records over {} → {} shards ({} model, ingress {:?}, outbound {:?}, wire batch {})",
         args.sensors,
         args.records,
-        match args.transport {
-            Transport::Loopback => "loopback",
-            Transport::Tcp => "tcp",
-        },
-        args.shards,
-        if args.temporal { "temporal" } else { "frame" },
-        args.policy,
-        args.outbound_policy,
+        transport,
+        args.serve.n_shards,
+        model,
+        args.serve.policy,
+        args.gateway.outbound_policy,
         args.wire_batch
     );
 
@@ -726,8 +582,7 @@ fn main() {
     let mut driver_sensors: Vec<Vec<Sensor>> = (0..drivers).map(|_| Vec::new()).collect();
     for (i, records) in fleets.into_iter().enumerate() {
         let outcome = SensorOutcome::new(i, records);
-        let opened = connectors
-            .connect()
+        let opened = connect()
             .map_err(WireError::Transport)
             .and_then(|conn| WireClient::open(conn, "", &format!("sensor-{i}")));
         match opened {
@@ -806,158 +661,83 @@ fn main() {
         );
     }
 
+    // One throughput figure for stdout and the summary: records the
+    // clients sent per wall-clock second.
+    let records_per_s = sent_total as f64 / wall.as_secs_f64().max(1e-9);
     println!("\n=== wire_storm report ===");
     print!("{report}");
     println!(
-        "wire wall time {wall:.2?} · {:.0} records/s end-to-end · {delivered_total} predictions delivered to clients · {nacks_total} NACKs",
-        sent_total as f64 / wall.as_secs_f64().max(1e-9)
+        "wire wall time {wall:.2?} · {records_per_s:.0} records/s end-to-end · {delivered_total} predictions delivered to clients · {nacks_total} NACKs"
     );
     rtts.sort_unstable();
+    let rtt_us = |p: f64| percentile(&rtts, p) as f64 / 1e3;
     if !rtts.is_empty() {
         println!(
             "round trip (enqueue → prediction): p50 {:.1} µs · p95 {:.1} µs · p99 {:.1} µs over {} samples",
-            percentile(&rtts, 50.0) as f64 / 1e3,
-            percentile(&rtts, 95.0) as f64 / 1e3,
-            percentile(&rtts, 99.0) as f64 / 1e3,
+            rtt_us(50.0),
+            rtt_us(95.0),
+            rtt_us(99.0),
             rtts.len()
         );
     }
     println!("\n=== metrics ===\n{}", report.metrics_text);
 
-    let mut failures: Vec<String> = outcomes
-        .iter()
-        .flat_map(|o| o.errors.iter().map(|e| format!("sensor-{}: {e}", o.index)))
-        .collect();
+    let mut verdict = Verdict::new("verify verdict", args.verify);
+    for o in &outcomes {
+        o.errors
+            .iter()
+            .for_each(|e| verdict.fail(format!("sensor-{}: {e}", o.index)));
+    }
     if args.temporal {
         let mut by_version: BTreeMap<u64, u64> = BTreeMap::new();
-        for o in &outcomes {
-            for p in &o.predictions {
-                *by_version.entry(p.model_version).or_default() += 1;
-            }
+        for p in outcomes.iter().flat_map(|o| &o.predictions) {
+            *by_version.entry(p.model_version).or_default() += 1;
         }
-        let summary: Vec<String> = by_version
+        let counts: Vec<_> = by_version
             .iter()
             .map(|(v, n)| format!("v{v}×{n}"))
             .collect();
-        eprintln!("predictions by model version: {}", summary.join(", "));
-        if args.swap && args.verify && by_version.len() < 2 {
-            failures
-                .push("--swap landed after every record was scored; raise --records".to_string());
-        }
+        eprintln!("predictions by model version: {}", counts.join(", "));
+        verdict.check(!(args.swap && args.verify && by_version.len() < 2), || {
+            "--swap landed after every record was scored; raise --records".to_string()
+        });
     }
     if args.verify {
-        failures.extend(verify(&outcomes, &target, &report));
-        if failures.is_empty() {
-            println!(
-                "verify verdict: PASS ({} sensors, {} records, {} scoring bitwise identical to in-process replay, 0 unaccounted)",
-                args.sensors,
-                sent_total,
-                if args.temporal { "stateful temporal" } else { "frame" }
-            );
-        }
+        verify(&outcomes, &target, &report, &mut verdict);
     }
     if let Some(path) = &args.json {
-        let verdict = if !args.verify {
-            "off"
-        } else if failures.is_empty() {
-            "pass"
-        } else {
-            "fail"
-        };
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"sensors\": {},\n",
-                "  \"records_per_sensor\": {},\n",
-                "  \"transport\": \"{}\",\n",
-                "  \"drivers\": {},\n",
-                "  \"reactors\": {},\n",
-                "  \"wire_batch\": {},\n",
-                "  \"wall_s\": {:.3},\n",
-                "  \"records_per_s\": {:.0},\n",
-                "  \"decoded\": {},\n",
-                "  \"ingested\": {},\n",
-                "  \"rejected\": {},\n",
-                "  \"shed\": {},\n",
-                "  \"predictions_sent\": {},\n",
-                "  \"nacks\": {},\n",
-                "  \"connection_panics\": {},\n",
-                "  \"unaccounted\": {},\n",
-                "  \"rtt_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}, \"samples\": {}}},\n",
-                "  \"verdict\": \"{}\"\n",
-                "}}\n"
+        let w = &report.wire;
+        let summary = obj([
+            ("sensors", args.sensors.into()),
+            ("records_per_sensor", args.records.into()),
+            ("transport", transport.into()),
+            ("drivers", drivers.into()),
+            ("reactors", args.gateway.reactors.into()),
+            ("wire_batch", args.wire_batch.into()),
+            ("wall_s", Value::fixed(wall.as_secs_f64(), 3)),
+            ("records_per_s", (records_per_s.round() as u64).into()),
+            ("decoded", w.records_decoded.into()),
+            ("ingested", w.records_ingested.into()),
+            ("rejected", w.records_rejected.into()),
+            ("shed", w.records_shed.into()),
+            ("predictions_sent", w.predictions_sent.into()),
+            ("nacks", nacks_total.into()),
+            ("connection_panics", w.connection_panics.into()),
+            ("unaccounted", report.unaccounted_records().into()),
+            (
+                "rtt_us",
+                obj([
+                    ("p50", Value::fixed(rtt_us(50.0), 1)),
+                    ("p95", Value::fixed(rtt_us(95.0), 1)),
+                    ("p99", Value::fixed(rtt_us(99.0), 1)),
+                    ("samples", rtts.len().into()),
+                ]),
             ),
-            args.sensors,
-            args.records,
-            match args.transport {
-                Transport::Loopback => "loopback",
-                Transport::Tcp => "tcp",
-            },
-            args.drivers,
-            args.reactors,
-            args.wire_batch,
-            wall.as_secs_f64(),
-            report.wire.records_decoded as f64 / wall.as_secs_f64().max(1e-9),
-            report.wire.records_decoded,
-            report.wire.records_ingested,
-            report.wire.records_rejected,
-            report.wire.records_shed,
-            report.wire.predictions_sent,
-            nacks_total,
-            report.wire.connection_panics,
-            report.unaccounted_records(),
-            percentile(&rtts, 50.0) as f64 / 1e3,
-            percentile(&rtts, 95.0) as f64 / 1e3,
-            percentile(&rtts, 99.0) as f64 / 1e3,
-            rtts.len(),
-            verdict
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("soak summary written to {path}"),
-            Err(e) => eprintln!("wire_storm: cannot write {path}: {e}"),
-        }
+        ]);
+        verdict.write_summary(path, summary);
     }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("wire_storm verdict: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Which model family boots the gateway's serving runtime. One
-/// instance exists per run, so the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum BootModel {
-    Frame(OccupancyDetector),
-    Temporal(TemporalDetector),
-}
-
-impl BootModel {
-    fn start(
-        self,
-        serve: ServeConfig,
-        config: GatewayConfig,
-        acceptor: Box<dyn occusense_wire::Acceptor>,
-    ) -> Result<Gateway, WireError> {
-        match self {
-            BootModel::Frame(d) => Gateway::start(d, serve, config, acceptor),
-            BootModel::Temporal(t) => Gateway::start_temporal(t, serve, config, acceptor),
-        }
-    }
-}
-
-/// Per-transport connection factory.
-enum Connectors {
-    Loopback(LoopbackConnector),
-    Tcp(String),
-}
-
-impl Connectors {
-    fn connect(&self) -> Result<Box<dyn Connection>, occusense_wire::TransportError> {
-        match self {
-            Connectors::Loopback(c) => c.connect(),
-            Connectors::Tcp(addr) => tcp_connect(addr, TcpConfig::default()),
-        }
-    }
+    verdict.finish(&format!(
+        "{} sensors, {sent_total} records, {model} scoring bitwise identical to in-process replay, 0 unaccounted",
+        args.sensors
+    ))
 }
