@@ -85,4 +85,4 @@ pub use runtime::{
 pub use state::{SensorState, StateTable};
 pub use supervisor::{CheckpointConfig, DeadLetter, FaultReport, SupervisorConfig};
 pub use trainer::LabelledRecord;
-pub use worker::Prediction;
+pub use worker::{Prediction, PredictionSink};

@@ -1,20 +1,20 @@
 //! Assembly of the serving pipeline:
 //! `SensorClient → shard queue → supervised worker (drain queue →
-//! batched forward) → prediction channel`, with a side path
+//! batched forward) → prediction sink`, with a side path
 //! `labelled records → trainer queue → OnlineDetector → hot swap`
 //! and a fault-tolerance layer (supervised restarts, dead-letter
 //! quarantine, crash-safe checkpoints) around all of it.
 
 use crate::metrics::MetricsRegistry;
 use crate::model::{ModelHandle, ServedModel};
-use crate::queue::{BackpressurePolicy, BoundedQueue, PushError, QueueCounters};
+use crate::queue::{BackpressurePolicy, BoundedQueue, PushError, QueueCounters, TryPushError};
 use crate::routing::shard_for;
 use crate::state::StateTable;
 use crate::supervisor::{
     panic_message, CheckpointConfig, FaultReport, SupervisorConfig, SupervisorState,
 };
 use crate::trainer::{self, LabelledRecord, TrainerContext};
-use crate::worker::{self, Job, Prediction, WorkerContext, WorkerMetrics};
+use crate::worker::{self, Job, Prediction, PredictionSink, WorkerContext, WorkerMetrics};
 use occusense_core::detector::OccupancyDetector;
 use occusense_core::online::{OnlineConfig, OnlineDetector};
 use occusense_core::persist;
@@ -204,17 +204,47 @@ impl SensorClient {
         record: CsiRecord,
         label: Option<u8>,
     ) -> Result<(), SubmitError> {
-        let job = Job {
+        match self.queue.push(self.job(seq, record, label)) {
+            Ok(()) => Ok(()),
+            Err(PushError::Rejected(_)) => Err(SubmitError::Rejected),
+            Err(PushError::Closed(_)) => Err(SubmitError::Shutdown),
+        }
+    }
+
+    /// [`submit_sequenced`](Self::submit_sequenced) that never parks.
+    /// This is the gateway reactor's ingestion path: one thread serving
+    /// many connections must pause the one whose shard is full, not
+    /// park.
+    ///
+    /// # Errors
+    ///
+    /// The shard queue's [`TryPushError`] (the record stays with the
+    /// caller — `CsiRecord` is `Copy`): `Full` (a `Block` queue at
+    /// capacity — nothing was submitted or counted; retry later),
+    /// `Rejected` (`RejectNewest`, counted) or `Closed` (shutdown, or
+    /// the shard failed closed).
+    pub fn try_submit_sequenced(
+        &mut self,
+        seq: u64,
+        record: CsiRecord,
+        label: Option<u8>,
+    ) -> Result<(), TryPushError<()>> {
+        self.queue
+            .try_push(self.job(seq, record, label))
+            .map_err(|e| match e {
+                TryPushError::Full(_) => TryPushError::Full(()),
+                TryPushError::Rejected(_) => TryPushError::Rejected(()),
+                TryPushError::Closed(_) => TryPushError::Closed(()),
+            })
+    }
+
+    fn job(&self, seq: u64, record: CsiRecord, label: Option<u8>) -> Job {
+        Job {
             sensor_id: Arc::clone(&self.sensor_id),
             seq,
             record,
             label,
             enqueued_at: Instant::now(),
-        };
-        match self.queue.push(job) {
-            Ok(()) => Ok(()),
-            Err(PushError::Rejected(_)) => Err(SubmitError::Rejected),
-            Err(PushError::Closed(_)) => Err(SubmitError::Shutdown),
         }
     }
 
@@ -264,8 +294,8 @@ pub mod wire_stats {
     /// Gateway locks recovered from poisoning (a panicking holder left
     /// the lock; the state was still consistent and service continued).
     pub const LOCK_RECOVERIES: &str = "wire.lock_recoveries";
-    /// Gateway threads (accept loop, reactors, router) whose join at
-    /// shutdown surfaced a panic. The panic was already contained —
+    /// Gateway threads (accept loop, reactors) whose join at shutdown
+    /// surfaced a panic. The panic was already contained —
     /// the thread is gone either way — but a non-zero count means some
     /// traffic window went unserved.
     pub const THREAD_PANICS: &str = "wire.thread_panics";
@@ -497,6 +527,8 @@ pub struct ServeRuntime {
 impl ServeRuntime {
     /// Boots the runtime around an offline-trained detector and
     /// returns it together with the channel scored records arrive on.
+    /// (A caller that wants predictions delivered elsewhere installs
+    /// its own sink with [`start_with_sink`](Self::start_with_sink).)
     ///
     /// # Errors
     ///
@@ -530,16 +562,33 @@ impl ServeRuntime {
         detector: TemporalDetector,
         config: ServeConfig,
     ) -> Result<(Self, mpsc::Receiver<Prediction>), ServeError> {
-        if config.online.is_some() {
-            return Err(ServeError::OnlineUnsupportedForTemporal);
-        }
         Self::boot(ServedModel::Temporal(detector), config)
     }
 
+    /// Both channel-fed boots: the channel's sender is the sink.
     fn boot(
-        boot_model: ServedModel,
+        model: ServedModel,
         config: ServeConfig,
     ) -> Result<(Self, mpsc::Receiver<Prediction>), ServeError> {
+        let (tx, rx) = mpsc::channel();
+        let runtime = Self::start_with_sink(model, config, |_| Arc::new(tx))?;
+        Ok((runtime, rx))
+    }
+
+    /// Boots the runtime around `boot_model` with every worker handing
+    /// its flushes to the sink `make_sink` returns. `make_sink` runs
+    /// once, before any worker starts, and sees the runtime's metrics
+    /// registry so the sink can count into it.
+    ///
+    /// # Errors
+    ///
+    /// As [`start`](Self::start) and
+    /// [`start_temporal`](Self::start_temporal), per model kind.
+    pub fn start_with_sink(
+        boot_model: ServedModel,
+        config: ServeConfig,
+        make_sink: impl FnOnce(&MetricsRegistry) -> Arc<dyn PredictionSink>,
+    ) -> Result<Self, ServeError> {
         if config.n_shards == 0 {
             return Err(ServeError::ZeroShards);
         }
@@ -574,7 +623,7 @@ impl ServeRuntime {
             ServedModel::Frame(d) => ModelHandle::new(d),
             ServedModel::Temporal(t) => ModelHandle::new_temporal(t),
         });
-        let (out_tx, out_rx) = mpsc::channel();
+        let sink = make_sink(&metrics);
 
         let trainer_queue = config.online.map(|online_cfg| {
             Arc::new(BoundedQueue::new(
@@ -604,7 +653,7 @@ impl ServeRuntime {
                 queue,
                 model: Arc::clone(&model),
                 max_batch: config.max_batch,
-                out: out_tx.clone(),
+                sink: Arc::clone(&sink),
                 trainer_queue: trainer_queue.clone(),
                 metrics: worker_metrics.clone(),
                 supervision: Arc::clone(&supervision),
@@ -648,24 +697,21 @@ impl ServeRuntime {
                 .expect("spawn trainer")
         });
 
-        Ok((
-            Self {
-                shards,
-                workers,
-                trainer_queue,
-                trainer,
-                model,
-                states,
-                metrics,
-                supervision,
-                checkpoint: config.checkpoint,
-                tenant: config.tenant,
-                uncontained_panics: Mutex::new(Vec::new()),
-                started_at: Instant::now(),
-                stopped: AtomicBool::new(false),
-            },
-            out_rx,
-        ))
+        Ok(Self {
+            shards,
+            workers,
+            trainer_queue,
+            trainer,
+            model,
+            states,
+            metrics,
+            supervision,
+            checkpoint: config.checkpoint,
+            tenant: config.tenant,
+            uncontained_panics: Mutex::new(Vec::new()),
+            started_at: Instant::now(),
+            stopped: AtomicBool::new(false),
+        })
     }
 
     /// An ingestion handle for one sensor; records submitted through it

@@ -67,6 +67,32 @@ pub struct Prediction {
     pub latency: Duration,
 }
 
+/// Where workers hand their scored predictions: one
+/// [`deliver`](Self::deliver) call per flush, from the scoring thread
+/// itself, so no thread hop sits between a score and its consumer.
+///
+/// The runtime's own channel face is the [`mpsc::Sender`] impl; the
+/// wire gateway installs a sink that pushes each sensor's run straight
+/// into its connection's outbound queue.
+pub trait PredictionSink: Send + Sync {
+    /// Takes one flush's predictions in scoring order. The worker
+    /// reuses the vector's capacity, so implementations drain it
+    /// rather than keep it. A sink may park (e.g. on a full `Block`
+    /// queue); that stalls only the calling shard.
+    fn deliver(&self, batch: &mut Vec<Prediction>);
+}
+
+impl PredictionSink for mpsc::Sender<Prediction> {
+    fn deliver(&self, batch: &mut Vec<Prediction>) {
+        for p in batch.drain(..) {
+            // A dropped receiver means the caller does not want
+            // predictions; serving (and metrics) continue regardless.
+            // lint:allow(swallow, reason = "send fails only when the receiver is dropped, which is the caller opting out of predictions; records/latency metrics still account the work")
+            let _ = self.send(p);
+        }
+    }
+}
+
 /// Shared instruments every worker updates lock-free.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkerMetrics {
@@ -87,7 +113,7 @@ pub(crate) struct WorkerContext {
     pub model: Arc<ModelHandle>,
     /// Most jobs one flush scores.
     pub max_batch: usize,
-    pub out: mpsc::Sender<Prediction>,
+    pub sink: Arc<dyn PredictionSink>,
     pub trainer_queue: Option<Arc<BoundedQueue<LabelledRecord>>>,
     pub metrics: WorkerMetrics,
     pub supervision: Arc<SupervisorState>,
@@ -100,12 +126,14 @@ pub(crate) struct WorkerContext {
 }
 
 /// Per-worker reusable scoring buffers: the record gather, the design
-/// matrix, the MLP forward workspace and the probability vector all
-/// keep their capacity across flushes, so a steady stream of batches
-/// is scored without heap allocations.
+/// matrix, the MLP forward workspace, the probability vector and the
+/// outgoing predictions all keep their capacity across flushes, so a
+/// steady stream of batches is scored and fanned out without heap
+/// allocations.
 struct ScoreBuffers {
     records: Vec<CsiRecord>,
     probas: Vec<f64>,
+    predictions: Vec<Prediction>,
     ws: ScoreWorkspace,
     temporal: Option<TemporalBuffers>,
 }
@@ -130,6 +158,7 @@ impl ScoreBuffers {
         Self {
             records: Vec::new(),
             probas: Vec::new(),
+            predictions: Vec::new(),
             ws: ScoreWorkspace::with_parallelism(ctx.parallelism),
             temporal: ctx.states.as_ref().map(|_| TemporalBuffers {
                 ws: TemporalWorkspace::with_parallelism(ctx.parallelism),
@@ -208,8 +237,8 @@ fn batch_loop(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefC
 }
 
 /// Scores the batch parked in `in_flight` with a single batched
-/// forward pass and fans the results out to the prediction channel
-/// and (labelled records only) the trainer queue. Non-finite records
+/// forward pass and fans the results out — one `deliver` to the
+/// prediction sink, and (labelled records only) the trainer queue. Non-finite records
 /// are split out and quarantined first — a clean batch is scored in
 /// place, with no allocation. The batch stays parked until the
 /// forward pass succeeds, so the supervisor can quarantine it if the
@@ -283,35 +312,46 @@ fn flush(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefCell<S
     // The forward pass succeeded: the batch is no longer at risk, so
     // it drains out of `in_flight` (keeping the buffer's capacity).
     let mut batch = in_flight.borrow_mut();
-    ctx.metrics.batch_size.record(batch.len() as u64);
+    let scored = batch.len() as u64;
+    ctx.metrics.batch_size.record(scored);
     let scored_at = Instant::now();
-    let buffers = buffers.borrow();
-    for (job, &proba) in batch.drain(..).zip(&buffers.probas) {
-        let latency = scored_at.duration_since(job.enqueued_at);
-        ctx.metrics.records.inc();
-        ctx.metrics.latency_ns.record(latency.as_nanos() as u64);
-        if let (Some(trainer), Some(label)) = (&ctx.trainer_queue, job.label) {
-            // The trainer queue sheds (DropOldest) rather than ever
-            // stalling the inference path; losses show in its counters.
-            // lint:allow(swallow, reason = "shedding is the contract: DropOldest records every loss in the trainer queue's dropped counter, which the report surfaces")
-            let _ = trainer.push(LabelledRecord {
-                record: job.record,
-                label,
+    // lint:no_alloc
+    {
+        let ScoreBuffers {
+            probas,
+            predictions,
+            ..
+        } = &mut *buffers.borrow_mut();
+        predictions.clear();
+        for (job, &proba) in batch.drain(..).zip(probas.iter()) {
+            let latency = scored_at.duration_since(job.enqueued_at);
+            ctx.metrics.latency_ns.record(latency.as_nanos() as u64);
+            if let (Some(trainer), Some(label)) = (&ctx.trainer_queue, job.label) {
+                // lint:allow-region(alloc, reason = "a bounded queue's VecDeque is preallocated to its capacity, so this push never grows it")
+                // The trainer queue sheds (DropOldest) rather than ever
+                // stalling the inference path; losses show in its counters.
+                // lint:allow(swallow, reason = "shedding is the contract: DropOldest records every loss in the trainer queue's dropped counter, which the report surfaces")
+                let _ = trainer.push(LabelledRecord {
+                    record: job.record,
+                    label,
+                });
+                // lint:end-region(alloc)
+            }
+            // lint:allow(alloc, reason = "push into a cleared reusable buffer: capacity is retained across flushes, so steady state does not allocate")
+            predictions.push(Prediction {
+                sensor_id: job.sensor_id,
+                seq: job.seq,
+                timestamp_s: job.record.timestamp_s,
+                occupied: u8::from(proba > 0.5),
+                proba,
+                model_version: snapshot.version,
+                latency,
             });
         }
-        // A dropped receiver means the caller does not want
-        // predictions; serving (and metrics) continue regardless.
-        // lint:allow(swallow, reason = "send fails only when the receiver is dropped, which is the caller opting out of predictions; records/latency metrics still account the work")
-        let _ = ctx.out.send(Prediction {
-            sensor_id: job.sensor_id,
-            seq: job.seq,
-            timestamp_s: job.record.timestamp_s,
-            occupied: u8::from(proba > 0.5),
-            proba,
-            model_version: snapshot.version,
-            latency,
-        });
+        ctx.metrics.records.add(scored);
+        ctx.sink.deliver(predictions);
     }
+    // lint:end_no_alloc
 }
 
 /// Stateful sequence scoring of one batch: records are grouped
@@ -479,7 +519,7 @@ mod tests {
             queue: Arc::new(BoundedQueue::new(1, BackpressurePolicy::Block)),
             model: Arc::new(ModelHandle::new_temporal(temporal.clone())),
             max_batch: MAX_BATCH,
-            out,
+            sink: Arc::new(out),
             trainer_queue: None,
             metrics: WorkerMetrics {
                 records: registry.counter("records"),

@@ -452,14 +452,30 @@ fn put_label(out: &mut Vec<u8>, label: Option<u8>) {
     }
 }
 
+/// Appends a record's fixed-width body — timestamp, the subcarrier
+/// amplitudes, temperature, humidity (all `f64` bits, little-endian),
+/// then the occupant count — assembled on the stack and copied in
+/// once. One straight loop per field group (rather than one chained
+/// iterator) keeps each loop a plain unrolled store sequence.
 fn put_record(out: &mut Vec<u8>, record: &CsiRecord) {
-    put_f64(out, record.timestamp_s);
-    for amp in &record.csi {
-        put_f64(out, *amp);
+    let mut body = [0u8; RECORD_BYTES];
+    let mut words = body.chunks_exact_mut(8);
+    for (v, dst) in [record.timestamp_s].iter().zip(words.by_ref()) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
-    put_f64(out, record.temperature_c);
-    put_f64(out, record.humidity_pct);
-    out.push(record.occupant_count);
+    for (v, dst) in record.csi.iter().zip(words.by_ref()) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    for (v, dst) in [record.temperature_c, record.humidity_pct]
+        .iter()
+        .zip(words.by_ref())
+    {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+    if let Some(count) = body.last_mut() {
+        *count = record.occupant_count;
+    }
+    out.extend_from_slice(&body);
 }
 
 /// Appends the payload bytes of `frame` (body only, no envelope) to
@@ -494,6 +510,7 @@ pub fn encode_payload(frame: &Frame, out: &mut Vec<u8>) -> Result<(), EncodeErro
             put_u32(out, a.shard);
         }
         Frame::Record(r) => {
+            out.reserve(10 + RECORD_BYTES);
             put_u64(out, r.seq);
             put_label(out, r.label);
             put_record(out, &r.record);
@@ -504,6 +521,7 @@ pub fn encode_payload(frame: &Frame, out: &mut Vec<u8>) -> Result<(), EncodeErro
                     count: b.records.len(),
                 });
             }
+            out.reserve(10 + b.records.len() * BATCH_RECORD_STRIDE);
             put_u64(out, b.first_seq);
             put_u16(out, b.records.len() as u16);
             for (record, label) in &b.records {

@@ -8,24 +8,28 @@
 //!   face and hands it round-robin to a reactor;
 //! * a small pool of **reactor threads** ([`GatewayConfig::reactors`],
 //!   default 1) owns every connection outright: each sweep retries
-//!   stalled control frames, drains the outbound queue through a
-//!   per-connection write ring with vectored writes, then reads and
-//!   parses inbound bytes — `Record`/`Batch` records are decoded
-//!   *zero-copy* out of the receive buffer
+//!   stalled control frames, batch-pops the outbound queue into a
+//!   per-connection write ring flushed with vectored writes, then
+//!   reads and parses inbound bytes — `Record`/`Batch` records are
+//!   decoded *zero-copy* out of the receive buffer
 //!   ([`crate::codec::BatchView`]) and submitted through a
 //!   [`SensorClient`] under the *client's* sequence numbers
-//!   ([`SensorClient::submit_sequenced`]), so NACKs and predictions
-//!   correlate at the sensor. A panic inside one connection's handler
-//!   is contained to that connection (`wire.connection_panics`); its
-//!   in-flight records are re-counted as shed so the accounting
-//!   identity still closes;
-//! * the bounded per-connection outbound queue is still the
-//!   slow-client boundary: its [`BackpressurePolicy`] decides whether
-//!   a sensor that stops reading stalls the router (`Block`), loses
+//!   ([`SensorClient::try_submit_sequenced`]), so NACKs and
+//!   predictions correlate at the sensor. A reactor never parks: a
+//!   full shard queue pauses only that connection's ingress. A panic
+//!   inside one connection's handler is contained to that connection
+//!   (`wire.connection_panics`); its in-flight records are re-counted
+//!   as shed so the accounting identity still closes;
+//! * the runtime's **serve workers** deliver their own predictions:
+//!   the gateway installs a [`PredictionSink`] through which each
+//!   worker resolves a flush's same-sensor runs in the registry and
+//!   pushes each run into the owning connection's outbound queue with
+//!   one [`BoundedQueue::push_many`] — no thread hop on the way back;
+//! * the bounded per-connection outbound queue is the slow-client
+//!   boundary: its [`BackpressurePolicy`] decides whether a sensor
+//!   that stops reading stalls its own shard's worker (`Block`), loses
 //!   its oldest predictions (`DropOldest`) or its newest
-//!   (`RejectNewest`);
-//! * one **router** thread receives every [`Prediction`] from the
-//!   runtime and pushes it to the owning sensor's outbound queue.
+//!   (`RejectNewest`).
 //!
 //! # Accounting
 //!
@@ -50,11 +54,11 @@ use occusense_core::detector::OccupancyDetector;
 use occusense_core::temporal::TemporalDetector;
 use occusense_serve::{
     wire_stats, BackpressurePolicy, BoundedQueue, Counter, MetricsRegistry, Prediction,
-    SensorClient, ServeConfig, ServeReport, ServeRuntime,
+    PredictionSink, SensorClient, ServeConfig, ServeReport, ServeRuntime, ServedModel,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -68,11 +72,13 @@ pub struct GatewayConfig {
     /// Capacity of each connection's outbound prediction queue.
     pub outbound_capacity: usize,
     /// Slow-client policy of the outbound queues. `DropOldest` (the
-    /// default) keeps one stalled sensor from head-of-line blocking
-    /// the router; `Block` is lossless and right for cooperative
-    /// clients that always drain (e.g. `wire_storm --verify`) — the
-    /// reactor never parks on a full `Block` queue, it pauses that
-    /// connection's ingress instead.
+    /// default) keeps a stalled sensor from ever stalling scoring;
+    /// `Block` is lossless and right for cooperative clients that
+    /// always drain (e.g. `wire_storm --verify`): a client that stops
+    /// reading parks only its own shard's worker on its full queue,
+    /// and once that shard's ingest queue fills, only the connections
+    /// routed to it pause their ingress. The reactor never parks, so
+    /// sensors on other shards keep being served.
     pub outbound_policy: BackpressurePolicy,
     /// After a client's `Goodbye`, how long a connection may go
     /// without *progress* (new predictions delivered or shed) before
@@ -100,9 +106,9 @@ impl Default for GatewayConfig {
 }
 
 /// Outbound queues of the live connections, keyed by sensor id. The
-/// router resolves each prediction through this map; a reactor
-/// registers a connection's queue after its handshake and deregisters
-/// it before closing.
+/// prediction sink resolves each run of predictions through this map;
+/// a reactor registers a connection's queue after its handshake and
+/// deregisters it before closing.
 pub(crate) type Registry = Arc<Mutex<BTreeMap<String, Arc<BoundedQueue<Frame>>>>>;
 
 /// `wire_stats` counter handles shared by every gateway thread.
@@ -156,9 +162,9 @@ fn join_counted(handle: JoinHandle<()>, thread_panics: &Counter) {
 }
 
 /// Locks the registry, *recovering* from poison instead of
-/// propagating it. A connection handler that panicked while holding
-/// the lock can only have left the map between two valid states (one
-/// `BTreeMap` insert/remove, both atomic from the reader's view), so
+/// propagating it. A thread that panicked while holding the lock can
+/// only have left the map between two valid states (one `BTreeMap`
+/// insert/remove/lookup, each atomic from the reader's view), so
 /// continuing to route against it is safe — and strictly better than
 /// escalating one connection's panic into a gateway-wide crash.
 /// Recoveries are counted so the report shows the near-miss.
@@ -185,7 +191,6 @@ pub struct Gateway {
     registry: Registry,
     runtime: Option<Arc<ServeRuntime>>,
     accept: Option<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
     counters: GatewayCounters,
 }
@@ -204,9 +209,7 @@ impl Gateway {
         config: GatewayConfig,
         acceptor: Box<dyn Acceptor>,
     ) -> Result<Self, WireError> {
-        let (runtime, predictions) =
-            ServeRuntime::start(detector, serve).map_err(WireError::Serve)?;
-        Ok(Self::boot(runtime, predictions, config, acceptor))
+        Self::boot(ServedModel::Frame(detector), serve, config, acceptor)
     }
 
     /// Boots a *stateful temporal* [`ServeRuntime`] around the GRU
@@ -230,34 +233,30 @@ impl Gateway {
         config: GatewayConfig,
         acceptor: Box<dyn Acceptor>,
     ) -> Result<Self, WireError> {
-        let (runtime, predictions) =
-            ServeRuntime::start_temporal(detector, serve).map_err(WireError::Serve)?;
-        Ok(Self::boot(runtime, predictions, config, acceptor))
+        Self::boot(ServedModel::Temporal(detector), serve, config, acceptor)
     }
 
-    /// The transport topology shared by both boot modes: router +
-    /// reactor pool + accept loop around an already-started runtime.
+    /// The transport topology shared by both boot modes: a runtime
+    /// whose workers deliver through a [`RouteSink`], the reactor pool
+    /// and the accept loop.
     fn boot(
-        runtime: ServeRuntime,
-        predictions: mpsc::Receiver<Prediction>,
+        model: ServedModel,
+        serve: ServeConfig,
         config: GatewayConfig,
         acceptor: Box<dyn Acceptor>,
-    ) -> Self {
+    ) -> Result<Self, WireError> {
+        let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
+        let runtime = ServeRuntime::start_with_sink(model, serve, |metrics| {
+            Arc::new(RouteSink {
+                registry: Arc::clone(&registry),
+                counters: GatewayCounters::new(metrics),
+            })
+        })
+        .map_err(WireError::Serve)?;
         let runtime = Arc::new(runtime);
         let counters = GatewayCounters::new(runtime.metrics());
-        let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
-
-        let router = {
-            let registry = Arc::clone(&registry);
-            let counters = counters.clone();
-            std::thread::Builder::new()
-                .name("wire-router".into())
-                .spawn(move || route_predictions(predictions, registry, counters))
-                // lint:allow(panic, reason = "startup-only: thread spawn failure is unrecoverable resource exhaustion, before any connection is accepted")
-                .expect("spawn router")
-        };
 
         let ctx = ReactorCtx {
             runtime: Arc::clone(&runtime),
@@ -295,16 +294,15 @@ impl Gateway {
                 .expect("spawn acceptor")
         };
 
-        Self {
+        Ok(Self {
             stop,
             draining,
             registry,
             runtime: Some(runtime),
             accept: Some(accept),
-            router: Some(router),
             reactors,
             counters: ctx.counters,
-        }
+        })
     }
 
     /// Enters drain-and-handoff mode: live connections keep being
@@ -385,17 +383,7 @@ impl Gateway {
             .and_then(|rt| Arc::try_unwrap(rt).ok())
             // lint:allow(panic, reason = "invariant: the accept loop and every reactor joined above, so this is the last Arc; failure means a leaked thread and no truthful report exists")
             .expect("gateway runtime still shared after joining all threads");
-        let mut report = runtime.shutdown();
-        if let Some(h) = self.router.take() {
-            // The prediction channel closed when the workers exited,
-            // so the router has already run to completion.
-            join_counted(h, &self.counters.thread_panics);
-        }
-        // The router joined *after* the runtime mirrored the wire
-        // counters into the report; re-read so a router panic is not
-        // lost from the accounting.
-        report.wire.thread_panics = self.counters.thread_panics.get();
-        report
+        runtime.shutdown()
     }
 }
 
@@ -408,12 +396,8 @@ impl Drop for Gateway {
         for h in self.reactors.drain(..) {
             join_counted(h, &self.counters.thread_panics);
         }
-        // Dropping the runtime Arc joins the serve threads (its Drop),
-        // which closes the prediction channel and ends the router.
+        // Dropping the runtime Arc joins the serve threads (its Drop).
         self.runtime.take();
-        if let Some(h) = self.router.take() {
-            join_counted(h, &self.counters.thread_panics);
-        }
     }
 }
 
@@ -447,33 +431,49 @@ fn accept_loop(
     }
 }
 
-fn route_predictions(
-    predictions: mpsc::Receiver<Prediction>,
+/// The gateway's [`PredictionSink`]: a serve worker hands it each
+/// flush, and it pushes every prediction straight into its sensor's
+/// outbound queue.
+struct RouteSink {
     registry: Registry,
     counters: GatewayCounters,
-) {
-    while let Ok(p) = predictions.recv() {
-        let queue = lock_registry(&registry, &counters)
-            .get(p.sensor_id.as_ref())
-            .cloned();
-        let Some(queue) = queue else {
-            counters.predictions_unrouted.inc();
-            continue;
-        };
-        counters.predictions_routed.inc();
-        let frame = Frame::Prediction(PredictionFrame {
-            seq: p.seq,
-            timestamp_s: p.timestamp_s,
-            occupied: p.occupied,
-            proba: p.proba,
-            model_version: p.model_version,
-            latency_ns: p.latency.as_nanos() as u64,
-        });
-        // A full `RejectNewest` queue or a closed (disconnecting)
-        // queue loses the frame; `predictions_routed − predictions_sent`
-        // makes the loss visible in the report.
-        // lint:allow(swallow, reason = "the loss is already counted: predictions_routed minus predictions_sent is exactly the frames this push dropped")
-        let _ = queue.push(frame);
+}
+
+impl PredictionSink for RouteSink {
+    fn deliver(&self, batch: &mut Vec<Prediction>) {
+        let mut rest = batch.as_slice();
+        while let Some(first) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|p| p.sensor_id == first.sensor_id)
+                .count();
+            let (same, tail) = rest.split_at(run);
+            rest = tail;
+            // One lookup per same-sensor run. The guard is a temporary,
+            // so the registry lock is released before the queue push.
+            let queue = lock_registry(&self.registry, &self.counters)
+                .get(first.sensor_id.as_ref())
+                .cloned();
+            let Some(queue) = queue else {
+                self.counters.predictions_unrouted.add(run as u64);
+                continue;
+            };
+            self.counters.predictions_routed.add(run as u64);
+            // A full `RejectNewest` queue or a closed (disconnecting)
+            // queue loses frames; `predictions_routed − predictions_sent`
+            // makes the loss visible in the report.
+            queue.push_many(same.iter().map(|p| {
+                Frame::Prediction(PredictionFrame {
+                    seq: p.seq,
+                    timestamp_s: p.timestamp_s,
+                    occupied: p.occupied,
+                    proba: p.proba,
+                    model_version: p.model_version,
+                    latency_ns: p.latency.as_nanos() as u64,
+                })
+            }));
+        }
+        batch.clear();
     }
 }
 

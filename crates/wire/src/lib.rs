@@ -9,11 +9,11 @@
 //!
 //! ```text
 //!  sensor node                  gateway reactor ─────────────────────┐
-//!  WireClient ──Record/Batch──▶ frame parser ──submit_sequenced──▶   │
+//!  WireClient ──Record/Batch──▶ frame parser ──try_submit_sequenced─▶│
 //!   (send/pump)                     │ (NACK on rejection)       Serve│
-//!  WireClient ◀─Prediction──── write ring ◀── router ◀─predictions───┘
-//!   (event queue) ◀─Nack──     (bounded outbound queue,       Runtime
-//!                               slow-client policy)
+//!  WireClient ◀─Prediction──── write ring ◀── outbound queue ◀─worker┘
+//!   (event queue) ◀─Nack──        (bounded, slow-client    Runtime
+//!                                  policy; workers push)
 //! ```
 //!
 //! * [`codec`] — the payload byte layout: bit-exact `f64`s (via

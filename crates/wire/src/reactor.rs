@@ -21,15 +21,22 @@
 //!   verified in place), payloads are decoded **borrowed from the
 //!   buffer** — `Batch` frames go through
 //!   [`BatchView`](crate::codec::BatchView), so records flow into
-//!   [`SensorClient::submit_sequenced`] without the per-frame `Vec` the
-//!   blocking path used to build — and only then is the frame consumed.
+//!   [`SensorClient::try_submit_sequenced`] without the per-frame `Vec`
+//!   the blocking path used to build — and only then is the frame
+//!   consumed.
 //! * A frame is consumed exactly once; a mid-batch backpressure pause
 //!   leaves the frame in the buffer and remembers how many records were
 //!   already submitted (`batch_done`), so resumption never re-submits.
-//! * Outbound frames are encoded into a fixed write ring and flushed
-//!   with vectored writes (two `IoSlice`s when the ring wraps); a
-//!   prediction counts as *delivered* only when its last byte left the
-//!   ring.
+//!   Both pauses resume there: a NACK waiting for outbound room, and a
+//!   record whose shard queue is `Block`-full (`held` — already counted
+//!   as decoded, so the retry does not count it again). The reactor
+//!   never parks on a queue: a serve worker may itself be parked on
+//!   this reactor's outbound queue, and the two would wait on each
+//!   other.
+//! * Outbound frames are batch-popped into a fixed write ring — never
+//!   more than the ring has room for — and flushed with vectored writes
+//!   (two `IoSlice`s when the ring wraps); a prediction counts as
+//!   *delivered* only when its last byte left the ring.
 //!
 //! # Accounting under containment
 //!
@@ -48,9 +55,7 @@ use crate::frame::{checksum_of, decode_header, Encoder, FrameHeader, HEADER_BYTE
 use crate::gateway::GatewayConfig;
 use crate::gateway::{deregister, register, GatewayCounters, Registry};
 use crate::transport::{PollConn, PollRead, PollWrite};
-use occusense_serve::{
-    BoundedQueue, PopResult, SensorClient, ServeRuntime, SubmitError, TryPushError,
-};
+use occusense_serve::{BoundedQueue, PopResult, SensorClient, ServeRuntime, TryPushError};
 use std::collections::VecDeque;
 use std::io::IoSlice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,6 +77,11 @@ const INITIAL_RECV_BYTES: usize = 4096;
 /// frames are small (a `Prediction` is 58 wire bytes), so one ring
 /// batches hundreds of frames per vectored write.
 const WRITE_RING_BYTES: usize = 16 * 1024;
+
+/// Wire size of the largest frame a gateway sends (a `Prediction`:
+/// 41 payload bytes). A batch pop takes at most as many frames as the
+/// ring has room for at this size, so popped frames always fit.
+const MAX_SENT_FRAME_BYTES: usize = HEADER_BYTES + 41;
 
 /// Per-connection fairness bounds: how many reads / fill-flush rounds
 /// one connection may consume in a single sweep.
@@ -235,6 +245,11 @@ impl WriteRing {
         self.len == 0
     }
 
+    /// Bytes that can be queued before the next flush.
+    fn free(&self) -> usize {
+        self.buf.len() - self.len
+    }
+
     /// Encodes `frame` into the ring. `false` means "no space — retry
     /// after a flush". A frame that refuses to encode (protocol bound
     /// exceeded — impossible for gateway-originated frames) is dropped
@@ -379,10 +394,12 @@ struct Conn {
     sensor_id: String,
     client: Option<SensorClient>,
     outbound: Option<Arc<BoundedQueue<Frame>>>,
-    /// `try_pop` observed `Closed`: the queue is drained for good.
+    /// The outbound queue reported `Closed`: it is drained for good.
     outbound_done: bool,
-    /// Frame popped from the outbound queue, awaiting ring space.
-    staged: Option<Frame>,
+    /// Frames popped from the outbound queue that did not fit the
+    /// ring, in order (empty, and unallocated, in practice: pops are
+    /// sized to the ring's room).
+    staged: VecDeque<Frame>,
     /// Control frame awaiting outbound-queue space (`Block` full).
     /// While set, ingress is paused — the reactor-side face of the
     /// backpressure a blocking push used to exert on the reader thread.
@@ -390,6 +407,11 @@ struct Conn {
     /// Records of the *front* `Batch` frame already submitted (resume
     /// point after a mid-batch pause).
     batch_done: usize,
+    /// The record at the resume point found its shard queue
+    /// `Block`-full. It is already counted decoded (and in
+    /// `unaccounted`); while set, ingress is paused and each sweep
+    /// retries that record.
+    held: bool,
     ingested: u64,
     delivered: u64,
     /// Records decoded but not yet counted ingested/rejected/shed —
@@ -414,9 +436,10 @@ impl Conn {
             client: None,
             outbound: None,
             outbound_done: false,
-            staged: None,
+            staged: VecDeque::new(),
             pending: None,
             batch_done: 0,
+            held: false,
             ingested: 0,
             delivered: 0,
             unaccounted: 0,
@@ -479,8 +502,14 @@ fn part(conn: &mut Conn, ctx: &ReactorCtx, frame: Frame) {
 }
 
 /// Final teardown — idempotent with `close_now` (the ptr-eq deregister
-/// is a no-op the second time).
+/// is a no-op the second time). Records decoded but never resolved — a
+/// held record, or a panic's residue — are re-counted as shed, so
+/// `decoded = ingested + rejected + shed` closes.
 fn finalize(conn: &mut Conn, ctx: &ReactorCtx) {
+    if conn.unaccounted > 0 {
+        ctx.counters.records_shed.add(conn.unaccounted);
+        conn.unaccounted = 0;
+    }
     if let Some(queue) = conn.outbound.take() {
         if deregister(&ctx.registry, &conn.sensor_id, &queue, &ctx.counters) {
             ctx.runtime.evict_sensor(&conn.sensor_id);
@@ -489,22 +518,33 @@ fn finalize(conn: &mut Conn, ctx: &ReactorCtx) {
     }
 }
 
-/// Fails a panicked connection closed: the panic is counted, the
-/// decoded-but-unresolved records are re-counted as shed (re-closing
-/// `decoded = ingested + rejected + shed`), and the route is removed so
-/// the rest of the fleet keeps serving.
+/// Fails a panicked connection closed: the panic is counted and
+/// [`finalize`] re-counts its unresolved records as shed and removes
+/// the route, so the rest of the fleet keeps serving.
 fn contain_panic(conn: &mut Conn, ctx: &ReactorCtx) {
     ctx.counters.connection_panics.inc();
-    if conn.unaccounted > 0 {
-        ctx.counters.records_shed.add(conn.unaccounted);
-        conn.unaccounted = 0;
-    }
     finalize(conn, ctx);
 }
 
-/// Submits one decoded record under the client's sequence number.
-/// Refusals become NACKs through the outbound queue; the return value
-/// is a NACK that found the queue `Block`-full and must pause ingress.
+/// What submitting one decoded record left the connection to do.
+//
+// `Nack` carries a small control frame, never a Record/Batch — boxing
+// it would buy nothing but an allocation on the backpressure path.
+#[allow(clippy::large_enum_variant)]
+enum Ingest {
+    /// Resolved: ingested, or NACKed into the outbound queue.
+    Done,
+    /// Resolved with a NACK that found the outbound queue `Block`-full:
+    /// stash it as pending and pause ingress.
+    Nack(Frame),
+    /// The shard queue is `Block`-full: the record is held (not
+    /// resolved) and must be retried later.
+    Held,
+}
+
+/// Submits one decoded record under the client's sequence number,
+/// without ever parking. Refusals become NACKs through the outbound
+/// queue. A retry of a `held` record is not counted decoded again.
 #[allow(clippy::too_many_arguments)]
 fn ingest_one(
     ctx: &ReactorCtx,
@@ -512,34 +552,48 @@ fn ingest_one(
     outbound: &Option<Arc<BoundedQueue<Frame>>>,
     ingested: &mut u64,
     unaccounted: &mut u64,
+    held: &mut bool,
     seq: u64,
     record: occusense_dataset::CsiRecord,
     label: Option<u8>,
-) -> Option<Frame> {
-    let client = client.as_mut()?;
-    ctx.counters.records_decoded.inc();
-    // `unaccounted` covers the window between "decoded" and "outcome
-    // counted": a panic inside submit re-counts the record as shed.
-    *unaccounted += 1;
-    let reason = match client.submit_sequenced(seq, record, label) {
+) -> Ingest {
+    let Some(client) = client.as_mut() else {
+        return Ingest::Done;
+    };
+    if !*held {
+        ctx.counters.records_decoded.inc();
+        // `unaccounted` covers the window between "decoded" and
+        // "outcome counted": a panic inside submit, or a close while
+        // the record is held, re-counts it as shed.
+        *unaccounted += 1;
+    }
+    let reason = match client.try_submit_sequenced(seq, record, label) {
+        Err(TryPushError::Full(_)) => {
+            *held = true;
+            return Ingest::Held;
+        }
         Ok(()) => {
             ctx.counters.records_ingested.inc();
+            *held = false;
             *unaccounted -= 1;
             *ingested += 1;
-            return None;
+            return Ingest::Done;
         }
-        Err(SubmitError::Rejected) => {
+        Err(TryPushError::Rejected(_)) => {
             ctx.counters.records_rejected.inc();
-            *unaccounted -= 1;
             NackReason::QueueFull
         }
-        Err(SubmitError::Shutdown) => {
+        Err(TryPushError::Closed(_)) => {
             ctx.counters.records_shed.inc();
-            *unaccounted -= 1;
             NackReason::Shutdown
         }
     };
-    offer(outbound, nack(seq, reason))
+    *held = false;
+    *unaccounted -= 1;
+    match offer(outbound, nack(seq, reason)) {
+        None => Ingest::Done,
+        Some(frame) => Ingest::Nack(frame),
+    }
 }
 
 /// What processing the front frame decided (computed under the
@@ -571,6 +625,9 @@ enum Outcome {
     /// Backpressure pause: `(payload_len, frame, consume)` — stash the
     /// frame as pending; consume only when the input frame finished.
     Pause(usize, Frame, bool),
+    /// A record is held on a full shard queue: keep the frame and
+    /// retry at the resume point.
+    Held,
 }
 
 /// Refuses a connection that has not completed its handshake: no
@@ -643,6 +700,7 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
                 client,
                 outbound,
                 batch_done,
+                held,
                 ingested,
                 unaccounted,
                 ..
@@ -662,56 +720,67 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
                     FT_BATCH => match BatchView::parse(payload) {
                         Err(_) => Outcome::Malformed,
                         Ok(view) => {
-                            if *batch_done == 0 {
+                            if *batch_done == 0 && !*held {
                                 ctx.counters.frames_received.inc();
                             }
                             let mut paused = None;
                             for (seq, record, label) in view.records().skip(*batch_done) {
-                                let stalled = ingest_one(
+                                match ingest_one(
                                     ctx,
                                     client,
                                     outbound,
                                     ingested,
                                     unaccounted,
+                                    held,
                                     seq,
                                     record,
                                     label,
-                                );
-                                *batch_done += 1;
-                                if let Some(frame) = stalled {
-                                    paused = Some(frame);
-                                    break;
+                                ) {
+                                    Ingest::Done => *batch_done += 1,
+                                    Ingest::Nack(frame) => {
+                                        *batch_done += 1;
+                                        paused =
+                                            Some(Outcome::Pause(header.payload_len, frame, false));
+                                        break;
+                                    }
+                                    Ingest::Held => {
+                                        paused = Some(Outcome::Held);
+                                        break;
+                                    }
                                 }
                             }
-                            match paused {
-                                // Mid-batch stall: keep the frame,
-                                // `batch_done` is the resume point.
-                                Some(frame) => Outcome::Pause(header.payload_len, frame, false),
-                                None => {
-                                    *batch_done = 0;
-                                    Outcome::Done(header.payload_len)
-                                }
-                            }
+                            // A mid-batch pause keeps the frame:
+                            // `batch_done` is the resume point.
+                            paused.unwrap_or_else(|| {
+                                *batch_done = 0;
+                                Outcome::Done(header.payload_len)
+                            })
                         }
                     },
                     FT_RECORD => match codec::decode_payload(FT_RECORD, payload) {
                         Ok(Frame::Record(r)) => {
-                            ctx.counters.frames_received.inc();
+                            if !*held {
+                                ctx.counters.frames_received.inc();
+                            }
                             match ingest_one(
                                 ctx,
                                 client,
                                 outbound,
                                 ingested,
                                 unaccounted,
+                                held,
                                 r.seq,
                                 r.record,
                                 r.label,
                             ) {
-                                // The record is already submitted: the
+                                Ingest::Done => Outcome::Done(header.payload_len),
+                                // The record is already resolved: the
                                 // frame must be consumed with the NACK
                                 // pending, or it would resubmit.
-                                Some(frame) => Outcome::Pause(header.payload_len, frame, true),
-                                None => Outcome::Done(header.payload_len),
+                                Ingest::Nack(frame) => {
+                                    Outcome::Pause(header.payload_len, frame, true)
+                                }
+                                Ingest::Held => Outcome::Held,
                             }
                         }
                         _ => Outcome::Malformed,
@@ -787,6 +856,7 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
                 conn.pending = Some(frame);
                 return;
             }
+            Outcome::Held => return,
         }
     }
 }
@@ -794,12 +864,13 @@ fn parse_frames(conn: &mut Conn, ctx: &ReactorCtx) {
 /// Reads as many bytes as the socket will give (bounded per sweep) and
 /// parses them. Returns whether anything moved.
 fn pump_read(conn: &mut Conn, ctx: &ReactorCtx) -> bool {
-    let mut progress = false;
     // Leftover complete frames from the previous sweep (e.g. after a
     // backpressure pause lifted) parse without any new bytes.
+    let was_held = conn.held;
     parse_frames(conn, ctx);
+    let mut progress = was_held && !conn.held;
     for _ in 0..MAX_READS_PER_SWEEP {
-        if conn.dead || conn.pending.is_some() {
+        if conn.dead || conn.pending.is_some() || conn.held {
             break;
         }
         if !matches!(conn.phase, Phase::Hello { .. } | Phase::Active) {
@@ -832,39 +903,52 @@ fn pump_read(conn: &mut Conn, ctx: &ReactorCtx) -> bool {
     progress
 }
 
+/// Moves frames into the write ring: leftovers first, then one batch
+/// pop into the reactor's reusable `popped` buffer, sized to the ring's
+/// room. Returns whether anything moved.
+fn fill_ring(conn: &mut Conn, popped: &mut Vec<Frame>) -> bool {
+    let mut progress = false;
+    while let Some(frame) = conn.staged.pop_front() {
+        // A frame larger than the whole ring can never be delivered;
+        // dropping it beats wedging the connection. (Cannot happen with
+        // real protocol frames: a Prediction/NACK/Goodbye is far under
+        // 16 KiB.)
+        if !conn.out.push_frame(&mut conn.encoder, &frame) && !conn.out.is_empty() {
+            conn.staged.push_front(frame);
+            return progress;
+        }
+        progress = true;
+    }
+    let room = conn.out.free() / MAX_SENT_FRAME_BYTES;
+    let Some(queue) = &conn.outbound else {
+        return progress;
+    };
+    if conn.outbound_done || room == 0 {
+        return progress;
+    }
+    popped.clear();
+    match queue.try_pop_batch(room, popped) {
+        PopResult::Popped(_) => {}
+        PopResult::Empty => return progress,
+        PopResult::Closed => {
+            conn.outbound_done = true;
+            return progress;
+        }
+    }
+    for frame in popped.drain(..) {
+        if !conn.staged.is_empty() || !conn.out.push_frame(&mut conn.encoder, &frame) {
+            conn.staged.push_back(frame);
+        }
+    }
+    true
+}
+
 /// Moves frames outbound queue → write ring → socket. Returns whether
 /// anything moved.
-fn pump_write(conn: &mut Conn, ctx: &ReactorCtx) -> bool {
+fn pump_write(conn: &mut Conn, ctx: &ReactorCtx, popped: &mut Vec<Frame>) -> bool {
     let mut progress = false;
     for _ in 0..MAX_WRITE_ROUNDS_PER_SWEEP {
-        // Fill the ring from the staged frame and the outbound queue.
-        loop {
-            let frame = match conn.staged.take() {
-                Some(frame) => frame,
-                None => match &conn.outbound {
-                    Some(queue) if !conn.outbound_done => match queue.try_pop() {
-                        PopResult::Item(frame) => frame,
-                        PopResult::TimedOut => break,
-                        PopResult::Closed => {
-                            conn.outbound_done = true;
-                            break;
-                        }
-                    },
-                    _ => break,
-                },
-            };
-            if conn.out.push_frame(&mut conn.encoder, &frame) {
-                progress = true;
-            } else if conn.out.is_empty() {
-                // A frame larger than the whole ring can never be
-                // delivered; dropping it beats wedging the connection.
-                // (Cannot happen with real protocol frames: a
-                // Prediction/NACK/Goodbye is far under 16 KiB.)
-            } else {
-                conn.staged = Some(frame);
-                break;
-            }
-        }
+        progress |= fill_ring(conn, popped);
         if conn.out.is_empty() {
             return progress;
         }
@@ -894,7 +978,12 @@ fn pump_write(conn: &mut Conn, ctx: &ReactorCtx) -> bool {
 /// One scheduling sweep over a connection: retry pending control
 /// frames, write, read, then advance the lifecycle phase. Returns
 /// `(progress, done)`; `done` means the slot can be dropped.
-fn pump(conn: &mut Conn, ctx: &ReactorCtx, stopping: bool) -> (bool, bool) {
+fn pump(
+    conn: &mut Conn,
+    ctx: &ReactorCtx,
+    stopping: bool,
+    popped: &mut Vec<Frame>,
+) -> (bool, bool) {
     let mut progress = false;
     if stopping && !conn.stop_seen {
         conn.stop_seen = true;
@@ -914,7 +1003,7 @@ fn pump(conn: &mut Conn, ctx: &ReactorCtx, stopping: bool) -> (bool, bool) {
         }
     }
     if !conn.dead {
-        progress |= pump_write(conn, ctx);
+        progress |= pump_write(conn, ctx, popped);
     }
     if !conn.dead && conn.pending.is_none() {
         progress |= pump_read(conn, ctx);
@@ -928,7 +1017,8 @@ fn pump(conn: &mut Conn, ctx: &ReactorCtx, stopping: bool) -> (bool, bool) {
             }
         }
         Phase::Active => {
-            if conn.read_eof {
+            // A held record still has frames behind it to ingest.
+            if conn.read_eof && !conn.held {
                 close_now(conn, ctx);
             }
         }
@@ -969,7 +1059,7 @@ fn pump(conn: &mut Conn, ctx: &ReactorCtx, stopping: bool) -> (bool, bool) {
         }
         Phase::Closing { since } => {
             let flushed = conn.out.is_empty()
-                && conn.staged.is_none()
+                && conn.staged.is_empty()
                 && (conn.outbound.is_none() || conn.outbound_done);
             if conn.dead || flushed || now.duration_since(since) > ctx.config.drain_grace {
                 finalize(conn, ctx);
@@ -1001,6 +1091,8 @@ fn park(idle_sweeps: u32) {
 /// requested and every connection has wound down.
 pub(crate) fn reactor_loop(injector: Arc<Injector>, ctx: ReactorCtx) {
     let mut conns: Vec<Conn> = Vec::new();
+    // Outbound batch-pop buffer shared by every connection's sweep.
+    let mut popped: Vec<Frame> = Vec::new();
     let mut idle_sweeps: u32 = 0;
     loop {
         let stopping = ctx.stop.load(Ordering::SeqCst);
@@ -1009,7 +1101,7 @@ pub(crate) fn reactor_loop(injector: Arc<Injector>, ctx: ReactorCtx) {
         }
         let mut progress = false;
         conns.retain_mut(|conn| {
-            match catch_unwind(AssertUnwindSafe(|| pump(conn, &ctx, stopping))) {
+            match catch_unwind(AssertUnwindSafe(|| pump(conn, &ctx, stopping, &mut popped))) {
                 Ok((moved, done)) => {
                     progress |= moved;
                     !done
@@ -1161,4 +1253,28 @@ mod tests {
     }
 
     const MAX_SENSOR_ID_BYTES_PLUS_ONE: usize = crate::codec::MAX_SENSOR_ID_BYTES + 1;
+
+    /// Batch pops are sized by `MAX_SENT_FRAME_BYTES`: every frame the
+    /// gateway sends must fit in it, or a pop could overfill the ring.
+    #[test]
+    fn every_sent_frame_fits_the_pop_sizing_bound() {
+        let sent = [
+            Frame::HelloAck(HelloAck {
+                protocol: PROTOCOL_VERSION,
+                shard: u32::MAX,
+            }),
+            Frame::Prediction(PredictionFrame {
+                seq: u64::MAX,
+                timestamp_s: f64::MAX,
+                occupied: 1,
+                proba: 1.0,
+                model_version: u64::MAX,
+                latency_ns: u64::MAX,
+            }),
+            nack(u64::MAX, NackReason::Malformed),
+            Frame::Goodbye(Goodbye { count: u64::MAX }),
+        ];
+        let sizes: Vec<usize> = sent.iter().map(|f| frame_bytes(f).len()).collect();
+        assert_eq!(sizes.iter().max(), Some(&MAX_SENT_FRAME_BYTES));
+    }
 }

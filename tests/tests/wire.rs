@@ -1,23 +1,25 @@
 //! Wire-layer integration tests: multi-sensor loopback soak with
 //! bitwise verification against in-process scoring, NACK accounting
 //! under `RejectNewest` backpressure, a TCP-localhost gateway round
-//! trip, byte-level framing against a live gateway, and the
-//! one-thread no-deadlock property of the client. These are the
+//! trip, byte-level framing against a live gateway, the one-thread
+//! no-deadlock property of the client, and shard isolation when a
+//! client stops reading. These are the
 //! executable form of the wire contract: the network boundary adds
 //! latency, never drift — and every record that crosses it is
 //! accounted for in `ServeReport`.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
-use occusense_serve::{BackpressurePolicy, ServeConfig};
+use occusense_serve::{shard_for, BackpressurePolicy, ServeConfig};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
     decode_payload, loopback, tcp_connect, tcp_listen, ClientEvent, Encoder, Frame, FrameBuffer,
-    Gateway, GatewayConfig, Hello, LoopbackConfig, NackReason, PredictionFrame, RecordFrame,
-    TcpConfig, WireClient, DEFAULT_MAX_PAYLOAD, MAGIC, PROTOCOL_VERSION,
+    Gateway, GatewayConfig, Goodbye, Hello, LoopbackConfig, NackReason, PollConn, PollRead,
+    PollWrite, PredictionFrame, RecordFrame, TcpConfig, WireClient, DEFAULT_MAX_PAYLOAD, MAGIC,
+    PROTOCOL_VERSION,
 };
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long one `recv` waits before the caller loops.
 const WAIT: Duration = Duration::from_millis(50);
@@ -400,6 +402,209 @@ fn one_thread_client_never_deadlocks_against_a_full_block_queue() {
         (0..RECORDS as u64).collect::<Vec<_>>(),
         "every seq must resolve exactly once (prediction xor NACK)"
     );
+    assert_eq!(report.unaccounted_records(), 0);
+}
+
+/// Writes what the non-blocking `io` accepts of `bytes[*off..]`;
+/// returns whether anything moved.
+fn poll_send(io: &mut dyn PollConn, bytes: &[u8], off: &mut usize) -> bool {
+    let mut moved = false;
+    while *off < bytes.len() {
+        match io
+            .poll_write(&[IoSlice::new(&bytes[*off..])])
+            .expect("write")
+        {
+            PollWrite::Wrote(n) => {
+                *off += n;
+                moved = true;
+            }
+            PollWrite::WouldBlock => break,
+        }
+    }
+    moved
+}
+
+/// Reads what the non-blocking `io` has into `inbuf` and decodes every
+/// complete frame; `None` once the peer closed.
+fn poll_frames(io: &mut dyn PollConn, inbuf: &mut FrameBuffer) -> Option<Vec<Frame>> {
+    let mut frames = Vec::new();
+    loop {
+        while let Some((header, payload)) = inbuf.peek().expect("well-formed gateway frames") {
+            frames.push(decode_payload(header.frame_type, payload).expect("decode"));
+            let len = header.payload_len;
+            inbuf.consume(len);
+        }
+        match io.poll_read(inbuf.spare_mut()).expect("read") {
+            PollRead::Data(n) => inbuf.commit(n),
+            PollRead::WouldBlock => return Some(frames),
+            PollRead::Eof => return (!frames.is_empty()).then_some(frames),
+        }
+    }
+}
+
+/// Regression: a client that stops reading may stall only its own
+/// shard. Under `Block` ingest and outbound policies with tiny queues,
+/// connection A (shard 0) floods records and reads nothing, so its
+/// predictions back up through the socket, the write ring and its
+/// outbound queue into shard 0's worker, and then shard 0's ingest
+/// queue fills. Connection B (shard 1, same reactor) must still get
+/// every prediction, bitwise, within the deadline. Before worker-side
+/// delivery, a single router thread parked on A's full queue and
+/// starved every other sensor. Then A reads everything, and the
+/// accounting closes.
+#[test]
+fn a_stalled_reader_stalls_only_its_own_shard() {
+    const A_RECORDS: usize = 2000;
+    const B_RECORDS: usize = 200;
+    let detector = quick_detector();
+    let direct = detector.clone();
+    let (acceptor, connector) = loopback(LoopbackConfig {
+        pipe_capacity: 4096,
+        ..LoopbackConfig::default()
+    });
+    let gateway = Gateway::start(
+        detector,
+        ServeConfig {
+            n_shards: 2,
+            ..pinned(BackpressurePolicy::Block, 16, 32)
+        },
+        GatewayConfig {
+            outbound_policy: BackpressurePolicy::Block,
+            outbound_capacity: 16,
+            ..GatewayConfig::default()
+        },
+        Box::new(acceptor),
+    )
+    .expect("gateway");
+    let on_shard = |shard| {
+        (0..)
+            .map(|i| format!("hol-{i}"))
+            .find(|id| shard_for(id, 2) == shard)
+            .expect("some id hashes to every shard")
+    };
+    let (a_id, b_id) = (on_shard(0), on_shard(1));
+
+    // A: handshake, then flood until the transport pushes back.
+    let mut encoder = Encoder::default();
+    let mut a = connector
+        .connect()
+        .expect("connect")
+        .into_poll()
+        .expect("poll face");
+    let mut a_in = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+    let hello = encoder
+        .encode(&Frame::Hello(Hello {
+            protocol: PROTOCOL_VERSION,
+            sensor_id: a_id,
+            tenant: String::new(),
+        }))
+        .expect("encode");
+    let mut off = 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut acked = false;
+    while !acked {
+        assert!(Instant::now() < deadline, "A's handshake timed out");
+        poll_send(a.as_mut(), &hello, &mut off);
+        let frames = poll_frames(a.as_mut(), &mut a_in).expect("A open");
+        acked = frames.iter().any(|f| matches!(f, Frame::HelloAck(_)));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let a_records: Vec<_> = fleet_stream(1200.0, 17, 0).take(A_RECORDS).collect();
+    assert_eq!(a_records.len(), A_RECORDS);
+    let mut flood = Vec::new();
+    for (seq, r) in a_records.iter().enumerate() {
+        let frame = Frame::Record(RecordFrame {
+            seq: seq as u64,
+            label: None,
+            record: *r,
+        });
+        encoder.encode_into(&frame, &mut flood).expect("encode");
+    }
+    let mut flooded = 0;
+    let mut idle_since = Instant::now();
+    while idle_since.elapsed() < Duration::from_millis(200) {
+        if poll_send(a.as_mut(), &flood, &mut flooded) {
+            idle_since = Instant::now();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // B, on the other shard, is served in full while A is stalled.
+    let conn = connector.connect().expect("connect");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client =
+            WireClient::connect(conn, "", &b_id, Duration::from_secs(5)).expect("handshake");
+        let records: Vec<_> = fleet_stream(120.0, 23, 1).take(B_RECORDS).collect();
+        for r in &records {
+            client.send(*r, None).expect("send");
+        }
+        client.finish().expect("finish");
+        // The receiver only vanishes once the watchdog has failed the test.
+        let _ = done_tx.send((records, drain(&mut client)));
+    });
+    let Ok((b_records, (mut b_preds, b_nacks))) = done_rx.recv_timeout(Duration::from_secs(30))
+    else {
+        // The gateway is wedged; dropping it would hang on its joins.
+        std::mem::forget(gateway);
+        panic!("B was starved by A's stalled shard");
+    };
+    assert_eq!(b_nacks, 0, "Block ingest never NACKs");
+    assert_eq!(b_preds.len(), B_RECORDS, "B must be served in full");
+    b_preds.sort_by_key(|p| p.seq);
+    for (p, r) in b_preds.iter().zip(&b_records) {
+        let (occupied, proba) = direct.predict_record(r);
+        assert_eq!((p.occupied, p.proba.to_bits()), (occupied, proba.to_bits()));
+    }
+    assert!(
+        flooded < flood.len(),
+        "A's flood must have been pushed back, or the scenario never stalled shard 0"
+    );
+
+    // A now sends the rest, reads everything, and says goodbye.
+    let mut a_preds: Vec<PredictionFrame> = Vec::new();
+    let mut goodbye = Vec::new();
+    let mut said_goodbye = 0;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(Instant::now() < deadline, "A was never fully served");
+        poll_send(a.as_mut(), &flood, &mut flooded);
+        if flooded == flood.len() && goodbye.is_empty() {
+            goodbye = encoder
+                .encode(&Frame::Goodbye(Goodbye {
+                    count: A_RECORDS as u64,
+                }))
+                .expect("encode");
+        }
+        poll_send(a.as_mut(), &goodbye, &mut said_goodbye);
+        let Some(frames) = poll_frames(a.as_mut(), &mut a_in) else {
+            break;
+        };
+        let mut done = false;
+        for frame in frames {
+            match frame {
+                Frame::Prediction(p) => a_preds.push(p),
+                Frame::Goodbye(_) => done = true,
+                other => panic!("A got an unexpected frame: {other:?}"),
+            }
+        }
+        if done {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(a);
+    let report = gateway.shutdown();
+
+    assert_eq!(a_preds.len(), A_RECORDS, "A must be served in full");
+    a_preds.sort_by_key(|p| p.seq);
+    for (i, (p, r)) in a_preds.iter().zip(&a_records).enumerate() {
+        assert_eq!(p.seq, i as u64);
+        let (occupied, proba) = direct.predict_record(r);
+        assert_eq!((p.occupied, p.proba.to_bits()), (occupied, proba.to_bits()));
+    }
+    assert_eq!(report.wire.records_decoded, (A_RECORDS + B_RECORDS) as u64);
+    assert_eq!(report.wire.predictions_sent, (A_RECORDS + B_RECORDS) as u64);
     assert_eq!(report.unaccounted_records(), 0);
 }
 
