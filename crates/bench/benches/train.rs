@@ -1,15 +1,15 @@
 //! Training-pipeline benchmarks for the persistent compute pool
 //! (DESIGN.md §12): a full GRU-training epoch (truncated BPTT through
-//! [`TemporalDetector::train_with`]) under pooled, per-call-spawn and
-//! single-threaded kernels, the MLP trainer's prefetched epoch under
-//! the same three policies, and the fused AdamW step on its own.
+//! [`TemporalDetector::train_with`]) under pooled and single-threaded
+//! kernels, the MLP trainer's prefetched epoch under the same two
+//! policies, and the fused AdamW step on its own.
 //!
-//! The pooled/spawn pair is the headline: `Parallelism::Threads`
+//! The pooled/single pair is the headline: `Parallelism::Threads`
 //! dispatches row blocks to long-lived workers parked on condvars,
-//! `Parallelism::SpawnThreads` is the legacy path that created and
-//! joined OS threads on every kernel call. Both produce bitwise
-//! identical weights (asserted below before anything is timed), so the
-//! entire difference is dispatch overhead.
+//! `Parallelism::Single` runs every kernel inline. Both produce
+//! bitwise identical weights (asserted below before anything is
+//! timed), so the entire difference is what the pool's parallelism
+//! buys net of its dispatch overhead.
 //!
 //! With `OCCUSENSE_BENCH_JSON=BENCH_train.json cargo bench --bench
 //! train` a measurement run writes the committed baseline; the
@@ -27,16 +27,12 @@ use occusense_core::{
 };
 use std::hint::black_box;
 
-/// The three kernel policies under test, in reporting order. Four-way
-/// parallelism matches the serve runtime's default worker budget. On a
-/// machine with at least four cores the pooled-vs-spawn delta is pure
-/// dispatch overhead (condvar wakeup vs thread creation); on smaller
-/// runners it also measures the pool's core-count clamp — the pool
-/// never oversubscribes, while the legacy spawn path blindly creates
-/// threads per call. Both effects are the pool's contract.
-const POLICIES: [(&str, Parallelism); 3] = [
+/// The kernel policies under test, in reporting order. Four-way
+/// parallelism matches the serve runtime's default worker budget; the
+/// pool clamps it to the machine's core count, so it never
+/// oversubscribes a smaller runner.
+const POLICIES: [(&str, Parallelism); 2] = [
     ("pooled_t4", Parallelism::Threads(4)),
-    ("spawn_t4", Parallelism::SpawnThreads(4)),
     ("single", Parallelism::Single),
 ];
 
@@ -67,8 +63,8 @@ fn bench_gru_epoch(c: &mut Criterion) {
     let ds = temporal_dataset();
     let cfg = temporal_config();
 
-    // Determinism guard before anything is timed: all three policies
-    // must train the exact same model bit for bit.
+    // Determinism guard before anything is timed: every policy must
+    // train the exact same model bit for bit.
     let reference = TemporalDetector::train(&ds, &cfg);
     assert!(reference.is_finite(), "reference GRU training diverged");
     for (name, par) in POLICIES {
@@ -77,7 +73,7 @@ fn bench_gru_epoch(c: &mut Criterion) {
         assert_eq!(
             det.gru().w_z.as_slice(),
             reference.gru().w_z.as_slice(),
-            "{name}: pooled/spawn GRU weights drifted from single-threaded"
+            "{name}: GRU weights drifted from single-threaded"
         );
         assert_eq!(
             det.head().layers()[0].weights.as_slice(),

@@ -1,6 +1,8 @@
 //! The workspace's one JSON value type, writer and reader. The writer
 //! is a pure function of the value (insertion-order keys, scalar-only
-//! containers on one line), so reports are byte-stable. The reader is
+//! containers on one line), so reports are byte-stable;
+//! [`Value::to_line`] writes every container flat, for JSON-lines
+//! streams such as the fleet worker's stdout. The reader is
 //! strict RFC 8259 plus Python's `NaN`/`Infinity`, which the writer
 //! also prints: a benchmark that measured NaN still parses, and the
 //! gate can name it.
@@ -50,6 +52,20 @@ impl Value {
         Some(s)
     }
 
+    /// The integer, when this is a non-negative one.
+    pub fn as_u64(&self) -> Option<u64> {
+        let Value::UInt(n) = *self else { return None };
+        Some(n)
+    }
+
+    /// The elements, when this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        let Value::Array(items) = self else {
+            return None;
+        };
+        Some(items)
+    }
+
     /// Any number as an `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -59,7 +75,18 @@ impl Value {
         }
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// This value on one line: the [`Display`](fmt::Display) layout
+    /// with nested containers written flat too. Strings escape their
+    /// newlines, so the result never contains one.
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value; `indent` is `None` on one line, else the
+    /// indentation of the enclosing container.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         let (open, close, items): (char, char, Vec<(Option<&str>, &Value)>) = match self {
             Value::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
             Value::Object(fields) => {
@@ -79,9 +106,11 @@ impl Value {
             Value::Float(x) if x.fract() == 0.0 => return out.push_str(&format!("{x}.0")),
             Value::Float(x) => return out.push_str(&x.to_string()),
         };
-        let flat = !items
+        let nested = items
             .iter()
             .any(|(_, v)| matches!(v, Value::Array(_) | Value::Object(_)));
+        let indent = indent.filter(|_| nested);
+        let flat = indent.is_none();
         out.push(open);
         for (i, (key, value)) in items.iter().enumerate() {
             out.push_str(match (i, flat) {
@@ -90,16 +119,16 @@ impl Value {
                 (0, false) => "\n",
                 (_, false) => ",\n",
             });
-            if !flat {
+            if let Some(indent) = indent {
                 out.push_str(&" ".repeat(indent + 2));
             }
             if let Some(key) = key {
                 write_str(out, key);
                 out.push_str(": ");
             }
-            value.write(out, indent + 2);
+            value.write(out, indent.map(|i| i + 2));
         }
-        if !flat && !items.is_empty() {
+        if let (Some(indent), false) = (indent, items.is_empty()) {
             out.push('\n');
             out.push_str(&" ".repeat(indent));
         }
@@ -128,7 +157,7 @@ fn write_str(out: &mut String, s: &str) {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         f.write_str(&out)
     }
 }

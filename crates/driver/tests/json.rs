@@ -123,6 +123,24 @@ fn layout_inlines_scalar_containers_and_indents_the_rest() {
 }
 
 #[test]
+fn to_line_writes_every_container_flat_and_reads_back() {
+    let v = obj([
+        ("n", 1u64.into()),
+        ("rows", vec![obj([("a", 1u64.into())]), obj([])].into()),
+        ("text", "two\nlines".into()),
+    ]);
+    let line = v.to_line();
+    assert_eq!(
+        line,
+        r#"{"n": 1, "rows": [{"a": 1}, {}], "text": "two\nlines"}"#
+    );
+    assert_eq!(json::parse(&line).unwrap(), v);
+    // Scalar-only values lay out the same either way.
+    let flat = obj([("p50", 2.5.into())]);
+    assert_eq!(flat.to_line(), flat.to_string());
+}
+
+#[test]
 fn the_reader_is_strict() {
     for bad in [
         "",

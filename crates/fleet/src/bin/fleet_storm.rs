@@ -28,7 +28,7 @@ use occusense_fleet::{
     bootstrap_detector, FleetConfig, FleetController, FleetReport, PlaceError, SloBudget,
     TenantRegistry, TenantSpec,
 };
-use occusense_serve::BackpressurePolicy;
+use occusense_serve::{BackpressurePolicy, ServeReport};
 use occusense_sim::{FleetScenario, BASELINE_SENSOR};
 use occusense_wire::{
     tcp_connect, ClientEvent, NackReason, PredictionFrame, TcpConfig, WireClient, WireError,
@@ -814,6 +814,9 @@ fn main() -> ExitCode {
             let (served, rejected, shed) = roll.map_or((0, 0, 0), |r| {
                 (r.records_served(), r.records_rejected(), r.records_shed())
             });
+            let reports = roll.map_or(Vec::new(), |r| {
+                r.reports.iter().map(ServeReport::to_json).collect()
+            });
             let (base_p99, storm_p99) = latencies
                 .get(&t)
                 .map_or((0, 0), |l| (l.baseline_p99_ns, l.storm_p99_ns));
@@ -825,6 +828,7 @@ fn main() -> ExitCode {
                 ("baseline_p99_us", Value::fixed(base_p99 as f64 / 1e3, 1)),
                 ("storm_p99_us", Value::fixed(storm_p99 as f64 / 1e3, 1)),
                 ("saturated", (t == 0).into()),
+                ("reports", Value::Array(reports)),
             ])
         });
         let summary = obj([

@@ -3,7 +3,7 @@
 //! `occusense_fleet::protocol` to its supervisor, and on `stop` (or
 //! stdin EOF — a dead controller must never orphan workers) shuts
 //! every gateway down and ships the per-tenant `ServeReport`s up the
-//! pipe through the versioned report codec.
+//! pipe, one JSON `report` event each.
 //!
 //! ```text
 //! fleet_worker --hb-ms 100 --shards 2 \
@@ -23,7 +23,7 @@
 
 use occusense_core::persist::load_latest_compatible;
 use occusense_driver::{CliError, Parser, Usage};
-use occusense_fleet::protocol::{ready_line, CMD_DRAIN, CMD_STOP};
+use occusense_fleet::protocol::{WorkerEvent, CMD_DRAIN, CMD_STOP};
 use occusense_fleet::registry::{bootstrap_detector, parse_features, valid_tenant_id};
 use occusense_serve::{BackpressurePolicy, ServeConfig};
 use occusense_wire::{tcp_listen, Gateway, GatewayConfig, TcpConfig};
@@ -46,8 +46,8 @@ const USAGE: &str = "fleet_worker — supervised multi-tenant serving process
   --lineage DIR    checkpoint lineage directory (default: train fresh)
   -h, --help       print this help
 
-Protocol: stdout READY/HB/DRAINING/REPORT/BYE, stdin drain/stop;
-stdin EOF is treated as stop.";
+Protocol: stdout one JSON event per line (ready, hb, draining, report,
+bye), stdin drain/stop; stdin EOF is treated as stop.";
 
 /// One `--tenant` group from argv: the tenant's runtime (id, queue,
 /// policy) and where its model comes from.
@@ -122,11 +122,11 @@ fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
     Ok(args)
 }
 
-/// Prints one protocol line and flushes — the supervisor reads a pipe,
+/// Prints one event line and flushes — the supervisor reads a pipe,
 /// so unflushed status is indistinguishable from a hung worker.
-fn say(line: &str) {
+fn say(event: WorkerEvent) {
     let mut out = std::io::stdout().lock();
-    let _ = writeln!(out, "{line}");
+    let _ = writeln!(out, "{}", event.to_line());
     let _ = out.flush();
 }
 
@@ -171,7 +171,7 @@ fn main() {
         ports.insert(tenant.clone(), local.to_string());
         gateways.push((tenant.clone(), gateway));
     }
-    say(&ready_line(&ports));
+    say(WorkerEvent::Ready(ports));
 
     // Command reader: forwards stdin lines; EOF means the supervisor
     // is gone, which must stop the worker (never orphan a process).
@@ -198,29 +198,22 @@ fn main() {
             Ok(cmd) if cmd == CMD_DRAIN => {
                 for (tenant, gateway) in &gateways {
                     let live = gateway.drain().len() as u64;
-                    say(&format!("DRAINING {tenant} {live}"));
+                    let tenant = tenant.clone();
+                    say(WorkerEvent::Draining { tenant, live });
                 }
             }
             Ok(other) => eprintln!("fleet_worker: ignoring unknown command {other:?}"),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                say(&format!("HB {seq}"));
+                say(WorkerEvent::Heartbeat(seq));
                 seq += 1;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
 
-    // Shutdown: one REPORT block per tenant, then BYE. The report
-    // codec's `end` line frames each block for the supervisor.
-    for (tenant, gateway) in gateways {
-        let report = gateway.shutdown();
-        let mut block = format!("REPORT {tenant}\n");
-        block.push_str(&report.encode_wire());
-        // One write for the whole block keeps a concurrent HB from
-        // ever splitting a report (there is none by now, but cheap).
-        let mut out = std::io::stdout().lock();
-        let _ = out.write_all(block.as_bytes());
-        let _ = out.flush();
+    // Shutdown: one report event per tenant, then bye.
+    for (_, gateway) in gateways {
+        say(WorkerEvent::Report(Box::new(gateway.shutdown())));
     }
-    say("BYE");
+    say(WorkerEvent::Bye);
 }

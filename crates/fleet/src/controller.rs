@@ -39,7 +39,7 @@ pub struct FleetConfig {
     pub hb_ms: u64,
     /// How stale a heartbeat may get before the worker counts as dead.
     pub hb_timeout: Duration,
-    /// How long each worker gets to print `READY`.
+    /// How long each worker gets to print its `ready` event.
     pub ready_timeout: Duration,
     /// How long each worker gets to stop and report at shutdown.
     pub stop_timeout: Duration,
@@ -188,7 +188,7 @@ pub fn worker_args(config: &FleetConfig, specs: &[&TenantSpec]) -> Vec<String> {
 
 impl FleetController {
     /// Spawns `config.procs` workers, each hosting one gateway per
-    /// registered tenant, waits for every `READY`, and seeds the ring.
+    /// registered tenant, waits for every `ready` event, and seeds the ring.
     ///
     /// # Errors
     ///

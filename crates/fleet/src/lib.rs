@@ -9,7 +9,7 @@
 //! ```text
 //!  FleetController ──spawn/stdin──▶ fleet_worker (proc 0) ── tenant-a gateway :p0
 //!        │  ▲                            │                └─ tenant-b gateway :p1
-//!        │  └──stdout READY/HB/REPORT────┘
+//!        │  └──stdout JSON event lines───┘
 //!        │        …                      fleet_worker (proc N-1) …
 //!        │
 //!   place(tenant, sensor) ─▶ consistent-hash ring ─▶ worker addr
@@ -23,9 +23,9 @@
 //! * [`registry`] — [`TenantSpec`]s: model architecture, checkpoint
 //!   lineage directory (recovered through
 //!   `persist::load_latest_compatible`'s quarantine gate), SLO budget.
-//! * [`protocol`] — the worker stdio protocol; final reports cross the
-//!   process boundary through `occusense_serve::report`'s versioned
-//!   codec, so a kill mid-write is a typed truncation.
+//! * [`protocol`] — the worker stdio protocol: one versioned JSON
+//!   event per stdout line, final reports included, so a kill
+//!   mid-write is a typed truncation.
 //! * [`supervisor`] — one supervised child process: spawn, heartbeat
 //!   tracking, stop/kill, report collection.
 //! * [`controller`] — the fleet control plane: placement with
@@ -55,7 +55,7 @@ pub mod supervisor;
 pub use controller::{
     policy_name, worker_args, FleetConfig, FleetController, FleetError, PlaceError, Placement,
 };
-pub use protocol::{ready_line, EventParser, WorkerEvent, CMD_DRAIN, CMD_STOP};
+pub use protocol::{EventError, WorkerEvent, CMD_DRAIN, CMD_STOP};
 pub use registry::{
     bootstrap_detector, feature_name, parse_features, valid_tenant_id, SloBudget, SpecError,
     TenantRegistry, TenantSpec, MAX_TENANT_LEN,

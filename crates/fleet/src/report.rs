@@ -78,11 +78,11 @@ pub struct FleetReport {
     pub tenants: BTreeMap<String, TenantRollup>,
     /// Worker processes the controller launched.
     pub workers_spawned: u64,
-    /// Workers that stopped on command and said `BYE`.
+    /// Workers that stopped on command and said `bye`.
     pub workers_stopped_clean: u64,
     /// Workers that died (or were killed) without a clean stop.
     pub workers_lost: u64,
-    /// `REPORT` blocks refused by the codec (torn writes included).
+    /// Torn lines and `report` events that would not decode.
     pub truncated_reports: u64,
     /// Heartbeats observed across all workers.
     pub heartbeats: u64,
@@ -98,9 +98,8 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Files `report` under its tenant label (the roll-up key is the
-    /// report's own `tenant` field, so a worker cannot misfile another
-    /// tenant's accounting by lying on the protocol line).
+    /// Files `report` under its tenant label, the report's own
+    /// `tenant` field.
     pub fn absorb(&mut self, report: ServeReport) {
         self.tenants
             .entry(report.tenant.clone())

@@ -2,20 +2,22 @@
 //! heartbeat tracking, command delivery, stop/kill.
 //!
 //! The supervisor owns the only pipes to the child: commands go down
-//! stdin ([`CMD_DRAIN`]/[`CMD_STOP`]), status comes up stdout through
-//! [`EventParser`] on a dedicated reader thread, stderr is inherited
-//! (worker diagnostics land on the fleet's own stderr). Death is
-//! observable three ways — `try_wait` (the OS reaped it), stdout EOF
-//! (the pipe collapsed), or a stale heartbeat — and the controller
-//! treats any of them as fatal for routing purposes; there is no
-//! in-place restart, a dead worker's keys re-route to survivors.
+//! stdin ([`CMD_DRAIN`](crate::protocol::CMD_DRAIN)/[`CMD_STOP`]),
+//! status comes up stdout as JSON lines decoded by
+//! [`WorkerEvent::parse`] on a dedicated reader thread, stderr is
+//! inherited (worker diagnostics and refused stdout lines land on the
+//! fleet's own stderr). Death is observable three ways — `try_wait`
+//! (the OS reaped it), stdout EOF (the pipe collapsed), or a stale
+//! heartbeat — and the controller treats any of them as fatal for
+//! routing purposes; there is no in-place restart, a dead worker's
+//! keys re-route to survivors.
 //!
 //! The reader thread is deliberately the *only* writer of the shared
 //! [`WorkerState`], and the state mutex is held only for field
 //! updates — never across a pipe read — so a wedged child can stall
 //! its reader thread but never a supervisor querying liveness.
 
-use crate::protocol::{EventParser, WorkerEvent, CMD_STOP};
+use crate::protocol::{EventError, WorkerEvent, CMD_STOP};
 use occusense_serve::ServeReport;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -34,7 +36,6 @@ struct WorkerState {
     reports: Vec<ServeReport>,
     truncated_reports: u64,
     draining: Vec<(String, u64)>,
-    unrecognized: Vec<String>,
     bye: bool,
     eof: bool,
 }
@@ -75,10 +76,11 @@ pub struct StoppedWorker {
     pub name: String,
     /// Parsed per-tenant reports (empty for a killed worker).
     pub reports: Vec<ServeReport>,
-    /// `REPORT` blocks that failed to parse — a kill mid-write counts
-    /// here, never as a half-summed report.
+    /// Lines cut off without their newline and `report` events that
+    /// failed to decode — a kill mid-write counts here, never as a
+    /// half-summed report.
     pub truncated_reports: u64,
-    /// Whether the worker said `BYE` and exited zero.
+    /// Whether the worker said `bye` and exited zero.
     pub clean: bool,
     /// Heartbeats observed over the worker's life.
     pub heartbeats: u64,
@@ -127,7 +129,7 @@ impl WorkerHandle {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
                 .name(format!("fleet-reader-{name}"))
-                .spawn(move || read_stdout(stdout, &state))?
+                .spawn(move || read_stdout(BufReader::new(stdout), &state))?
         };
         Ok(Self {
             name: name.to_string(),
@@ -143,7 +145,7 @@ impl WorkerHandle {
         &self.name
     }
 
-    /// Blocks until the worker prints `READY`, returning its
+    /// Blocks until the worker prints its `ready` event, returning its
     /// per-tenant listen addresses.
     ///
     /// # Errors
@@ -275,19 +277,16 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// The reader thread: decodes stdout lines into [`WorkerState`].
-fn read_stdout(stdout: std::process::ChildStdout, state: &Mutex<WorkerState>) {
-    let mut parser = EventParser::new();
-    let reader = BufReader::new(stdout);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let Some(event) = parser.feed(&line) else {
-            continue;
-        };
-        apply(state, event);
-    }
-    if let Some(event) = parser.finish() {
-        apply(state, event);
+/// The reader thread: decodes stdout lines into [`WorkerState`] until
+/// EOF. `read_until`, not `lines()`, so a last line cut off before its
+/// newline is seen as such (and a torn UTF-8 sequence is no I/O error).
+fn read_stdout(mut stdout: impl BufRead, state: &Mutex<WorkerState>) {
+    let mut buf = Vec::new();
+    while let Ok(1..) = stdout.read_until(b'\n', &mut buf) {
+        let complete = buf.pop_if(|b| *b == b'\n').is_some();
+        let line = String::from_utf8_lossy(&buf);
+        apply(state, WorkerEvent::parse(&line, complete));
+        buf.clear();
     }
     lock_state(state).eof = true;
 }
@@ -301,13 +300,49 @@ fn apply(state: &Mutex<WorkerState>, event: WorkerEvent) {
             s.last_heartbeat = Some(Instant::now());
         }
         WorkerEvent::Draining { tenant, live } => s.draining.push((tenant, live)),
-        WorkerEvent::Report { report, .. } => s.reports.push(*report),
-        WorkerEvent::BadReport { .. } => s.truncated_reports += 1,
+        WorkerEvent::Report(report) => s.reports.push(*report),
         WorkerEvent::Bye => s.bye = true,
-        WorkerEvent::Unrecognized(line) => {
-            if s.unrecognized.len() < 32 {
-                s.unrecognized.push(line);
-            }
+        WorkerEvent::Refused {
+            error: EventError::Truncated | EventError::Report(_),
+            ..
+        } => s.truncated_reports += 1,
+        WorkerEvent::Refused { line, error } => {
+            eprintln!("fleet: refused worker line ({error}): {line}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(stream: &str) -> WorkerState {
+        let state = Mutex::new(WorkerState::default());
+        read_stdout(stream.as_bytes(), &state);
+        state.into_inner().unwrap()
+    }
+
+    #[test]
+    fn a_report_cut_before_its_newline_is_truncated_never_absorbed() {
+        let report = ServeReport {
+            tenant: "acme".into(),
+            ..ServeReport::default()
+        };
+        let stream = format!(
+            "{}\n{}",
+            WorkerEvent::Heartbeat(0).to_line(),
+            WorkerEvent::Report(Box::new(report)).to_line()
+        );
+        // The worker died after the report's last byte, before its
+        // newline.
+        let torn = read(&stream);
+        assert_eq!(torn.heartbeats, 1);
+        assert_eq!(torn.truncated_reports, 1);
+        assert!(torn.reports.is_empty());
+        assert!(torn.eof);
+        // With the newline it is one clean report.
+        let whole = read(&format!("{stream}\n"));
+        assert_eq!(whole.truncated_reports, 0);
+        assert_eq!(whole.reports.len(), 1);
     }
 }

@@ -49,7 +49,7 @@ fn score_over_wire(addr: &str, tenant: &str, records: &[CsiRecord]) -> Vec<(u8, 
 }
 
 /// The full worker lifecycle over real pipes and a real socket:
-/// spawn → READY → traffic → stop → per-tenant report, with the
+/// spawn → ready → traffic → stop → per-tenant report, with the
 /// report's accounting identity closed and predictions bitwise equal
 /// to in-process scoring by the same bootstrap recipe.
 #[test]
@@ -76,7 +76,7 @@ fn worker_round_trip_serves_and_reports() {
     let worker = WorkerHandle::spawn("worker-0", &worker_bin(), &args).expect("spawn worker");
     let ports = worker
         .await_ready(Duration::from_secs(120))
-        .expect("worker READY");
+        .expect("worker ready");
     let addr = ports.get("acme").expect("acme gateway advertised").clone();
 
     let records = stream(5, 0, 40);
@@ -93,7 +93,7 @@ fn worker_round_trip_serves_and_reports() {
     }
 
     let stopped = worker.stop(Duration::from_secs(60));
-    assert!(stopped.clean, "worker must BYE and exit zero");
+    assert!(stopped.clean, "worker must say bye and exit zero");
     assert_eq!(stopped.truncated_reports, 0);
     assert_eq!(stopped.reports.len(), 1, "one report per tenant");
     let report = &stopped.reports[0];

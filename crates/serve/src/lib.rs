@@ -76,7 +76,7 @@ pub use model::{ModelHandle, ModelSnapshot, ServedModel};
 pub use queue::{
     BackpressurePolicy, BoundedQueue, PopResult, PushError, QueueCounters, TryPushError,
 };
-pub use report::{ReportParseError, REPORT_WIRE_VERSION};
+pub use report::ReportParseError;
 pub use routing::{shard_for, try_shard_for, ZeroShardsError};
 pub use runtime::{
     wire_stats, OnlineTrainingConfig, SensorClient, ServeConfig, ServeError, ServeReport,

@@ -1,458 +1,206 @@
-//! A process-boundary codec for [`ServeReport`]: the fleet controller
-//! supervises worker *processes*, and each worker's final report must
-//! cross that boundary intact for the fleet-level accounting identity
-//! to close (`occusense-fleet` sums `unaccounted_records()` across
-//! workers).
+//! [`ServeReport`] as a JSON object, for crossing a process boundary:
+//! the fleet controller supervises worker *processes*, and each
+//! worker's final report must reach it intact for the fleet-level
+//! accounting identity to close (`occusense-fleet` sums
+//! `unaccounted_records()` across workers).
 //!
-//! The format is a versioned, line-oriented text encoding — one
-//! `key value…` line per field, strict field order, `f64`s as the hex
-//! of [`f64::to_bits`] so throughput survives bit-for-bit. It is
-//! *accounting-complete but diagnostically lossy*: every numeric
-//! counter that [`ServeReport::unaccounted_records`] or a fleet
-//! roll-up reads round-trips exactly, and panic messages travel
-//! escaped; the dead-letter record bodies and the rendered
-//! `metrics_text` stay in the worker process (their *counts* are in
-//! `poisoned_records` / `dead_letters_evicted`, which do travel).
-//! Canonicality therefore holds on the encoded form:
-//! `encode(decode(s)) == s` for every accepted `s`.
+//! The object is written and read by `occusense_driver::json`, so every
+//! `u64` counter is an exact JSON integer and `throughput_rps` travels
+//! in the shortest form that round-trips bit for bit. It is
+//! *accounting-complete but diagnostically lossy*: every counter that
+//! [`ServeReport::unaccounted_records`] or a fleet roll-up reads
+//! round-trips exactly, and panic messages travel as strings; the
+//! dead-letter record bodies and the rendered `metrics_text` stay in
+//! the worker process (their *counts* are in `poisoned_records` /
+//! `dead_letters_evicted`, which do travel).
 
 use crate::queue::QueueCounters;
 use crate::runtime::{ServeReport, WireCounters};
 use crate::supervisor::FaultReport;
+use occusense_driver::{obj, Value};
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-/// First line of every encoded report; bumped on layout changes so a
-/// fleet controller never mis-sums a foreign revision.
-pub const REPORT_WIRE_VERSION: &str = "servereport v1";
-
-/// Why an encoded report was refused. Typed so the fleet supervisor
-/// can distinguish a torn pipe (a killed worker mid-write) from a
-/// revision mismatch.
+/// Why a report object was refused, naming the first offending field
+/// by its dotted path (e.g. `faults.panics`, `shard_queues[1].pushed`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportParseError {
-    /// The first line was not [`REPORT_WIRE_VERSION`].
-    BadVersion {
-        /// The first line found.
-        found: String,
-    },
-    /// A field line was missing, out of order, or malformed.
-    BadField {
-        /// The key the decoder expected next.
-        expected: &'static str,
-        /// The line found (empty when the input ended).
-        found: String,
-    },
-    /// A numeric token failed to parse.
-    BadNumber {
-        /// The field being decoded.
-        field: &'static str,
-        /// The offending token.
-        token: String,
-    },
-    /// No `end` terminator — the classic torn write of a worker killed
-    /// mid-report.
-    Truncated,
+    /// The field is absent.
+    Missing(String),
+    /// The field is present but not of its type (a `u64` counter must
+    /// be a non-negative JSON integer).
+    Mistyped(String),
 }
 
 impl fmt::Display for ReportParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportParseError::BadVersion { found } => {
-                write!(
-                    f,
-                    "report version mismatch: expected {REPORT_WIRE_VERSION:?}, found {found:?}"
-                )
-            }
-            ReportParseError::BadField { expected, found } => {
-                write!(
-                    f,
-                    "expected report field {expected:?}, found line {found:?}"
-                )
-            }
-            ReportParseError::BadNumber { field, token } => {
-                write!(f, "bad number {token:?} in report field {field:?}")
-            }
-            ReportParseError::Truncated => {
-                write!(f, "report ended without the `end` terminator (torn write?)")
-            }
-        }
+        let (field, problem) = match self {
+            ReportParseError::Missing(field) => (field, "is missing"),
+            ReportParseError::Mistyped(field) => (field, "has the wrong type"),
+        };
+        write!(f, "report field `{field}` {problem}")
     }
 }
 
 impl Error for ReportParseError {}
 
-/// Escapes a free-form string onto one line: `\` → `\\`, newline →
-/// `\n`, carriage return → `\r`.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+/// One JSON value of a report and its dotted path (`""` at the top).
+struct Fields<'a>(&'a Value, String);
+
+impl<'a> Fields<'a> {
+    fn path(&self, key: &str) -> String {
+        match self.1.as_str() {
+            "" => key.to_string(),
+            name => format!("{name}.{key}"),
         }
     }
-    out
+
+    /// Field `key` of this object, as read by `read`.
+    fn typed<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, ReportParseError> {
+        let value = (self.0.get(key)).ok_or_else(|| ReportParseError::Missing(self.path(key)))?;
+        read(value).ok_or_else(|| ReportParseError::Mistyped(self.path(key)))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, ReportParseError> {
+        self.typed(key, Value::as_u64)
+    }
+
+    fn object(&self, key: &str) -> Result<Fields<'a>, ReportParseError> {
+        let value = self.typed(key, |v| matches!(v, Value::Object(_)).then_some(v))?;
+        Ok(Fields(value, self.path(key)))
+    }
+
+    /// Every element of array `key`, as read by `read` (an element's
+    /// path is `key[i]`).
+    fn array<T>(
+        &self,
+        key: &str,
+        read: impl Fn(Fields<'a>) -> Result<T, ReportParseError>,
+    ) -> Result<Vec<T>, ReportParseError> {
+        let items = self.typed(key, Value::as_array)?.iter().enumerate();
+        (items.map(|(i, v)| read(Fields(v, format!("{}[{i}]", self.path(key)))))).collect()
+    }
+
+    /// This value itself, as read by `read`.
+    fn this<T>(&self, read: impl FnOnce(&'a Value) -> Option<T>) -> Result<T, ReportParseError> {
+        read(self.0).ok_or_else(|| ReportParseError::Mistyped(self.1.clone()))
+    }
 }
 
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+/// Writes (`$write`) and reads (`Fields::$read`) a struct of `u64`
+/// counters, one JSON key per field, named as the field.
+macro_rules! counters {
+    ($write:ident, $read:ident, $ty:ident { $($field:ident),* $(,)? }) => {
+        fn $write(c: &$ty) -> Value {
+            obj([$((stringify!($field), c.$field.into())),*])
         }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            // A dangling or unknown escape decodes literally; encode
-            // never produces one, so canonicality is unaffected.
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
+
+        impl Fields<'_> {
+            fn $read(&self) -> Result<$ty, ReportParseError> {
+                Ok($ty { $($field: self.u64(stringify!($field))?),* })
             }
-            None => out.push('\\'),
         }
-    }
-    out
+    };
 }
 
-fn queue_line(out: &mut String, key: &str, q: &QueueCounters) {
-    out.push_str(&format!(
-        "{key} {} {} {} {} {} {}\n",
-        q.pushed, q.popped, q.dropped, q.rejected, q.depth, q.high_watermark
-    ));
-}
+counters! { queue_json, queue, QueueCounters {
+    pushed, popped, dropped, rejected, depth, high_watermark,
+} }
+
+counters! { wire_json, wire, WireCounters {
+    connections, frames_received, records_decoded, records_ingested, records_rejected,
+    records_shed, malformed_frames, predictions_routed, predictions_sent,
+    predictions_unrouted, connection_panics, lock_recoveries, thread_panics,
+} }
 
 impl ServeReport {
-    /// Encodes this report for transport across a process boundary
-    /// (see the module docs for what travels and what stays behind).
-    pub fn encode_wire(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(REPORT_WIRE_VERSION);
-        out.push('\n');
-        out.push_str(&format!("tenant {}\n", escape(&self.tenant)));
-        out.push_str(&format!(
-            "elapsed_ns {}\n",
-            self.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
-        ));
-        out.push_str(&format!("records_served {}\n", self.records_served));
-        out.push_str(&format!(
-            "throughput_rps {:016x}\n",
-            self.throughput_rps.to_bits()
-        ));
-        out.push_str(&format!("latency_p50_ns {}\n", self.latency_p50_ns));
-        out.push_str(&format!("latency_p95_ns {}\n", self.latency_p95_ns));
-        out.push_str(&format!("latency_p99_ns {}\n", self.latency_p99_ns));
-        out.push_str(&format!("model_version {}\n", self.model_version));
-        out.push_str(&format!("model_publishes {}\n", self.model_publishes));
-        for q in &self.shard_queues {
-            queue_line(&mut out, "shard", q);
-        }
-        if let Some(t) = &self.trainer_queue {
-            queue_line(&mut out, "trainer_queue", t);
-        }
+    /// This report as one JSON object (see the module docs for what
+    /// travels and what stays behind).
+    pub fn to_json(&self) -> Value {
         let fr = &self.faults;
-        out.push_str("shard_restarts");
-        for r in &fr.shard_restarts {
-            out.push_str(&format!(" {r}"));
-        }
-        out.push('\n');
-        out.push_str(&format!("trainer_restarts {}\n", fr.trainer_restarts));
-        out.push_str(&format!("poisoned_records {}\n", fr.poisoned_records));
-        out.push_str(&format!("trainer_poisoned {}\n", fr.trainer_poisoned));
-        out.push_str(&format!(
-            "dead_letters_evicted {}\n",
-            fr.dead_letters_evicted
-        ));
-        out.push_str(&format!("uncontained_panics {}\n", fr.uncontained_panics));
-        out.push_str(&format!("checkpoints_written {}\n", fr.checkpoints_written));
-        out.push_str(&format!("checkpoint_failures {}\n", fr.checkpoint_failures));
-        out.push_str(&format!(
-            "transport_rejections {}\n",
-            fr.transport_rejections
-        ));
-        out.push_str(&format!("transport_timeouts {}\n", fr.transport_timeouts));
-        out.push_str(&format!(
-            "fault_connection_panics {}\n",
-            fr.connection_panics
-        ));
-        for p in &fr.panics {
-            out.push_str(&format!("panic {}\n", escape(p)));
-        }
-        let w = &self.wire;
-        out.push_str(&format!(
-            "wire {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
-            w.connections,
-            w.frames_received,
-            w.records_decoded,
-            w.records_ingested,
-            w.records_rejected,
-            w.records_shed,
-            w.malformed_frames,
-            w.predictions_routed,
-            w.predictions_sent,
-            w.predictions_unrouted,
-            w.connection_panics,
-            w.lock_recoveries,
-            w.thread_panics,
-        ));
-        out.push_str("end\n");
-        out
+        let elapsed_ns = u64::try_from(self.elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let shard_queues = self.shard_queues.iter().map(queue_json).collect();
+        let trainer_queue = self.trainer_queue.as_ref().map_or(Value::Null, queue_json);
+        let shard_restarts = fr.shard_restarts.iter().map(|&r| r.into()).collect();
+        let panics = fr.panics.iter().map(|p| p.as_str().into()).collect();
+        let faults = obj([
+            ("shard_restarts", Value::Array(shard_restarts)),
+            ("trainer_restarts", fr.trainer_restarts.into()),
+            ("poisoned_records", fr.poisoned_records.into()),
+            ("trainer_poisoned", fr.trainer_poisoned.into()),
+            ("dead_letters_evicted", fr.dead_letters_evicted.into()),
+            ("panics", Value::Array(panics)),
+            ("uncontained_panics", fr.uncontained_panics.into()),
+            ("checkpoints_written", fr.checkpoints_written.into()),
+            ("checkpoint_failures", fr.checkpoint_failures.into()),
+            ("transport_rejections", fr.transport_rejections.into()),
+            ("transport_timeouts", fr.transport_timeouts.into()),
+            ("connection_panics", fr.connection_panics.into()),
+        ]);
+        obj([
+            ("tenant", self.tenant.as_str().into()),
+            ("elapsed_ns", elapsed_ns.into()),
+            ("records_served", self.records_served.into()),
+            ("throughput_rps", self.throughput_rps.into()),
+            ("latency_p50_ns", self.latency_p50_ns.into()),
+            ("latency_p95_ns", self.latency_p95_ns.into()),
+            ("latency_p99_ns", self.latency_p99_ns.into()),
+            ("model_version", self.model_version.into()),
+            ("model_publishes", self.model_publishes.into()),
+            ("shard_queues", Value::Array(shard_queues)),
+            ("trainer_queue", trainer_queue),
+            ("faults", faults),
+            ("wire", wire_json(&self.wire)),
+        ])
     }
 
-    /// Decodes a report previously written by [`encode_wire`].
-    ///
-    /// The dead-letter bodies and `metrics_text` do not travel: they
-    /// decode as empty (their counts are in the numeric fields).
+    /// Reads a report written by [`to_json`](Self::to_json). The
+    /// dead-letter bodies and `metrics_text` do not travel: they read
+    /// back empty (their counts are in the numeric fields).
     ///
     /// # Errors
     ///
-    /// [`ReportParseError`]; a worker killed mid-write surfaces as
-    /// [`ReportParseError::Truncated`], never a half-summed report.
-    ///
-    /// [`encode_wire`]: Self::encode_wire
-    pub fn decode_wire(text: &str) -> Result<Self, ReportParseError> {
-        let mut lines = text.lines().peekable();
-        let version = lines.next().unwrap_or_default();
-        if version != REPORT_WIRE_VERSION {
-            return Err(ReportParseError::BadVersion {
-                found: version.to_string(),
-            });
-        }
-
-        fn split_kv<'a>(
-            line: &'a str,
-            expected: &'static str,
-        ) -> Result<&'a str, ReportParseError> {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            if key != expected {
-                return Err(ReportParseError::BadField {
-                    expected,
-                    found: line.to_string(),
-                });
-            }
-            Ok(rest)
-        }
-
-        fn next_field<'a, I: Iterator<Item = &'a str>>(
-            lines: &mut I,
-            expected: &'static str,
-        ) -> Result<&'a str, ReportParseError> {
-            let line = lines.next().ok_or(ReportParseError::BadField {
-                expected,
-                found: String::new(),
-            })?;
-            split_kv(line, expected)
-        }
-
-        fn num(field: &'static str, token: &str) -> Result<u64, ReportParseError> {
-            token.parse().map_err(|_| ReportParseError::BadNumber {
-                field,
-                token: token.to_string(),
-            })
-        }
-
-        fn queue_counters(
-            field: &'static str,
-            rest: &str,
-        ) -> Result<QueueCounters, ReportParseError> {
-            let mut it = rest.split(' ');
-            let mut take =
-                || -> Result<u64, ReportParseError> { num(field, it.next().unwrap_or_default()) };
-            let q = QueueCounters {
-                pushed: take()?,
-                popped: take()?,
-                dropped: take()?,
-                rejected: take()?,
-                depth: take()?,
-                high_watermark: take()?,
-            };
-            match it.next() {
-                None => Ok(q),
-                Some(extra) => Err(ReportParseError::BadNumber {
-                    field,
-                    token: extra.to_string(),
-                }),
-            }
-        }
-
-        let tenant = unescape(next_field(&mut lines, "tenant")?);
-        let elapsed =
-            Duration::from_nanos(num("elapsed_ns", next_field(&mut lines, "elapsed_ns")?)?);
-        let records_served = num("records_served", next_field(&mut lines, "records_served")?)?;
-        let rps_raw = next_field(&mut lines, "throughput_rps")?;
-        let throughput_rps = f64::from_bits(u64::from_str_radix(rps_raw, 16).map_err(|_| {
-            ReportParseError::BadNumber {
-                field: "throughput_rps",
-                token: rps_raw.to_string(),
-            }
-        })?);
-        let latency_p50_ns = num("latency_p50_ns", next_field(&mut lines, "latency_p50_ns")?)?;
-        let latency_p95_ns = num("latency_p95_ns", next_field(&mut lines, "latency_p95_ns")?)?;
-        let latency_p99_ns = num("latency_p99_ns", next_field(&mut lines, "latency_p99_ns")?)?;
-        let model_version = num("model_version", next_field(&mut lines, "model_version")?)?;
-        let model_publishes = num(
-            "model_publishes",
-            next_field(&mut lines, "model_publishes")?,
-        )?;
-
-        let mut shard_queues = Vec::new();
-        while let Some(line) = lines.peek() {
-            let Some(rest) = line.strip_prefix("shard ") else {
-                break;
-            };
-            shard_queues.push(queue_counters("shard", rest)?);
-            lines.next();
-        }
-        let mut trainer_queue = None;
-        if let Some(line) = lines.peek() {
-            if let Some(rest) = line.strip_prefix("trainer_queue ") {
-                trainer_queue = Some(queue_counters("trainer_queue", rest)?);
-                lines.next();
-            }
-        }
-
-        let restarts_line = lines.next().ok_or(ReportParseError::BadField {
-            expected: "shard_restarts",
-            found: String::new(),
-        })?;
-        if restarts_line != "shard_restarts" && !restarts_line.starts_with("shard_restarts ") {
-            return Err(ReportParseError::BadField {
-                expected: "shard_restarts",
-                found: restarts_line.to_string(),
-            });
-        }
-        let mut shard_restarts = Vec::new();
-        for token in restarts_line
-            .strip_prefix("shard_restarts")
-            .unwrap_or_default()
-            .split(' ')
-            .filter(|t| !t.is_empty())
-        {
-            shard_restarts.push(num("shard_restarts", token)?);
-        }
-
-        let trainer_restarts = num(
-            "trainer_restarts",
-            next_field(&mut lines, "trainer_restarts")?,
-        )?;
-        let poisoned_records = num(
-            "poisoned_records",
-            next_field(&mut lines, "poisoned_records")?,
-        )?;
-        let trainer_poisoned = num(
-            "trainer_poisoned",
-            next_field(&mut lines, "trainer_poisoned")?,
-        )?;
-        let dead_letters_evicted = num(
-            "dead_letters_evicted",
-            next_field(&mut lines, "dead_letters_evicted")?,
-        )?;
-        let uncontained_panics = num(
-            "uncontained_panics",
-            next_field(&mut lines, "uncontained_panics")?,
-        )?;
-        let checkpoints_written = num(
-            "checkpoints_written",
-            next_field(&mut lines, "checkpoints_written")?,
-        )?;
-        let checkpoint_failures = num(
-            "checkpoint_failures",
-            next_field(&mut lines, "checkpoint_failures")?,
-        )?;
-        let transport_rejections = num(
-            "transport_rejections",
-            next_field(&mut lines, "transport_rejections")?,
-        )?;
-        let transport_timeouts = num(
-            "transport_timeouts",
-            next_field(&mut lines, "transport_timeouts")?,
-        )?;
-        let fault_connection_panics = num(
-            "fault_connection_panics",
-            next_field(&mut lines, "fault_connection_panics")?,
-        )?;
-
-        let mut panics = Vec::new();
-        while let Some(line) = lines.peek() {
-            let Some(rest) = line.strip_prefix("panic ") else {
-                break;
-            };
-            panics.push(unescape(rest));
-            lines.next();
-        }
-
-        let wire_rest = next_field(&mut lines, "wire")?;
-        let mut it = wire_rest.split(' ');
-        let mut take =
-            || -> Result<u64, ReportParseError> { num("wire", it.next().unwrap_or_default()) };
-        let wire = WireCounters {
-            connections: take()?,
-            frames_received: take()?,
-            records_decoded: take()?,
-            records_ingested: take()?,
-            records_rejected: take()?,
-            records_shed: take()?,
-            malformed_frames: take()?,
-            predictions_routed: take()?,
-            predictions_sent: take()?,
-            predictions_unrouted: take()?,
-            connection_panics: take()?,
-            lock_recoveries: take()?,
-            thread_panics: take()?,
+    /// [`ReportParseError`] naming the first missing or mistyped field.
+    pub fn from_json(value: &Value) -> Result<Self, ReportParseError> {
+        let top = Fields(value, String::new());
+        let trainer_queue = match top.typed("trainer_queue", Some)? {
+            Value::Null => None,
+            _ => Some(top.object("trainer_queue")?.queue()?),
         };
-        if let Some(extra) = it.next() {
-            return Err(ReportParseError::BadNumber {
-                field: "wire",
-                token: extra.to_string(),
-            });
-        }
-
-        match lines.next() {
-            Some("end") => {}
-            Some(other) => {
-                return Err(ReportParseError::BadField {
-                    expected: "end",
-                    found: other.to_string(),
-                })
-            }
-            None => return Err(ReportParseError::Truncated),
-        }
-
+        let fr = top.object("faults")?;
         Ok(ServeReport {
-            tenant,
-            elapsed,
-            records_served,
-            throughput_rps,
-            latency_p50_ns,
-            latency_p95_ns,
-            latency_p99_ns,
-            shard_queues,
+            tenant: top.typed("tenant", Value::as_str)?.to_string(),
+            elapsed: Duration::from_nanos(top.u64("elapsed_ns")?),
+            records_served: top.u64("records_served")?,
+            throughput_rps: top.typed("throughput_rps", Value::as_f64)?,
+            latency_p50_ns: top.u64("latency_p50_ns")?,
+            latency_p95_ns: top.u64("latency_p95_ns")?,
+            latency_p99_ns: top.u64("latency_p99_ns")?,
+            model_version: top.u64("model_version")?,
+            model_publishes: top.u64("model_publishes")?,
+            shard_queues: top.array("shard_queues", |q| q.queue())?,
             trainer_queue,
-            model_version,
-            model_publishes,
             faults: FaultReport {
-                shard_restarts,
-                trainer_restarts,
-                poisoned_records,
-                trainer_poisoned,
-                dead_letters_evicted,
+                shard_restarts: fr.array("shard_restarts", |r| r.this(Value::as_u64))?,
+                trainer_restarts: fr.u64("trainer_restarts")?,
+                poisoned_records: fr.u64("poisoned_records")?,
+                trainer_poisoned: fr.u64("trainer_poisoned")?,
+                dead_letters_evicted: fr.u64("dead_letters_evicted")?,
                 dead_letters: Vec::new(),
-                panics,
-                uncontained_panics,
-                checkpoints_written,
-                checkpoint_failures,
-                transport_rejections,
-                transport_timeouts,
-                connection_panics: fault_connection_panics,
+                panics: fr.array("panics", |p| p.this(|v| v.as_str().map(str::to_string)))?,
+                uncontained_panics: fr.u64("uncontained_panics")?,
+                checkpoints_written: fr.u64("checkpoints_written")?,
+                checkpoint_failures: fr.u64("checkpoint_failures")?,
+                transport_rejections: fr.u64("transport_rejections")?,
+                transport_timeouts: fr.u64("transport_timeouts")?,
+                connection_panics: fr.u64("connection_panics")?,
             },
-            wire,
+            wire: top.object("wire")?.wire()?,
             metrics_text: String::new(),
         })
     }
@@ -461,6 +209,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occusense_driver::json;
 
     fn sample_report() -> ServeReport {
         ServeReport {
@@ -508,7 +257,7 @@ mod tests {
                 dead_letters: Vec::new(),
                 panics: vec![
                     "worker 0 panicked: boom".into(),
-                    "multi\nline\\payload".into(),
+                    "multi\nline\\payload \"quoted\"".into(),
                 ],
                 uncontained_panics: 0,
                 checkpoints_written: 5,
@@ -536,39 +285,31 @@ mod tests {
         }
     }
 
+    /// Writes `report` on one line and reads it back.
+    fn round_trip(report: &ServeReport) -> (String, ServeReport) {
+        let line = report.to_json().to_line();
+        assert!(!line.contains('\n'), "{line}");
+        let back = ServeReport::from_json(&json::parse(&line).expect("valid JSON"));
+        (line, back.expect("decode"))
+    }
+
     #[test]
     fn every_accounting_field_round_trips_exactly() {
         let report = sample_report();
-        let encoded = report.encode_wire();
-        let back = ServeReport::decode_wire(&encoded).expect("decode");
-
-        assert_eq!(back.tenant, report.tenant);
-        assert_eq!(back.elapsed, report.elapsed);
-        assert_eq!(back.records_served, report.records_served);
+        let (line, back) = round_trip(&report);
+        assert_eq!(back, report, "every travelling field survives");
         assert_eq!(
             back.throughput_rps.to_bits(),
             report.throughput_rps.to_bits(),
             "f64 must survive bit-for-bit"
         );
-        assert_eq!(back.latency_p50_ns, report.latency_p50_ns);
-        assert_eq!(back.latency_p95_ns, report.latency_p95_ns);
-        assert_eq!(back.latency_p99_ns, report.latency_p99_ns);
-        assert_eq!(back.shard_queues, report.shard_queues);
-        assert_eq!(back.trainer_queue, report.trainer_queue);
-        assert_eq!(back.model_version, report.model_version);
-        assert_eq!(back.model_publishes, report.model_publishes);
-        assert_eq!(back.faults.shard_restarts, report.faults.shard_restarts);
-        assert_eq!(back.faults.panics, report.faults.panics);
-        assert_eq!(back.faults.poisoned_records, report.faults.poisoned_records);
-        assert_eq!(back.wire, report.wire);
         assert_eq!(
             back.unaccounted_records(),
             report.unaccounted_records(),
             "the identity must be computable on the decoded side"
         );
-
         // Canonical on the encoded form.
-        assert_eq!(back.encode_wire(), encoded);
+        assert_eq!(back.to_json().to_line(), line);
     }
 
     #[test]
@@ -579,51 +320,79 @@ mod tests {
         report.shard_queues.clear();
         report.faults.shard_restarts.clear();
         report.faults.panics.clear();
-        let encoded = report.encode_wire();
-        let back = ServeReport::decode_wire(&encoded).expect("decode");
-        assert_eq!(back.tenant, "");
-        assert_eq!(back.trainer_queue, None);
-        assert!(back.shard_queues.is_empty());
-        assert!(back.faults.shard_restarts.is_empty());
-        assert_eq!(back.encode_wire(), encoded);
+        let (line, back) = round_trip(&report);
+        assert_eq!(back, report);
+        assert_eq!(back.to_json().to_line(), line);
     }
 
     #[test]
     fn every_truncation_is_refused_never_half_summed() {
-        let encoded = sample_report().encode_wire();
-        // Cut at every line boundary short of the full report.
-        let lines: Vec<&str> = encoded.lines().collect();
-        for keep in 0..lines.len() {
-            let partial = lines[..keep]
-                .iter()
-                .map(|l| format!("{l}\n"))
-                .collect::<String>();
+        let line = sample_report().to_json().to_line();
+        // Cut at every character short of the full line.
+        for (cut, _) in line.char_indices() {
+            let decoded = json::parse(&line[..cut])
+                .ok()
+                .map(|v| ServeReport::from_json(&v));
             assert!(
-                ServeReport::decode_wire(&partial).is_err(),
-                "a report cut after {keep} lines must not decode"
+                !matches!(decoded, Some(Ok(_))),
+                "a report cut after {cut} bytes must not decode"
             );
         }
     }
 
     #[test]
-    fn version_and_field_refusals_are_typed() {
-        let err = ServeReport::decode_wire("servereport v0\n").unwrap_err();
+    fn missing_and_mistyped_fields_are_named() {
+        let full = sample_report().to_json();
+        // Drop each field in turn, nested ones included.
+        let mut paths = Vec::new();
+        let Value::Object(top) = &full else {
+            unreachable!("to_json writes an object")
+        };
+        for (key, value) in top {
+            paths.push((key.clone(), None));
+            if let Value::Object(inner) = value {
+                paths.extend(inner.iter().map(|(k, _)| (key.clone(), Some(k.clone()))));
+            }
+        }
+        for (key, inner) in paths {
+            let mut cut = full.clone();
+            let Value::Object(top) = &mut cut else {
+                unreachable!()
+            };
+            let name = match &inner {
+                None => {
+                    top.retain(|(k, _)| *k != key);
+                    key
+                }
+                Some(inner) => {
+                    let field = top.iter_mut().find(|(k, _)| *k == key);
+                    let Some((_, Value::Object(fields))) = field else {
+                        unreachable!()
+                    };
+                    fields.retain(|(k, _)| k != inner);
+                    format!("{key}.{inner}")
+                }
+            };
+            assert_eq!(
+                ServeReport::from_json(&cut),
+                Err(ReportParseError::Missing(name))
+            );
+        }
+
+        let garbled = full
+            .to_line()
+            .replace("\"records_served\": 4000", "\"records_served\": \"four\"");
+        let err = ServeReport::from_json(&json::parse(&garbled).unwrap()).unwrap_err();
+        assert_eq!(err, ReportParseError::Mistyped("records_served".into()));
+        // A negative or fractional counter is not a u64.
+        let negative = full.to_line().replace("\"pushed\": 2010", "\"pushed\": -1");
+        let err = ServeReport::from_json(&json::parse(&negative).unwrap()).unwrap_err();
         assert_eq!(
             err,
-            ReportParseError::BadVersion {
-                found: "servereport v0".into()
-            }
+            ReportParseError::Mistyped("shard_queues[1].pushed".into())
         );
-        let garbled = sample_report()
-            .encode_wire()
-            .replace("records_served 4000", "records_served four");
-        let err = ServeReport::decode_wire(&garbled).unwrap_err();
-        assert_eq!(
-            err,
-            ReportParseError::BadNumber {
-                field: "records_served",
-                token: "four".into()
-            }
-        );
+        let panics = full.to_line().replace("\"worker 0 panicked: boom\"", "7");
+        let err = ServeReport::from_json(&json::parse(&panics).unwrap()).unwrap_err();
+        assert_eq!(err, ReportParseError::Mistyped("faults.panics[0]".into()));
     }
 }

@@ -34,10 +34,10 @@
 //!   function of its own row of `A` and column of `B`* with a fixed
 //!   summation order. Results are therefore bitwise identical across
 //!   batch sizes, tile shapes, fused/unfused paths, and any thread
-//!   count — the parallel kernels split output rows across threads
-//!   (the persistent [`pool`](crate::pool) or the legacy scoped-spawn
-//!   path) without changing any summation order. Parallelism is a
-//!   pure throughput knob, never a numerics knob.
+//!   count — the parallel kernels split output rows across the
+//!   threads of the persistent [`pool`] without changing
+//!   any summation order. Parallelism is a pure throughput knob, never
+//!   a numerics knob.
 //! * **Scratch reuse.** All `*_into` entry points write into
 //!   caller-owned buffers and carry their policy/accounting in a
 //!   [`Scratch`], so steady-state callers (the trainer step loop, the
@@ -67,8 +67,9 @@ pub(crate) const IT: usize = 8;
 /// the weight matrix from cache, so wider or memory-resident strips
 /// measure no better.
 const JW: usize = 64;
-/// Minimum `m · k · n` product before threads are spawned; below this
-/// the spawn cost dominates. Correctness never depends on this value.
+/// Minimum `m · k · n` product before a call is split across threads;
+/// below this the dispatch cost dominates. Correctness never depends
+/// on this value.
 const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// How much std-thread parallelism the kernels may use.
@@ -91,12 +92,6 @@ pub enum Parallelism {
     /// oversubscribes, and on a single core it degrades to the inline
     /// kernel. Results are bitwise identical regardless.
     Threads(usize),
-    /// Up to `n` scoped threads spawned **and joined on every kernel
-    /// call** — the legacy pre-pool path. Kept as the benchmark
-    /// baseline and the oracle the pool's bitwise-identity tests
-    /// compare against; prefer [`Parallelism::Threads`] everywhere
-    /// else.
-    SpawnThreads(usize),
 }
 
 impl Parallelism {
@@ -104,7 +99,7 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         match self {
             Parallelism::Single => 1,
-            Parallelism::Threads(n) | Parallelism::SpawnThreads(n) => (*n).max(1),
+            Parallelism::Threads(n) => (*n).max(1),
         }
     }
 }
@@ -126,9 +121,7 @@ pub struct Scratch {
     /// (workers joined) when the policy changes.
     pool: Option<pool::ComputePool>,
     /// Machine core count the pooled policy's thread budget is clamped
-    /// to (probed once per process; see [`pool`] module docs). The
-    /// legacy [`Parallelism::SpawnThreads`] baseline is deliberately
-    /// *not* clamped — it reproduces the pre-pool behaviour exactly.
+    /// to (probed once per process; see [`pool`] module docs).
     cores: usize,
 }
 
@@ -508,8 +501,8 @@ fn rank1_tiles<F: FnMut(usize, usize, &[f64])>(
     }
 }
 
-/// The single-output row-block body shared by every dispatch path
-/// (inline, persistent pool, scoped spawn): computes output rows
+/// The single-output row-block body shared by both dispatch paths
+/// (inline, persistent pool): computes output rows
 /// `first_row..first_row + rows` of `out = packed · rhs` into `chunk`.
 /// `packed` is the **full** packed left operand (the block's panel is
 /// sliced out here — block boundaries are [`IT`]-aligned, so the slice
@@ -562,18 +555,14 @@ pub(crate) fn fused_rows(
 /// below the dispatch threshold, otherwise the policy budget — which
 /// the pooled policy additionally clamps to the machine's `cores` (an
 /// oversubscribed pool would time-slice spinning workers against the
-/// caller; on one core it degrades to the inline kernel). The legacy
-/// [`Parallelism::SpawnThreads`] baseline keeps its historical,
-/// unclamped behaviour. Scheduling-only either way: the kernels are
-/// bitwise identical for every thread count.
+/// caller; on one core it degrades to the inline kernel).
+/// Scheduling-only: the kernels are bitwise identical for every thread
+/// count.
 fn thread_budget(parallelism: Parallelism, cores: usize, flops: usize) -> usize {
     if flops < PAR_MIN_FLOPS {
         1
     } else {
-        match parallelism {
-            Parallelism::Threads(_) => parallelism.threads().min(cores.max(1)),
-            Parallelism::Single | Parallelism::SpawnThreads(_) => parallelism.threads(),
-        }
+        parallelism.threads().min(cores.max(1))
     }
 }
 
@@ -935,7 +924,6 @@ mod tests {
         let single = run(Parallelism::Single);
         for t in [1, 2, 3, 4, 7] {
             assert_eq!(single, run(Parallelism::Threads(t)), "{t} pooled");
-            assert_eq!(single, run(Parallelism::SpawnThreads(t)), "{t} spawned");
         }
     }
 

@@ -41,14 +41,15 @@
 //!   takes the control mutex (so the caller is either not yet waiting
 //!   or already parked — no lost wakeups) and signals completion.
 //! * **Determinism.** Row blocks are `n_rows.div_ceil(threads)` rounded
-//!   up to the packing panel height [`IT`] — the *exact* partition the
-//!   scoped-spawn path used, kept aligned to the panel boundaries of
-//!   `pack_panels` so every block starts on a whole packed panel. Each
-//!   block runs the same `rank1_tiles` walk on bit-identical inputs,
-//!   so pooled, spawned and inline outputs are **bitwise identical**
-//!   for every thread count. The spawn-per-call path survives as
-//!   [`Parallelism::SpawnThreads`] — the benchmark baseline and the
+//!   up to the packing panel height [`IT`], aligned to the panel
+//!   boundaries of `pack_panels` so every block starts on a whole
+//!   packed panel. Each block runs the same `rank1_tiles` walk on
+//!   bit-identical inputs, so pooled and inline outputs are **bitwise
+//!   identical** for every thread count; [`Parallelism::Single`] is the
 //!   determinism oracle the property tests compare against.
+//! * **Never a liveness dependency.** A pool the OS refuses threads
+//!   for is not built, and the dispatch runs the inline kernel — the
+//!   same branch, and the same bits, as `threads ≤ 1`.
 //!
 //! [`IT`]: crate::kernels — the register-tile height (8 rows).
 
@@ -67,11 +68,9 @@ const SPIN_LIMIT: u32 = 1 << 14;
 /// clamps its thread budget to this (see
 /// [`Scratch`](crate::kernels::Scratch)): spinning workers on an
 /// oversubscribed machine time-slice against the caller, turning every
-/// dispatch into lost scheduler quanta — the persistent pool can
-/// afford to know the machine, where the legacy spawn-per-call path
-/// never could. The probe steers scheduling only: the kernels are
-/// bitwise identical for every thread count, so no score ever depends
-/// on the value read here.
+/// dispatch into lost scheduler quanta. The probe steers scheduling
+/// only: the kernels are bitwise identical for every thread count, so
+/// no score ever depends on the value read here.
 pub(crate) fn machine_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
@@ -114,7 +113,7 @@ struct JobDesc {
     n_rows: usize,
     /// Output row length (= rhs row stride).
     row_len: usize,
-    /// Rows per block — the scoped-spawn partition, aligned to [`IT`].
+    /// Rows per block ([`partition_rows`]), aligned to [`IT`].
     rows_per: usize,
     /// Number of non-empty row blocks (`≤ workers + 1`).
     n_blocks: usize,
@@ -199,8 +198,7 @@ impl std::fmt::Debug for ComputePool {
 
 impl ComputePool {
     /// Spawns a pool of `workers` parked worker threads. Returns `None`
-    /// if the OS refuses a thread (the caller falls back to the scoped
-    /// spawn path, which is the pre-pool status quo).
+    /// if the OS refuses a thread (the caller runs the inline kernel).
     fn with_workers(workers: usize) -> Option<Self> {
         let shared = Arc::new(PoolShared {
             ctrl: Mutex::new(Ctrl {
@@ -231,8 +229,8 @@ impl ComputePool {
                 Ok(handle) => pool.handles.push(handle),
                 Err(_) => {
                     // Partial spawn: shut down what exists and report
-                    // failure — the dispatcher falls back to scoped
-                    // spawning, never to a half-sized pool.
+                    // failure — the dispatcher falls back to the inline
+                    // kernel, never to a half-sized pool.
                     pool.shutdown();
                     return None;
                 }
@@ -496,54 +494,20 @@ fn run_worker_block(shared: &PoolShared, index: usize, job: &JobDesc) {
     }
 }
 
-/// The scoped-spawn legacy splitter: one fresh thread per row block,
-/// joined before returning. Preserved as [`Parallelism::SpawnThreads`]
-/// — the pre-pool baseline the benches and the bitwise-identity
-/// property tests compare the pool against.
-fn spawn_row_blocks<F>(out: &mut [f64], row_len: usize, rows_per: usize, body: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    thread::scope(|s| {
-        for (t, chunk) in out.chunks_mut(rows_per * row_len).enumerate() {
-            let body = &body;
-            s.spawn(move || body(t * rows_per, chunk));
-        }
-    });
-}
-
-/// Two-output variant of [`spawn_row_blocks`] for the fused forward.
-fn spawn_row_blocks2<F>(z: &mut [f64], a: &mut [f64], row_len: usize, rows_per: usize, body: F)
-where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    thread::scope(|s| {
-        for (t, (zc, ac)) in z
-            .chunks_mut(rows_per * row_len)
-            .zip(a.chunks_mut(rows_per * row_len))
-            .enumerate()
-        {
-            let body = &body;
-            s.spawn(move || body(t * rows_per, zc, ac));
-        }
-    });
-}
-
-/// The scoped-spawn partition: rows per block for `threads` blocks,
-/// rounded up to the packing panel height so block boundaries coincide
-/// with packed-panel boundaries. The pooled path uses the *same*
-/// arithmetic — this is the heart of the bitwise-identity argument.
+/// The row partition: rows per block for `threads` blocks, rounded up
+/// to the packing panel height so block boundaries coincide with
+/// packed-panel boundaries — the heart of the bitwise-identity
+/// argument.
 fn partition_rows(n_rows: usize, threads: usize) -> usize {
     n_rows.div_ceil(threads).next_multiple_of(IT)
 }
 
-/// Runs a single-output row-block job (`out = packed · rhs`) on the
-/// path selected by `parallelism` and the budgeted `threads`:
-/// inline (`threads ≤ 1`), scoped spawn-per-call
-/// ([`Parallelism::SpawnThreads`] or a pool that failed to spawn), or
-/// the persistent pool, sized by the policy budget clamped to `cores`.
-/// All three are bitwise identical. Returns the pool-buffer growth
-/// events to be added to the scratch counter.
+/// Runs a single-output row-block job (`out = packed · rhs`): on the
+/// persistent pool, sized by the policy budget clamped to `cores`,
+/// when `threads > 1` and the pool exists; inline otherwise (a pool
+/// that failed to spawn included). Both are bitwise identical.
+/// Returns the pool-buffer growth events to be added to the scratch
+/// counter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_gemm(
     pool: &mut Option<ComputePool>,
@@ -561,43 +525,22 @@ pub(crate) fn run_gemm(
         return 0;
     }
     let threads = threads.min(n_rows);
-    if threads <= 1 {
-        gemm_rows(steps, row_len, 0, n_rows, packed, rhs, out);
-        return 0;
-    }
-    let rows_per = partition_rows(n_rows, threads);
-    let n_blocks = n_rows.div_ceil(rows_per);
-    let spawn = |out: &mut [f64]| {
-        spawn_row_blocks(out, row_len, rows_per, |first_row, chunk| {
-            let rows = chunk.len() / row_len;
-            gemm_rows(steps, row_len, first_row, rows, packed, rhs, chunk);
-        });
-    };
-    if matches!(parallelism, Parallelism::SpawnThreads(_)) {
-        spawn(out);
-        return 0;
-    }
-    match ComputePool::ensure(pool, pool_size(parallelism, cores)) {
-        Some(p) => p.run(
-            JobDesc {
+    if threads > 1 {
+        if let Some(p) = ComputePool::ensure(pool, pool_size(parallelism, cores)) {
+            let rows_per = partition_rows(n_rows, threads);
+            let job = JobDesc {
                 kind: JobKind::Gemm,
                 steps,
                 n_rows,
                 row_len,
                 rows_per,
-                n_blocks,
-            },
-            packed,
-            rhs,
-            &[],
-            out,
-            None,
-        ),
-        None => {
-            spawn(out);
-            0
+                n_blocks: n_rows.div_ceil(rows_per),
+            };
+            return p.run(job, packed, rhs, &[], out, None);
         }
     }
+    gemm_rows(steps, row_len, 0, n_rows, packed, rhs, out);
+    0
 }
 
 /// Two-output (fused forward) variant of [`run_gemm`]: `z = packed ·
@@ -622,45 +565,22 @@ pub(crate) fn run_fused(
         return 0;
     }
     let threads = threads.min(n_rows);
-    if threads <= 1 {
-        fused_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
-        return 0;
-    }
-    let rows_per = partition_rows(n_rows, threads);
-    let n_blocks = n_rows.div_ceil(rows_per);
-    let spawn = |z: &mut [f64], a: &mut [f64]| {
-        spawn_row_blocks2(z, a, row_len, rows_per, |first_row, zc, ac| {
-            let rows = zc.len() / row_len;
-            fused_rows(
-                steps, row_len, first_row, rows, packed, rhs, bias, act, zc, ac,
-            );
-        });
-    };
-    if matches!(parallelism, Parallelism::SpawnThreads(_)) {
-        spawn(z, a);
-        return 0;
-    }
-    match ComputePool::ensure(pool, pool_size(parallelism, cores)) {
-        Some(p) => p.run(
-            JobDesc {
+    if threads > 1 {
+        if let Some(p) = ComputePool::ensure(pool, pool_size(parallelism, cores)) {
+            let rows_per = partition_rows(n_rows, threads);
+            let job = JobDesc {
                 kind: JobKind::Fused { act },
                 steps,
                 n_rows,
                 row_len,
                 rows_per,
-                n_blocks,
-            },
-            packed,
-            rhs,
-            bias,
-            z,
-            Some(a),
-        ),
-        None => {
-            spawn(z, a);
-            0
+                n_blocks: n_rows.div_ceil(rows_per),
+            };
+            return p.run(job, packed, rhs, bias, z, Some(a));
         }
     }
+    fused_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
+    0
 }
 
 // lint:end_no_alloc
@@ -708,22 +628,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_gemm_is_bitwise_identical_to_inline_and_spawn() {
+    fn pooled_gemm_is_bitwise_identical_to_inline() {
         // Shapes straddling the parallelism threshold and the IT/JT
         // tile edges.
         for (m, k, n) in [(64, 32, 32), (65, 33, 47), (128, 66, 128), (40, 40, 41)] {
             let inline = run_gemm_with(Parallelism::Single, m, k, n);
             for t in 1..=8 {
-                let spawned = run_gemm_with(Parallelism::SpawnThreads(t), m, k, n);
                 let pooled = run_gemm_with(Parallelism::Threads(t), m, k, n);
-                assert_eq!(inline, spawned, "spawn {t} threads ({m},{k},{n})");
                 assert_eq!(inline, pooled, "pool {t} threads ({m},{k},{n})");
             }
         }
     }
 
     #[test]
-    fn pooled_fused_forward_is_bitwise_identical_to_inline_and_spawn() {
+    fn pooled_fused_forward_is_bitwise_identical_to_inline() {
         let (m, k, n) = (72, 40, 48);
         let x = mat(m, k, 31);
         let w = mat(k, n, 32);
@@ -748,7 +666,6 @@ mod tests {
         };
         let inline = run(Parallelism::Single);
         for t in [2, 3, 5, 8] {
-            assert_eq!(inline, run(Parallelism::SpawnThreads(t)), "spawn {t}");
             assert_eq!(inline, run(Parallelism::Threads(t)), "pool {t}");
         }
     }
@@ -818,12 +735,6 @@ mod tests {
         // The clamp steers scheduling only — never the bits.
         assert_eq!(one_core, two_cores);
         assert_eq!(one_core, full);
-        // The legacy spawn baseline is never clamped: it reproduces
-        // the pre-pool behaviour bit for bit, workers or not.
-        let mut spawn = Scratch::with_parallelism(Parallelism::SpawnThreads(4));
-        spawn.set_machine_cores(1);
-        assert_eq!(one_core, run_in(&mut spawn));
-        assert_eq!(spawn.pool_workers(), None);
     }
 
     #[test]

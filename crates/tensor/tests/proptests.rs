@@ -243,23 +243,19 @@ proptest! {
     }
 
     #[test]
-    fn pooled_gemm_matches_inline_and_scoped_spawn_bitwise(
+    fn pooled_gemm_matches_inline_bitwise(
         (a, b) in matmul_pair(),
         threads in 1usize..=8,
     ) {
-        // The persistent pool (Threads), the legacy spawn-per-call path
-        // (SpawnThreads) and the inline kernel must agree bit-for-bit
-        // on every shape and thread count — the pool's core contract.
+        // The persistent pool (Threads) and the inline kernel must
+        // agree bit-for-bit on every shape and thread count — the
+        // pool's core contract.
         let (m, k) = a.shape();
         let n = b.cols();
         let mut inline = vec![0.0; m * n];
         let mut scratch = Scratch::new();
         kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut inline, &mut scratch);
-        let mut spawned = vec![1.0; m * n]; // poisoned: every element must be written
-        let mut scratch = Scratch::with_parallelism(Parallelism::SpawnThreads(threads));
-        kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut spawned, &mut scratch);
-        prop_assert_eq!(&spawned, &inline, "spawn path changed bits at {} threads", threads);
-        let mut pooled = vec![1.0; m * n];
+        let mut pooled = vec![1.0; m * n]; // poisoned: every element must be written
         let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
         // Two rounds through the same pool: the second must reuse the
         // warm workers and still reproduce the first exactly.
@@ -274,13 +270,13 @@ proptest! {
     }
 
     #[test]
-    fn pooled_fused_forward_matches_inline_and_scoped_spawn_bitwise(
+    fn pooled_fused_forward_matches_inline_bitwise(
         (x, w, bias) in fused_case(),
         threads in 1usize..=8,
     ) {
-        // The persistent pool, the scoped-spawn path and the inline
-        // kernel must agree bit-for-bit for every epilogue, including
-        // the narrow edge tile (output widths 1–7).
+        // The persistent pool and the inline kernel must agree
+        // bit-for-bit for every epilogue, including the narrow edge
+        // tile (output widths 1–7).
         let (m, k) = x.shape();
         let n = w.cols();
         for act in epilogues() {
@@ -294,8 +290,6 @@ proptest! {
                 (bits(&z), bits(&a))
             };
             let inline = run(Parallelism::Single);
-            let spawned = run(Parallelism::SpawnThreads(threads));
-            prop_assert_eq!(&spawned, &inline, "{:?}: spawn path changed bits at {} threads", act, threads);
             let pooled = run(Parallelism::Threads(threads));
             prop_assert_eq!(&pooled, &inline, "{:?}: pool changed bits at {} threads", act, threads);
         }

@@ -70,7 +70,8 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
                         of the non-blocking connections (default 1)
   --reactors N          gateway reactor threads (default 1)
   --json PATH           write a machine-readable soak summary (wall
-                        time, throughput, RTT percentiles, counters)
+                        time, throughput, RTT percentiles, the
+                        gateway's full report)
   --temporal            serve the stateful GRU sequence model instead
                         of the per-frame MLP (per-sensor hidden state
                         carried server-side)
@@ -706,7 +707,6 @@ fn main() -> ExitCode {
         verify(&outcomes, &target, &report, &mut verdict);
     }
     if let Some(path) = &args.json {
-        let w = &report.wire;
         let summary = obj([
             ("sensors", args.sensors.into()),
             ("records_per_sensor", args.records.into()),
@@ -716,13 +716,7 @@ fn main() -> ExitCode {
             ("wire_batch", args.wire_batch.into()),
             ("wall_s", Value::fixed(wall.as_secs_f64(), 3)),
             ("records_per_s", (records_per_s.round() as u64).into()),
-            ("decoded", w.records_decoded.into()),
-            ("ingested", w.records_ingested.into()),
-            ("rejected", w.records_rejected.into()),
-            ("shed", w.records_shed.into()),
-            ("predictions_sent", w.predictions_sent.into()),
             ("nacks", nacks_total.into()),
-            ("connection_panics", w.connection_panics.into()),
             ("unaccounted", report.unaccounted_records().into()),
             (
                 "rtt_us",
@@ -733,6 +727,7 @@ fn main() -> ExitCode {
                     ("samples", rtts.len().into()),
                 ]),
             ),
+            ("report", report.to_json()),
         ]);
         verdict.write_summary(path, summary);
     }
