@@ -3,8 +3,11 @@
 //! the naive reference they replaced. Shapes follow the paper MLP's
 //! hot layers (`batch 256 × [66, 128, 256, 128, 1]`); the
 //! `serving_forward` group runs the whole paper MLP stack
-//! (`64 → 128 → 256 → 128 → 1`) through `Dense::forward_into` at the
-//! serving shapes, a 32-record batch and a single record.
+//! (`64 → 128 → 256 → 128 → 1`) at the serving shapes, a 32-record
+//! batch and a single record: `paper_mlp_b*` through the `f64`
+//! `Dense::forward_into` (the training forward), `compiled_b*` through
+//! the `f32` artifact every detector score runs through (input cast,
+//! four layers and the sigmoid).
 //!
 //! Every kernel output is asserted finite before timing starts, so
 //! running this target (in bench or `--test` smoke mode) fails loudly
@@ -14,7 +17,7 @@
 //! against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use occusense_core::nn::Mlp;
+use occusense_core::nn::{CompiledWorkspace, Mlp};
 use occusense_core::tensor::kernels::{self, Epilogue, Parallelism, Scratch};
 use occusense_core::tensor::Matrix;
 use std::hint::black_box;
@@ -211,6 +214,20 @@ fn bench_serving_forward(c: &mut Criterion) {
         assert_finite("serving_forward", bufs[bufs.len() - 1].1.as_slice());
         group.bench_function(format!("paper_mlp_b{m}"), |bch| {
             bch.iter(|| black_box(stack_forward(&mlp, black_box(&x), &mut bufs, &mut scratch)))
+        });
+    }
+    let compiled = mlp.compile();
+    for m in [32, 1] {
+        let x = mat(m, 64, 9);
+        let mut ws = CompiledWorkspace::new();
+        let mut proba = Vec::new();
+        compiled.predict_proba_into(&x, &mut ws, &mut proba);
+        assert_finite("serving_forward", &proba);
+        group.bench_function(format!("compiled_b{m}"), |bch| {
+            bch.iter(|| {
+                compiled.predict_proba_into(black_box(&x), &mut ws, &mut proba);
+                black_box(proba[0])
+            })
         });
     }
     group.finish();

@@ -8,9 +8,8 @@ use occusense_dataset::{CsiRecord, Dataset, FeatureView, Standardizer};
 use occusense_nn::loss::BceWithLogits;
 use occusense_nn::optim::AdamW;
 use occusense_nn::train::{TrainConfig, Trainer};
-use occusense_nn::{Mlp, MlpWorkspace};
+use occusense_nn::{CompiledMlp, CompiledWorkspace, Mlp};
 use occusense_stats::metrics::ConfusionMatrix;
-use occusense_tensor::kernels::Parallelism;
 use occusense_tensor::Matrix;
 
 /// Which model family the detector trains (the three columns groups of
@@ -91,7 +90,13 @@ impl Default for DetectorConfig {
 /// The fitted model behind a detector.
 #[derive(Debug, Clone, PartialEq)]
 enum FittedModel {
-    Mlp(Mlp),
+    /// The trained `f64` network (persistence, Grad-CAM, continual
+    /// training) and the `f32` artifact compiled from it, which every
+    /// score runs through.
+    Mlp {
+        net: Mlp,
+        served: CompiledMlp,
+    },
     LogReg(LogisticRegression),
     Forest(RandomForest),
 }
@@ -105,35 +110,26 @@ pub struct OccupancyDetector {
 }
 
 /// Reusable buffers for repeated batch scoring — the serve worker's hot
-/// path. Holds the design matrix and the MLP forward workspace so a
-/// steady stream of batches is scored without heap allocations (assert
-/// via [`ScoreWorkspace::reallocs`]).
+/// path. Holds the design matrix and the compiled forward's `f32`
+/// buffers so a steady stream of batches is scored without heap
+/// allocations (assert via [`ScoreWorkspace::reallocs`]).
 #[derive(Debug, Clone, Default)]
 pub struct ScoreWorkspace {
     x: Matrix,
-    mlp_ws: MlpWorkspace,
+    forward: CompiledWorkspace,
 }
 
 impl ScoreWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty workspace with the given kernel parallelism. The
-    /// parallel kernels are bitwise-identical to single-threaded ones,
-    /// so scores do not depend on this setting.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            mlp_ws: MlpWorkspace::with_parallelism(parallelism),
-            ..Self::default()
-        }
-    }
-
-    /// Number of buffer-growth events since creation; flat across
-    /// batches ⇒ steady-state scoring is allocation-free.
+    /// Number of buffer-growth events since creation (design matrix and
+    /// `f32` forward buffers alike); flat across batches ⇒ steady-state
+    /// scoring is allocation-free.
     pub fn reallocs(&self) -> u64 {
-        self.mlp_ws.reallocs()
+        self.forward.reallocs()
     }
 }
 
@@ -196,7 +192,10 @@ impl OccupancyDetector {
                 });
                 let y = Matrix::col_vector(&labels.iter().map(|&l| l as f64).collect::<Vec<_>>());
                 trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
-                FittedModel::Mlp(mlp)
+                FittedModel::Mlp {
+                    served: mlp.compile(),
+                    net: mlp,
+                }
             }
         };
 
@@ -208,12 +207,16 @@ impl OccupancyDetector {
     }
 
     /// Reassembles an MLP-backed detector from persisted parts (see
-    /// [`crate::persist`]).
+    /// [`crate::persist`]) or from a continual learner's weights,
+    /// compiling the serving artifact once.
     pub fn from_parts(features: FeatureView, standardizer: Standardizer, mlp: Mlp) -> Self {
         Self {
             features,
             standardizer,
-            model: FittedModel::Mlp(mlp),
+            model: FittedModel::Mlp {
+                served: mlp.compile(),
+                net: mlp,
+            },
         }
     }
 
@@ -230,7 +233,7 @@ impl OccupancyDetector {
     /// The trained MLP, if this detector is MLP-backed (used by Grad-CAM).
     pub fn mlp(&self) -> Option<&Mlp> {
         match &self.model {
-            FittedModel::Mlp(m) => Some(m),
+            FittedModel::Mlp { net, .. } => Some(net),
             _ => None,
         }
     }
@@ -260,11 +263,13 @@ impl OccupancyDetector {
     /// into `out` through a caller-owned [`ScoreWorkspace`] — the
     /// allocation-free batch-scoring path the serve workers run on.
     ///
-    /// Probabilities are bitwise identical to
+    /// An MLP scores through its compiled `f32` artifact: the
+    /// standardised `f64` features are cast to `f32` once, before the
+    /// first layer. Probabilities are bitwise identical to
     /// [`predict_proba`](Self::predict_proba) over a dataset of the
     /// same records, and (element for element) to
-    /// [`predict_record`](Self::predict_record) — batching and
-    /// parallelism never change a score.
+    /// [`predict_record`](Self::predict_record) — batching never
+    /// changes a score.
     // lint:no_alloc
     pub fn predict_proba_slice_into(
         &self,
@@ -273,11 +278,13 @@ impl OccupancyDetector {
         out: &mut Vec<f64>,
     ) {
         if self.features.design_matrix_rows_into(records, &mut ws.x) {
-            ws.mlp_ws.scratch_mut().note_grow();
+            ws.forward.note_grow();
         }
         self.standardizer.transform_inplace(&mut ws.x);
         match &self.model {
-            FittedModel::Mlp(m) => m.predict_proba_into(&ws.x, &mut ws.mlp_ws, out),
+            FittedModel::Mlp { served, .. } => {
+                served.predict_proba_into(&ws.x, &mut ws.forward, out)
+            }
             FittedModel::LogReg(m) => {
                 out.clear();
                 // lint:allow(alloc, reason = "baseline model path: LogReg scoring is not the serve hot path and returns a fresh Vec internally anyway")
@@ -455,6 +462,42 @@ mod tests {
         det.predict_proba_slice_into(test.records(), &mut ws, &mut got);
         assert_eq!(got, want);
         assert_eq!(ws.reallocs(), warm, "steady-state scoring grew a buffer");
+        // The count covers the f32 forward buffers: a fresh workspace
+        // warmed on one record must count their growth to a batch (the
+        // design matrix accounts for one event, the f32 input, pack and
+        // layer-output buffers for the rest).
+        let mut ws = ScoreWorkspace::new();
+        det.predict_proba_slice_into(&test.records()[..1], &mut ws, &mut got);
+        let single = ws.reallocs();
+        let mut grown = Vec::with_capacity(64);
+        det.predict_proba_slice_into(&test.records()[..64], &mut ws, &mut grown);
+        assert!(
+            ws.reallocs() > single + 1,
+            "f32 buffer growth went uncounted"
+        );
+    }
+
+    #[test]
+    fn served_scores_stay_close_to_the_f64_network() {
+        // Scores run through the f32 artifact; the f64 training network
+        // it was compiled from must agree to well within any decision
+        // margin on simulated records.
+        let (train, test) = quick_split();
+        let det = OccupancyDetector::train(
+            &train,
+            &DetectorConfig {
+                mlp_epochs: 3,
+                ..DetectorConfig::default()
+            },
+        );
+        let f64_proba = det
+            .mlp()
+            .expect("MLP")
+            .predict_proba(&det.features_of(&test));
+        let served = det.predict_proba(&test);
+        for (i, (s, w)) in served.iter().zip(&f64_proba).enumerate() {
+            assert!((s - w).abs() <= 1e-5, "record {i}: f32 {s} vs f64 {w}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use occusense_dataset::CsiRecord;
 use occusense_nn::loss::BceWithLogits;
 use occusense_nn::optim::AdamW;
 use occusense_nn::train::{TrainConfig, TrainWorkspace, Trainer};
-use occusense_nn::Mlp;
+use occusense_nn::{CompiledMlp, CompiledWorkspace, Mlp};
 use occusense_tensor::Matrix;
 
 /// Configuration of the online learner.
@@ -44,16 +44,19 @@ pub struct OnlineDetector {
     features: occusense_dataset::FeatureView,
     standardizer: occusense_dataset::Standardizer,
     mlp: Mlp,
+    /// The `f32` artifact of `mlp`, recompiled in place after every
+    /// gradient step: predictions run through it, exactly as they do
+    /// on a [`snapshot_detector`](Self::snapshot_detector).
+    served: CompiledMlp,
     optimizer: AdamW,
     trainer: Trainer,
     buffer_x: Vec<f64>,
     buffer_y: Vec<f64>,
-    /// Reused gradient-step and scoring buffers: once warm, a
-    /// prediction or streaming update performs no heap allocations.
-    /// One workspace serves both paths — the MLP buffers are sized by
-    /// the larger (batch) shape, so single-row scoring rides along
-    /// without growing anything.
+    /// Reused gradient-step buffers and the compiled forward's scoring
+    /// buffers: once warm, a prediction or streaming update performs
+    /// no heap allocations.
     ws: TrainWorkspace,
+    serve_ws: CompiledWorkspace,
     xb: Matrix,
     yb: Matrix,
     xrow: Matrix,
@@ -74,6 +77,7 @@ impl OnlineDetector {
         Some(Self {
             features: detector.features(),
             standardizer: detector.standardizer().clone(),
+            served: mlp.compile(),
             mlp,
             optimizer: AdamW::new(config.learning_rate, config.weight_decay),
             trainer: Trainer::new(TrainConfig {
@@ -85,6 +89,7 @@ impl OnlineDetector {
             buffer_x: Vec::new(),
             buffer_y: Vec::new(),
             ws: TrainWorkspace::new(),
+            serve_ws: CompiledWorkspace::new(),
             xb: Matrix::default(),
             yb: Matrix::default(),
             xrow: Matrix::default(),
@@ -104,23 +109,24 @@ impl OnlineDetector {
     /// observations ⇒ the steady-state continual-training loop is
     /// allocation-free.
     pub fn reallocs(&self) -> u64 {
-        self.ws.reallocs()
+        self.ws.reallocs() + self.serve_ws.reallocs()
     }
 
-    /// Predicts the occupancy of one record `(label, confidence)`,
-    /// through the learner's warm workspace — allocation-free in the
-    /// steady state.
+    /// Predicts the occupancy of one record `(label, confidence)`
+    /// through the compiled artifact of the current weights — bitwise
+    /// the score a [`snapshot_detector`](Self::snapshot_detector) taken
+    /// now gives, and allocation-free in the steady state.
     // lint:no_alloc
     pub fn predict_record(&mut self, record: &CsiRecord) -> (u8, f64) {
         let d = self.features.dimension();
         if self.xrow.ensure_shape(1, d) {
-            self.ws.mlp_workspace_mut().scratch_mut().note_grow();
+            self.serve_ws.note_grow();
         }
         self.features.extract_into(record, self.xrow.row_mut(0));
         self.standardizer
             .transform_row_inplace(self.xrow.row_mut(0));
-        self.mlp
-            .predict_proba_into(&self.xrow, self.ws.mlp_workspace_mut(), &mut self.proba);
+        self.served
+            .predict_proba_into(&self.xrow, &mut self.serve_ws, &mut self.proba);
         let p = self.proba[0];
         (u8::from(p > 0.5), p)
     }
@@ -163,6 +169,7 @@ impl OnlineDetector {
                 &mut self.optimizer,
                 &mut self.ws,
             );
+            self.served.recompile(&self.mlp);
             self.updates += 1;
         }
         prediction

@@ -13,7 +13,7 @@
 //! keys re-route to survivors.
 //!
 //! The reader thread is deliberately the *only* writer of the shared
-//! [`WorkerState`], and the state mutex is held only for field
+//! `WorkerState`, and the state mutex is held only for field
 //! updates — never across a pipe read — so a wedged child can stall
 //! its reader thread but never a supervisor querying liveness.
 

@@ -17,6 +17,9 @@
 //! * [`optim`] — SGD (with momentum), Adam, and AdamW with *decoupled*
 //!   weight decay \[23\], the paper's training strategy.
 //! * [`train`] — shuffled mini-batch training loop with loss history.
+//! * [`compiled`] — the `f32` serving artifact [`Mlp::compile`] builds:
+//!   every detector score runs through it, allocation-free and bitwise
+//!   batch-invariant.
 //! * [`workspace`] — reusable forward/backward buffers so the training
 //!   and serving hot paths run allocation-free on the blocked GEMM
 //!   kernels (see `occusense_tensor::kernels`).
@@ -58,6 +61,7 @@
 #![deny(unsafe_code)]
 
 pub mod activation;
+pub mod compiled;
 pub mod gradcam;
 pub mod gru;
 pub mod layer;
@@ -70,6 +74,7 @@ pub mod train;
 pub mod workspace;
 
 pub use activation::Activation;
+pub use compiled::{CompiledMlp, CompiledWorkspace};
 pub use gru::{Gru, GruWorkspace};
 pub use mlp::Mlp;
 pub use workspace::MlpWorkspace;

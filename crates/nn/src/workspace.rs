@@ -16,7 +16,6 @@
 
 use crate::mlp::Mlp;
 use occusense_tensor::kernels::{Parallelism, Scratch};
-use occusense_tensor::vecops::sigmoid;
 use occusense_tensor::Matrix;
 
 /// Caller-owned buffers for repeated MLP forward/backward passes.
@@ -227,21 +226,6 @@ impl Mlp {
             );
         }
     }
-
-    /// Occupancy confidences (sigmoid of the first output column)
-    /// written into `out` — the workspace analogue of
-    /// [`Mlp::predict_proba`], bitwise identical to it and
-    /// allocation-free once buffers have capacity.
-    pub fn predict_proba_into(&self, x: &Matrix, ws: &mut MlpWorkspace, out: &mut Vec<f64>) {
-        self.forward_ws(x, ws);
-        let output = ws.activations.last().expect("forward_ws ran");
-        if out.capacity() < output.rows() {
-            ws.scratch.note_grow();
-        }
-        out.clear();
-        // lint:allow(alloc, reason = "extend into a cleared caller-owned buffer: growth is one-time and counted via note_grow above")
-        out.extend(output.rows_iter().map(|row| sigmoid(row[0])));
-    }
     // lint:end_no_alloc
 }
 
@@ -328,16 +312,6 @@ mod tests {
             mlp.backward_ws(&grad_out, &mut ws);
         }
         assert_eq!(ws.reallocs(), warm, "steady-state pass reallocated");
-    }
-
-    #[test]
-    fn predict_proba_into_matches_predict_proba() {
-        let mlp = Mlp::new(&[3, 8, 1], 11);
-        let x = toy_input(13, 3);
-        let mut ws = MlpWorkspace::new();
-        let mut out = Vec::new();
-        mlp.predict_proba_into(&x, &mut ws, &mut out);
-        assert_eq!(out, mlp.predict_proba(&x));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// A length specification for [`vec`]: either exact or a half-open
+/// A length specification for [`vec()`]: either exact or a half-open
 /// range of lengths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeRange {

@@ -15,7 +15,7 @@
 //!   persistence file.
 //! * Only the combinators the workspace uses exist: range strategies,
 //!   tuples, [`collection::vec`], `prop_map`, `prop_flat_map`,
-//!   [`Just`], and the `proptest!` / `prop_compose!` /
+//!   [`Just`](strategy::Just), and the `proptest!` / `prop_compose!` /
 //!   `prop_assert…!` / `prop_assume!` macros.
 
 #![deny(missing_docs)]

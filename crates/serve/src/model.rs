@@ -1,7 +1,7 @@
 //! Versioned hot model swap.
 //!
-//! The trainer thread keeps learning on its own [`OnlineDetector`]
-//! (`occusense_core::online`) and periodically publishes an immutable
+//! The trainer thread keeps learning on its own
+//! [`OnlineDetector`](occusense_core::online::OnlineDetector) and periodically publishes an immutable
 //! snapshot here; workers re-read the slot between batches, so a
 //! swap never interrupts an in-flight batch and the inference path
 //! never blocks on training. The slot is a single `RwLock<Arc<_>>`

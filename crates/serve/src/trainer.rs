@@ -3,7 +3,7 @@
 //!
 //! Labelled records teed off the inference path land in a bounded
 //! `DropOldest` queue consumed here by an
-//! [`OnlineDetector`](occusense_core::online::OnlineDetector) — the
+//! [`OnlineDetector`] — the
 //! paper's §V-B continual-training argument made operational. Every
 //! `publish_every_updates` gradient steps the current weights are
 //! frozen into a snapshot and published to the workers' model handle;

@@ -159,7 +159,7 @@ impl ScoreBuffers {
             records: Vec::new(),
             probas: Vec::new(),
             predictions: Vec::new(),
-            ws: ScoreWorkspace::with_parallelism(ctx.parallelism),
+            ws: ScoreWorkspace::new(),
             temporal: ctx.states.as_ref().map(|_| TemporalBuffers {
                 ws: TemporalWorkspace::with_parallelism(ctx.parallelism),
                 h: Matrix::zeros(0, 0),

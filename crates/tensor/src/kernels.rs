@@ -1,7 +1,7 @@
 //! High-performance GEMM kernels: register-tiled, fused, and
-//! optionally parallel — the hot-path engine behind [`Matrix`] matmul,
-//! the dense-layer forward/backward passes, and the serving runtime's
-//! batched forwards.
+//! element-generic — the hot-path engine behind [`Matrix`] matmul, the
+//! dense-layer forward/backward passes (`f64`), and the compiled `f32`
+//! serving forward every MLP detector scores through.
 //!
 //! # Design
 //!
@@ -9,22 +9,34 @@
 //!   `IT × JT` tiles whose accumulators live entirely in SIMD
 //!   registers. Each step along the shared dimension broadcasts one
 //!   element of `A` per tile row and performs a rank-1 update against a
-//!   contiguous [`JT`]-wide slice of a `B` row. The inner loop is pure
+//!   contiguous `JT`-wide slice of a `B` row. The inner loop is pure
 //!   broadcast-FMA with **no reduction dependency**, so it
 //!   auto-vectorises to the machine's FMA throughput instead of being
 //!   serialised on a loop-carried accumulator chain.
+//! * **Element-generic tiles.** The packing, tile and row kernels are
+//!   written once over an `Element` (`f64` for training, `f32` for
+//!   the compiled serving artifact), with the tile widths `JT`/`JW` as
+//!   const generics each entry point picks for its type. Both types
+//!   measure best at the same `8 × 8` tile and `JW = 64`: an `f64` tile
+//!   row is two 256-bit vectors, an `f32` one a single vector (eight
+//!   `vfmadd231ps` with an embedded broadcast per step). Wider `f32`
+//!   tiles or taller panels compile to gathers, scatters or stack
+//!   spills and run several times slower — inspect the codegen before
+//!   changing either.
 //! * **Fused multiply-add, fixed order.** The accumulators update via
-//!   [`f64::mul_add`] — the IEEE-754 `fusedMultiplyAdd`, a single
-//!   correctly-rounded operation the optimiser maps to the hardware
-//!   FMA instruction. Rust never contracts separate `a * b + c` into
-//!   FMA on its own, so spelling it out roughly doubles multiply-add
-//!   throughput. Every output element still owns a single accumulator
-//!   filled in ascending order of the shared dimension, so results are
-//!   **exactly reproducible** (bitwise across runs, shapes, batch
-//!   sizes and thread counts); they differ from the naive mul-then-add
-//!   triple loop only by the per-step rounding, which the property
-//!   tests bound to tight tolerance. The naive loop survives as the
-//!   reference oracle.
+//!   `Element::fma` (`f64::mul_add` / `f32::mul_add`) — the IEEE-754
+//!   `fusedMultiplyAdd`, a single correctly-rounded operation the
+//!   optimiser maps to the hardware FMA instruction. Rust never
+//!   contracts separate `a * b + c` into FMA on its own, so spelling it
+//!   out roughly doubles multiply-add throughput. Every output element
+//!   owns a single accumulator, started at zero and filled in
+//!   ascending order of the shared dimension, so results are **exactly
+//!   reproducible** (bitwise across runs, shapes, batch sizes and
+//!   thread counts); they differ from the naive mul-then-add triple
+//!   loop only by the per-step rounding, which the property tests bound
+//!   to tight tolerance. The naive loop survives as the reference
+//!   oracle, and a fixed-order `fma` loop as the bitwise oracle of the
+//!   `f32` path.
 //! * **Unrolled dot kernel.** [`dot_unrolled`] carries sixteen
 //!   positional accumulators (independent SIMD chains) combined
 //!   through a fixed reduction tree. It serves [`gemv`], where the
@@ -34,39 +46,80 @@
 //!   function of its own row of `A` and column of `B`* with a fixed
 //!   summation order. Results are therefore bitwise identical across
 //!   batch sizes, tile shapes, fused/unfused paths, and any thread
-//!   count — the parallel kernels split output rows across the
-//!   threads of the persistent [`pool`] without changing
-//!   any summation order. Parallelism is a pure throughput knob, never
-//!   a numerics knob.
+//!   count — the parallel `f64` kernels split output rows across the
+//!   threads of the persistent [`pool`] without changing any summation
+//!   order. Parallelism is a pure throughput knob, never a numerics
+//!   knob. The `f32` forward ([`gemm_bias_f32`]) always runs on the
+//!   calling thread.
 //! * **Scratch reuse.** All `*_into` entry points write into
 //!   caller-owned buffers and carry their policy/accounting in a
 //!   [`Scratch`], so steady-state callers (the trainer step loop, the
-//!   serve worker's batched forward) perform zero heap allocations.
+//!   temporal serve path) perform zero heap allocations;
+//!   [`gemm_bias_f32`] takes its pack buffer from the caller (the
+//!   compiled forward's workspace, which counts its own growth).
 //!
 //! [`Matrix`]: crate::Matrix
-//! [`Matrix::matmul_naive`]: crate::Matrix::matmul_naive
 
 use crate::pool;
 use crate::vecops::relu;
 
-/// Output columns per register tile. With [`IT`] rows the `8 × 8` tile
-/// keeps 8 accumulator vectors + 1 `B`-row vector + 1 broadcast in
-/// registers on both 256-bit (16 ymm) and 512-bit (32 zmm) files —
-/// measured fastest on this generation of hardware; wider or taller
-/// tiles spill accumulators to the stack and collapse throughput.
-const JT: usize = 8;
-/// Output rows per register tile (see [`JT`]) — also the packed-panel
-/// height, and therefore the alignment of every parallel row-block
-/// boundary (see [`pool`]).
+/// Output rows per register tile — also the packed-panel height, and
+/// therefore the alignment of every parallel row-block boundary (see
+/// [`pool`]). Shared by every element type: it is part of the packed
+/// layout [`pack_panels`] writes.
 pub(crate) const IT: usize = 8;
-/// Column width of the single-row micro-kernel used for the final
-/// `rows mod IT` tail rows and for tiny batches (the `m = 1`
-/// per-record inference path): eight independent vector accumulators
-/// hide FMA latency where a narrow single-row tile would serialise on
-/// its own dependency chain. The `m = 1` path is bound by streaming
-/// the weight matrix from cache, so wider or memory-resident strips
-/// measure no better.
-const JW: usize = 64;
+/// Output columns per `f64` register tile. With [`IT`] rows the `8 × 8`
+/// tile keeps 16 accumulator ymm vectors (8 zmm) in registers on both
+/// 256-bit and 512-bit files — measured fastest on this generation of
+/// hardware; wider or taller tiles spill accumulators to the stack and
+/// collapse throughput.
+const F64_JT: usize = 8;
+/// Column width of the `f64` single-row micro-kernel used for the
+/// final `rows mod IT` tail rows and for tiny batches (the `m = 1`
+/// per-record path): independent vector accumulators hide FMA latency
+/// where a narrow single-row tile would serialise on its own dependency
+/// chain. The `m = 1` path is bound by streaming the weight matrix
+/// from cache, so wider or memory-resident strips measure no better.
+const F64_JW: usize = 64;
+/// Output columns per `f32` register tile: one 256-bit vector per tile
+/// row, eight accumulators. A 16-wide tile (and a 16-row panel) was
+/// vectorised across rows with gathers and spills and ran 3–10× slower.
+const F32_JT: usize = 8;
+/// Column width of the `f32` single-row micro-kernel (see [`F64_JW`]):
+/// eight 256-bit accumulators per strip.
+const F32_JW: usize = 64;
+
+/// A floating-point element the tiled kernels are generic over: `f64`
+/// (training, Grad-CAM, the GRU) and `f32` (the compiled serving
+/// forward).
+///
+/// Only the operations the kernels need: a zero to start every
+/// accumulator from, the fused multiply-add that fills it, and the
+/// addition that applies a bias after the accumulation.
+pub(crate) trait Element: Copy + std::ops::Add<Output = Self> {
+    /// The additive identity every accumulator starts from.
+    const ZERO: Self;
+    /// `self · b + acc` with a single rounding (IEEE-754
+    /// `fusedMultiplyAdd`).
+    fn fma(self, b: Self, acc: Self) -> Self;
+}
+
+impl Element for f64 {
+    const ZERO: Self = 0.0;
+    #[inline(always)]
+    fn fma(self, b: Self, acc: Self) -> Self {
+        self.mul_add(b, acc)
+    }
+}
+
+impl Element for f32 {
+    const ZERO: Self = 0.0;
+    #[inline(always)]
+    fn fma(self, b: Self, acc: Self) -> Self {
+        self.mul_add(b, acc)
+    }
+}
+
 /// Minimum `m · k · n` product before a call is split across threads;
 /// below this the dispatch cost dominates. Correctness never depends
 /// on this value.
@@ -107,7 +160,7 @@ impl Parallelism {
 /// Reusable workspace for the packed kernels.
 ///
 /// Owns the pack buffer (and the parallelism policy) so that repeated
-/// kernel calls — a training step loop, a serve worker's batch loop —
+/// kernel calls — a training step loop, a GRU serving step —
 /// allocate nothing once the buffer has grown to the largest shape in
 /// play. [`Scratch::reallocs`] counts the growth events, which is what
 /// the zero-allocation steady-state tests assert on.
@@ -329,7 +382,14 @@ pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
 /// row-major `A`, `(1, ca)` its columns (the implicit transpose of
 /// [`gemm_tn`]). Packing is pure data movement: it never touches the
 /// per-element accumulation order.
-fn pack_panels(rows: usize, steps: usize, lhs: &[f64], lrs: usize, lss: usize, packed: &mut [f64]) {
+fn pack_panels<T: Element>(
+    rows: usize,
+    steps: usize,
+    lhs: &[T],
+    lrs: usize,
+    lss: usize,
+    packed: &mut [T],
+) {
     debug_assert_eq!(packed.len(), rows * steps);
     let full = rows - rows % IT;
     for p0 in (0..full).step_by(IT) {
@@ -357,58 +417,62 @@ fn pack_panels(rows: usize, steps: usize, lhs: &[f64], lrs: usize, lss: usize, p
 /// inner loops, and returning the tile by value keeps the accumulators
 /// in registers.
 #[inline]
-fn micro_panel(steps: usize, panel: &[f64], rhs: &[f64], rss: usize, j0: usize) -> [[f64; JT]; IT] {
-    let mut acc = [[0.0f64; JT]; IT];
+fn micro_panel<T: Element, const JT: usize>(
+    steps: usize,
+    panel: &[T],
+    rhs: &[T],
+    rss: usize,
+    j0: usize,
+) -> [[T; JT]; IT] {
+    let mut acc = [[T::ZERO; JT]; IT];
     for s in 0..steps {
-        let rv: &[f64; JT] = rhs[s * rss + j0..s * rss + j0 + JT]
+        let rv: &[T; JT] = rhs[s * rss + j0..s * rss + j0 + JT]
             .try_into()
             // lint:allow(panic, reason = "infallible: the slice is exactly JT long by construction; try_into is a free fixed-width reborrow")
             .expect("micro_panel: tile");
-        let avs: &[f64; IT] = panel[s * IT..s * IT + IT]
+        let avs: &[T; IT] = panel[s * IT..s * IT + IT]
             .try_into()
             // lint:allow(panic, reason = "infallible: the slice is exactly IT long by construction; try_into is a free fixed-width reborrow")
             .expect("micro_panel: panel");
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = avs[r];
             for l in 0..JT {
-                acc_row[l] = av.mul_add(rv[l], acc_row[l]);
+                acc_row[l] = av.fma(rv[l], acc_row[l]);
             }
         }
     }
     acc
 }
 
-/// Edge variant of [`micro_panel`] for a tile narrower than [`JT`]
+/// Edge variant of [`micro_panel`] for a tile narrower than `JT`
 /// (`jw` columns, e.g. the width-1 output head). The accumulators are
 /// held transposed — one [`IT`]-wide column per output lane — so each
-/// step is `jw` full-width FMAs across the panel's rows instead of `IT`
-/// narrow ones; the tile is transposed back on return. The per-element
-/// accumulation order is identical to [`micro_panel`] (single
-/// accumulator, ascending `s`), so edge tiles keep the bitwise
-/// contract.
+/// step is one full-width FMA across the panel's rows instead of `IT`
+/// narrow ones; the tile is transposed back on return. Columns are
+/// walked one at a time over all steps: with the step loop innermost
+/// the column vectorises across rows for every element type (column
+/// innermost made LLVM vectorise `f32` across columns with gathers and
+/// scatters). The per-element accumulation order is identical to
+/// [`micro_panel`] (single accumulator, ascending `s`), so edge tiles
+/// keep the bitwise contract.
 #[inline]
-fn micro_panel_edge(
-    steps: usize,
-    panel: &[f64],
-    rhs: &[f64],
+fn micro_panel_edge<T: Element, const JT: usize>(
+    panel: &[T],
+    rhs: &[T],
     rss: usize,
     j0: usize,
     jw: usize,
-) -> [[f64; JT]; IT] {
-    let mut cols = [[0.0f64; IT]; JT];
-    for s in 0..steps {
-        let rv = &rhs[s * rss + j0..s * rss + j0 + jw];
-        let avs: &[f64; IT] = panel[s * IT..s * IT + IT]
-            .try_into()
-            // lint:allow(panic, reason = "infallible: the slice is exactly IT long by construction; try_into is a free fixed-width reborrow")
-            .expect("micro_panel_edge: panel");
-        for (col, &x) in cols.iter_mut().zip(rv) {
+) -> [[T; JT]; IT] {
+    let mut cols = [[T::ZERO; IT]; JT];
+    for (l, col) in cols.iter_mut().enumerate().take(jw) {
+        for (avs, brow) in panel.chunks_exact(IT).zip(rhs.chunks_exact(rss)) {
+            let x = brow[j0 + l];
             for r in 0..IT {
-                col[r] = avs[r].mul_add(x, col[r]);
+                col[r] = avs[r].fma(x, col[r]);
             }
         }
     }
-    let mut acc = [[0.0f64; JT]; IT];
+    let mut acc = [[T::ZERO; JT]; IT];
     for (l, col) in cols.iter().enumerate() {
         for (acc_row, &v) in acc.iter_mut().zip(col) {
             acc_row[l] = v;
@@ -418,32 +482,38 @@ fn micro_panel_edge(
 }
 
 /// `1 × JW` single-row micro-kernel for tail rows and tiny batches:
-/// eight independent vector accumulators across [`JW`] columns hide
-/// the FMA latency that a single narrow tile would serialise on. Same
+/// independent vector accumulators across `JW` columns hide the FMA
+/// latency that a single narrow tile would serialise on. Same
 /// per-element order as [`micro_panel`]: single accumulator, ascending
 /// `s`.
 #[inline]
-fn micro_row(arow: &[f64], rhs: &[f64], rss: usize, j0: usize) -> [f64; JW] {
-    let mut acc = [0.0f64; JW];
+fn micro_row<T: Element, const JW: usize>(arow: &[T], rhs: &[T], rss: usize, j0: usize) -> [T; JW] {
+    let mut acc = [T::ZERO; JW];
     for (&av, brow) in arow.iter().zip(rhs.chunks_exact(rss)) {
         // lint:allow(panic, reason = "infallible: the slice is exactly JW long by construction; try_into is a free fixed-width reborrow")
-        let rv: &[f64; JW] = brow[j0..j0 + JW].try_into().expect("micro_row: tile");
+        let rv: &[T; JW] = brow[j0..j0 + JW].try_into().expect("micro_row: tile");
         for l in 0..JW {
-            acc[l] = av.mul_add(rv[l], acc[l]);
+            acc[l] = av.fma(rv[l], acc[l]);
         }
     }
     acc
 }
 
-/// Edge variant of [`micro_row`] for fewer than [`JW`] remaining
+/// Edge variant of [`micro_row`] for fewer than `JW` remaining
 /// columns; identical per-element accumulation order.
 #[inline]
-fn micro_row_edge(arow: &[f64], rhs: &[f64], rss: usize, j0: usize, jw: usize) -> [f64; JW] {
-    let mut acc = [0.0f64; JW];
+fn micro_row_edge<T: Element, const JW: usize>(
+    arow: &[T],
+    rhs: &[T],
+    rss: usize,
+    j0: usize,
+    jw: usize,
+) -> [T; JW] {
+    let mut acc = [T::ZERO; JW];
     for (&av, brow) in arow.iter().zip(rhs.chunks_exact(rss)) {
         let rv = &brow[j0..j0 + jw];
         for (lane, &x) in acc.iter_mut().zip(rv) {
-            *lane = av.mul_add(x, *lane);
+            *lane = av.fma(x, *lane);
         }
     }
     acc
@@ -457,12 +527,12 @@ fn micro_row_edge(arow: &[f64], rhs: &[f64], rss: usize, j0: usize, jw: usize) -
 /// `store(row, j0, values)`. `rhs` is the full right operand
 /// (`steps × rss` row-major); `packed` holds exactly `rows · steps`
 /// elements.
-fn rank1_tiles<F: FnMut(usize, usize, &[f64])>(
+fn rank1_tiles<T: Element, const JT: usize, const JW: usize, F: FnMut(usize, usize, &[T])>(
     steps: usize,
     rows: usize,
     cols: usize,
-    packed: &[f64],
-    rhs: &[f64],
+    packed: &[T],
+    rhs: &[T],
     rss: usize,
     mut store: F,
 ) {
@@ -475,9 +545,9 @@ fn rank1_tiles<F: FnMut(usize, usize, &[f64])>(
         while j0 < cols {
             let jw = JT.min(cols - j0);
             let acc = if jw == JT {
-                micro_panel(steps, panel, rhs, rss, j0)
+                micro_panel::<T, JT>(steps, panel, rhs, rss, j0)
             } else {
-                micro_panel_edge(steps, panel, rhs, rss, j0, jw)
+                micro_panel_edge::<T, JT>(panel, rhs, rss, j0, jw)
             };
             for (r, row_acc) in acc.iter().enumerate() {
                 store(p0 + r, j0, &row_acc[..jw]);
@@ -491,9 +561,9 @@ fn rank1_tiles<F: FnMut(usize, usize, &[f64])>(
         while j0 < cols {
             let jw = JW.min(cols - j0);
             let acc = if jw == JW {
-                micro_row(arow, rhs, rss, j0)
+                micro_row::<T, JW>(arow, rhs, rss, j0)
             } else {
-                micro_row_edge(arow, rhs, rss, j0, jw)
+                micro_row_edge::<T, JW>(arow, rhs, rss, j0, jw)
             };
             store(i, j0, &acc[..jw]);
             j0 += jw;
@@ -519,17 +589,50 @@ pub(crate) fn gemm_rows(
     chunk: &mut [f64],
 ) {
     let panel = &packed[first_row * steps..(first_row + rows) * steps];
-    rank1_tiles(steps, rows, row_len, panel, rhs, row_len, |r, j0, vals| {
-        chunk[r * row_len + j0..r * row_len + j0 + vals.len()].copy_from_slice(vals);
+    rank1_tiles::<f64, F64_JT, F64_JW, _>(
+        steps,
+        rows,
+        row_len,
+        panel,
+        rhs,
+        row_len,
+        |r, j0, vals| {
+            chunk[r * row_len + j0..r * row_len + j0 + vals.len()].copy_from_slice(vals);
+        },
+    );
+}
+
+/// Fused-forward sibling of [`gemm_rows`], generic over the element:
+/// the same row block of the matmul term plus the bias broadcast,
+/// stored to `zc` tile by tile. The bias is added once, after the full
+/// accumulation; the caller applies the activation to the finished
+/// block (one [`Epilogue`] match per block for `f64`, none per
+/// element).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_rows<T: Element, const JT: usize, const JW: usize>(
+    steps: usize,
+    row_len: usize,
+    first_row: usize,
+    rows: usize,
+    packed: &[T],
+    rhs: &[T],
+    bias: &[T],
+    zc: &mut [T],
+) {
+    let panel = &packed[first_row * steps..(first_row + rows) * steps];
+    rank1_tiles::<T, JT, JW, _>(steps, rows, row_len, panel, rhs, row_len, |r, j0, vals| {
+        let zrow = &mut zc[r * row_len + j0..r * row_len + j0 + vals.len()];
+        for ((zv, &v), &b) in zrow.iter_mut().zip(vals).zip(&bias[j0..]) {
+            *zv = v + b;
+        }
     });
 }
 
-/// Fused-forward sibling of [`gemm_rows`]: the same row block of the
-/// matmul term plus the bias broadcast, stored to `zc` tile by tile,
-/// then the activation applied to the finished block into `ac` — one
-/// [`Epilogue`] match per block, none per element.
+/// The `f64` fused row block with its activation: [`fused_rows`] at
+/// the `f64` tile widths into `zc`, then `act` over the finished block
+/// into `ac`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_rows(
+pub(crate) fn fused_act_rows(
     steps: usize,
     row_len: usize,
     first_row: usize,
@@ -541,13 +644,7 @@ pub(crate) fn fused_rows(
     zc: &mut [f64],
     ac: &mut [f64],
 ) {
-    let panel = &packed[first_row * steps..(first_row + rows) * steps];
-    rank1_tiles(steps, rows, row_len, panel, rhs, row_len, |r, j0, vals| {
-        let zrow = &mut zc[r * row_len + j0..r * row_len + j0 + vals.len()];
-        for ((zv, &v), &b) in zrow.iter_mut().zip(vals).zip(&bias[j0..]) {
-            *zv = v + b;
-        }
-    });
+    fused_rows::<f64, F64_JT, F64_JW>(steps, row_len, first_row, rows, packed, rhs, bias, zc);
     act.apply(&zc[..rows * row_len], &mut ac[..rows * row_len]);
 }
 
@@ -807,6 +904,50 @@ pub fn gemm_bias_act(
         z,
         act_out,
     );
+}
+
+/// The compiled serving forward's dense layer in `f32`: `out = x · W +
+/// bias` (bias broadcast over rows). `x` is `m × k`, `w` is `k × n`,
+/// `bias` has length `n`, `out` is `m × n` (fully overwritten), and
+/// `packed` is the caller's pack buffer of exactly `m · k` elements.
+/// The caller applies the activation to `out`.
+///
+/// The same tile walk as [`gemm_bias_act`], instantiated at `f32` and
+/// its tile widths, and always on the calling thread. Each output
+/// element is `fma`-accumulated from zero in ascending `k`, then the
+/// bias is added once — so every element depends only on its own row
+/// of `x`, and results are bitwise identical for every batch size.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_bias_f32(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    packed: &mut [f32],
+) {
+    assert_eq!(x.len(), m * k, "gemm_bias_f32: input length");
+    assert_eq!(w.len(), k * n, "gemm_bias_f32: weight length");
+    assert_eq!(bias.len(), n, "gemm_bias_f32: bias length");
+    assert_eq!(out.len(), m * n, "gemm_bias_f32: out length");
+    assert_eq!(packed.len(), m * k, "gemm_bias_f32: pack length");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        for row in out.chunks_exact_mut(n) {
+            row.copy_from_slice(bias);
+        }
+        return;
+    }
+    pack_panels(m, k, x, k, 1, packed);
+    fused_rows::<f32, F32_JT, F32_JW>(k, n, 0, m, packed, w, bias, out);
 }
 
 /// Matrix–vector product through the unrolled dot kernel: `out[i] =

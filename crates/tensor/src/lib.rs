@@ -16,10 +16,12 @@
 //!   Xavier/Glorot and Kaiming/He), used for reproducible network weights.
 //! * [`vecops`] — slice-level numeric helpers (dot products, norms, means,
 //!   variances) shared by the statistics crate.
-//! * [`kernels`] — cache-blocked, packed, optionally std-thread-parallel
-//!   GEMM kernels with a reusable [`kernels::Scratch`] workspace; the
-//!   engine behind [`Matrix::matmul`] and the zero-allocation `*_into`
-//!   entry points used by the training and serving hot paths.
+//! * [`kernels`] — packed, register-tiled GEMM kernels written once
+//!   over `f64` and `f32`, with a reusable [`kernels::Scratch`]
+//!   workspace and optional std-thread parallelism for `f64`; the
+//!   engine behind [`Matrix::matmul`], the zero-allocation `*_into`
+//!   entry points of the training hot path, and the `f32` serving
+//!   forward ([`kernels::gemm_bias_f32`]).
 //!
 //! # Example
 //!

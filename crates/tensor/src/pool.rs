@@ -17,7 +17,7 @@
 //!   created on the first parallel dispatch and sized to
 //!   `Parallelism::Threads(n) ⇒ min(n, cores) − 1` workers (the caller
 //!   is the last thread). The clamp to the probed machine core count
-//!   ([`machine_cores`]) is what a persistent pool buys over
+//!   (`machine_cores`) is what a persistent pool buys over
 //!   spawn-per-call: it never oversubscribes, because spinning workers
 //!   on a smaller machine would time-slice against the caller. On a
 //!   single core the pooled policy degrades to the inline kernel.
@@ -32,7 +32,7 @@
 //!   staging back into its output. The copies are pure `f64` moves —
 //!   `memcpy` preserves every bit — and cost `O(kn + mn)` against the
 //!   `O(mkn / threads)` compute the dispatch threshold guarantees.
-//! * **Wakeup protocol.** The caller publishes a [`JobDesc`] under the
+//! * **Wakeup protocol.** The caller publishes a `JobDesc` under the
 //!   control mutex, bumps the job epoch (mirrored in an atomic), and
 //!   notifies. Workers spin briefly on the atomic epoch, then park on
 //!   the condvar; on wakeup each computes row block `index + 1`
@@ -41,7 +41,7 @@
 //!   takes the control mutex (so the caller is either not yet waiting
 //!   or already parked — no lost wakeups) and signals completion.
 //! * **Determinism.** Row blocks are `n_rows.div_ceil(threads)` rounded
-//!   up to the packing panel height [`IT`], aligned to the panel
+//!   up to the packing panel height `IT`, aligned to the panel
 //!   boundaries of `pack_panels` so every block starts on a whole
 //!   packed panel. Each block runs the same `rank1_tiles` walk on
 //!   bit-identical inputs, so pooled and inline outputs are **bitwise
@@ -50,10 +50,8 @@
 //! * **Never a liveness dependency.** A pool the OS refuses threads
 //!   for is not built, and the dispatch runs the inline kernel — the
 //!   same branch, and the same bits, as `threads ≤ 1`.
-//!
-//! [`IT`]: crate::kernels — the register-tile height (8 rows).
 
-use crate::kernels::{fused_rows, gemm_rows, Epilogue, Parallelism, IT};
+use crate::kernels::{fused_act_rows, gemm_rows, Epilogue, Parallelism, IT};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread;
@@ -391,7 +389,7 @@ fn compute_block(
             if let Some(a) = a.as_deref_mut() {
                 let zc = &mut z[..rows * job.row_len];
                 let ac = &mut a[..rows * job.row_len];
-                fused_rows(
+                fused_act_rows(
                     job.steps,
                     job.row_len,
                     first_row,
@@ -579,7 +577,7 @@ pub(crate) fn run_fused(
             return p.run(job, packed, rhs, bias, z, Some(a));
         }
     }
-    fused_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
+    fused_act_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
     0
 }
 

@@ -387,3 +387,41 @@ proptest! {
         prop_assert_eq!(row.matmul(&b).as_slice(), full.row(a.rows() / 2));
     }
 }
+
+/// Strategy: an `f32` dense-layer case `(m, k, n, x, w, bias)` whose
+/// shapes span every tile path — `m mod 8 ≠ 0` tail rows, widths below
+/// the 8-column tile (the width-1 output head among them), widths past
+/// the 64-column row strip, and `k = 0`.
+#[allow(clippy::type_complexity)]
+fn f32_case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+    (0usize..=40, 0usize..=20, 1usize..=7, 0usize..=70, 0u8..2).prop_flat_map(
+        |(m, k, narrow, wide, pick)| {
+            let n = if pick == 0 { narrow } else { wide };
+            let v = |len| prop::collection::vec((-100.0f64..100.0).prop_map(|v| v as f32), len);
+            (v(m * k), v(k * n), v(n)).prop_map(move |(x, w, bias)| (m, k, n, x, w, bias))
+        },
+    )
+}
+
+proptest! {
+    #[test]
+    fn f32_forward_matches_fixed_order_fma_oracle_bitwise(
+        (m, k, n, x, w, bias) in f32_case()
+    ) {
+        // The compiled serving forward's contract: every element is an
+        // fma chain from zero in ascending k, plus the bias once.
+        let mut out = vec![f32::NAN; m * n];
+        let mut packed = vec![0.0f32; m * k];
+        kernels::gemm_bias_f32(m, k, n, &x, &w, &bias, &mut out, &mut packed);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for s in 0..k {
+                    acc = x[i * k + s].mul_add(w[s * n + j], acc);
+                }
+                let want = acc + bias[j];
+                prop_assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "({}, {})", i, j);
+            }
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! The frame envelope: magic, version, length prefix and checksum
-//! around every [`codec`](crate::codec) payload.
+//! around every [`codec`] payload.
 //!
 //! Layout of the 20-byte header (all little-endian):
 //!

@@ -34,7 +34,7 @@
 //! # Accounting
 //!
 //! The gateway increments the [`wire_stats`] counters on the runtime's
-//! own [`MetricsRegistry`](occusense_serve::MetricsRegistry);
+//! own [`MetricsRegistry`];
 //! [`ServeRuntime::shutdown`] mirrors them into
 //! [`ServeReport::wire`](occusense_serve::ServeReport) and
 //! `FaultReport::{transport_rejections, transport_timeouts,

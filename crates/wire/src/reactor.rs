@@ -20,7 +20,7 @@
 //!   straight off `poll_read`, frames are *peeked* (header + checksum
 //!   verified in place), payloads are decoded **borrowed from the
 //!   buffer** — `Batch` frames go through
-//!   [`BatchView`](crate::codec::BatchView), so records flow into
+//!   [`BatchView`], so records flow into
 //!   [`SensorClient::try_submit_sequenced`] without the per-frame `Vec`
 //!   the blocking path used to build — and only then is the frame
 //!   consumed.
