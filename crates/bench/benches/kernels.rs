@@ -7,7 +7,9 @@
 //! batch and a single record: `paper_mlp_b*` through the `f64`
 //! `Dense::forward_into` (the training forward), `compiled_b*` through
 //! the `f32` artifact every detector score runs through (input cast,
-//! four layers and the sigmoid).
+//! four layers and the sigmoid). `compiled_b27` is a batch that ends
+//! in a partial 8-row panel, its 3 remainder rows run one by one
+//! through the single-row kernel.
 //!
 //! Every kernel output is asserted finite before timing starts, so
 //! running this target (in bench or `--test` smoke mode) fails loudly
@@ -217,7 +219,7 @@ fn bench_serving_forward(c: &mut Criterion) {
         });
     }
     let compiled = mlp.compile();
-    for m in [32, 1] {
+    for m in [32, 27, 1] {
         let x = mat(m, 64, 9);
         let mut ws = CompiledWorkspace::new();
         let mut proba = Vec::new();

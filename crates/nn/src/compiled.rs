@@ -271,7 +271,9 @@ mod tests {
         let single: Vec<f64> = (0..33)
             .map(|i| score(&net, &x.select_rows(&[i]), &mut ws)[0])
             .collect();
-        for m in [1, 7, 8, 9, 31, 32, 33] {
+        // Every remainder of the 8-row panel (those rows run one by one
+        // through the single-row kernel), and bulk-sized batches.
+        for m in (1..=17).chain([27, 31, 32, 33]) {
             let rows: Vec<usize> = (0..m).collect();
             let got = score(&net, &x.select_rows(&rows), &mut ws);
             for (i, (g, s)) in got.iter().zip(&single).enumerate() {

@@ -16,13 +16,16 @@
 //! * **Element-generic tiles.** The packing, tile and row kernels are
 //!   written once over an `Element` (`f64` for training, `f32` for
 //!   the compiled serving artifact), with the tile widths `JT`/`JW` as
-//!   const generics each entry point picks for its type. Both types
-//!   measure best at the same `8 × 8` tile and `JW = 64`: an `f64` tile
-//!   row is two 256-bit vectors, an `f32` one a single vector (eight
-//!   `vfmadd231ps` with an embedded broadcast per step). Wider `f32`
-//!   tiles or taller panels compile to gathers, scatters or stack
-//!   spills and run several times slower — inspect the codegen before
-//!   changing either.
+//!   const generics each entry point picks for its type. Every tile
+//!   row is two 256-bit vectors: `8 × 8` for `f64`, `8 × 16` for
+//!   `f32`, both 16 ymm accumulators, with `JW = 64`. The eight tile
+//!   rows are eight named accumulators, never an array walked by a
+//!   loop: a row loop lets LLVM vectorise across the tile's rows with
+//!   gathers and scatters, which made the first `8 × 16` `f32` tile
+//!   run 3–10× slower than `8 × 8`. Inspect the codegen (`objdump -d`
+//!   on the release rlib) before changing a tile shape; CI fails if
+//!   any kernels function, the `f32` forward among them, contains a
+//!   gather or scatter.
 //! * **Fused multiply-add, fixed order.** The accumulators update via
 //!   `Element::fma` (`f64::mul_add` / `f32::mul_add`) — the IEEE-754
 //!   `fusedMultiplyAdd`, a single correctly-rounded operation the
@@ -81,10 +84,14 @@ const F64_JT: usize = 8;
 /// chain. The `m = 1` path is bound by streaming the weight matrix
 /// from cache, so wider or memory-resident strips measure no better.
 const F64_JW: usize = 64;
-/// Output columns per `f32` register tile: one 256-bit vector per tile
-/// row, eight accumulators. A 16-wide tile (and a 16-row panel) was
-/// vectorised across rows with gathers and spills and ran 3–10× slower.
-const F32_JT: usize = 8;
+/// Output columns per `f32` register tile: two 256-bit vectors per tile
+/// row, so the `8 × 16` tile holds 16 ymm accumulators, and each step
+/// is 2 vector loads of `B`, 8 broadcasts of `A` and 16
+/// `vfmadd231ps`. The same width once ran 3–10× slower: with the tile
+/// rows walked by a loop, LLVM vectorised across rows with gathers and
+/// scatters, which [`micro_panel`]'s named row accumulators rule out
+/// (CI rejects any `vgather`/`vscatter` in the kernels).
+const F32_JT: usize = 16;
 /// Column width of the `f32` single-row micro-kernel (see [`F64_JW`]):
 /// eight 256-bit accumulators per strip.
 const F32_JW: usize = 64;
@@ -408,6 +415,16 @@ fn pack_panels<T: Element>(
     }
 }
 
+/// One tile row's rank-1 update: `acc[l] = fma(a, rv[l], acc[l])`
+/// across a fixed `JT`-wide row — one or two vector FMAs with `a`
+/// broadcast.
+#[inline(always)]
+fn row<T: Element, const JT: usize>(acc: &mut [T; JT], a: T, rv: &[T; JT]) {
+    for (c, &b) in acc.iter_mut().zip(rv) {
+        *c = a.fma(b, *c);
+    }
+}
+
 /// `IT × JT` register-tile micro-kernel: `acc[r][l] =
 /// fma(panel(s, r), rhs[s·rss + j0 + l], acc[r][l])` over all `steps`,
 /// with `panel` step-major as laid out by [`pack_panels`]. Every output
@@ -416,6 +433,10 @@ fn pack_panels<T: Element>(
 /// `try_into` reborrows give the optimiser check-free, fixed-width
 /// inner loops, and returning the tile by value keeps the accumulators
 /// in registers.
+///
+/// The eight tile rows are eight named accumulators, each updated by
+/// [`row`], never an array walked by a loop, which LLVM vectorises
+/// across rows with gathers and scatters (see [`F32_JT`]).
 #[inline]
 fn micro_panel<T: Element, const JT: usize>(
     steps: usize,
@@ -424,7 +445,7 @@ fn micro_panel<T: Element, const JT: usize>(
     rss: usize,
     j0: usize,
 ) -> [[T; JT]; IT] {
-    let mut acc = [[T::ZERO; JT]; IT];
+    let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] = [[T::ZERO; JT]; IT];
     for s in 0..steps {
         let rv: &[T; JT] = rhs[s * rss + j0..s * rss + j0 + JT]
             .try_into()
@@ -434,14 +455,17 @@ fn micro_panel<T: Element, const JT: usize>(
             .try_into()
             // lint:allow(panic, reason = "infallible: the slice is exactly IT long by construction; try_into is a free fixed-width reborrow")
             .expect("micro_panel: panel");
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = avs[r];
-            for l in 0..JT {
-                acc_row[l] = av.fma(rv[l], acc_row[l]);
-            }
-        }
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = *avs;
+        row(&mut a0, x0, rv);
+        row(&mut a1, x1, rv);
+        row(&mut a2, x2, rv);
+        row(&mut a3, x3, rv);
+        row(&mut a4, x4, rv);
+        row(&mut a5, x5, rv);
+        row(&mut a6, x6, rv);
+        row(&mut a7, x7, rv);
     }
-    acc
+    [a0, a1, a2, a3, a4, a5, a6, a7]
 }
 
 /// Edge variant of [`micro_panel`] for a tile narrower than `JT`
@@ -913,7 +937,7 @@ pub fn gemm_bias_act(
 /// The caller applies the activation to `out`.
 ///
 /// The same tile walk as [`gemm_bias_act`], instantiated at `f32` and
-/// its tile widths, and always on the calling thread. Each output
+/// its `8 × 16` tile, and always on the calling thread. Each output
 /// element is `fma`-accumulated from zero in ascending `k`, then the
 /// bias is added once — so every element depends only on its own row
 /// of `x`, and results are bitwise identical for every batch size.

@@ -389,18 +389,29 @@ proptest! {
 }
 
 /// Strategy: an `f32` dense-layer case `(m, k, n, x, w, bias)` whose
-/// shapes span every tile path — `m mod 8 ≠ 0` tail rows, widths below
-/// the 8-column tile (the width-1 output head among them), widths past
-/// the 64-column row strip, and `k = 0`.
+/// shapes span every tile path: `m = 8q + r` with every tail remainder
+/// `r` (the rows past the last 8-row panel, run through the single-row
+/// kernel) and `m = 0`, widths below the 16-column tile (`n = 0` and
+/// the width-1 output head among them), whole tiles, widths past 16
+/// that end in a partial tile (past the 64-column row strip too), and
+/// `k = 0`.
 #[allow(clippy::type_complexity)]
 fn f32_case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
-    (0usize..=40, 0usize..=20, 1usize..=7, 0usize..=70, 0u8..2).prop_flat_map(
-        |(m, k, narrow, wide, pick)| {
-            let n = if pick == 0 { narrow } else { wide };
+    (
+        (0usize..=5, 0usize..8),
+        0usize..=20,
+        (0usize..=15, 1usize..=5, 0u8..3),
+    )
+        .prop_flat_map(|((q, r), k, (narrow, tiles, pick))| {
+            let m = 8 * q + r;
+            let n = match pick {
+                0 => narrow,
+                1 => 16 * tiles,
+                _ => 16 * tiles + narrow,
+            };
             let v = |len| prop::collection::vec((-100.0f64..100.0).prop_map(|v| v as f32), len);
             (v(m * k), v(k * n), v(n)).prop_map(move |(x, w, bias)| (m, k, n, x, w, bias))
-        },
-    )
+        })
 }
 
 proptest! {
@@ -410,8 +421,10 @@ proptest! {
     ) {
         // The compiled serving forward's contract: every element is an
         // fma chain from zero in ascending k, plus the bias once.
+        // A NaN-filled pack buffer: any element the kernel reads
+        // without having packed it turns its row NaN.
         let mut out = vec![f32::NAN; m * n];
-        let mut packed = vec![0.0f32; m * k];
+        let mut packed = vec![f32::NAN; m * k];
         kernels::gemm_bias_f32(m, k, n, &x, &w, &bias, &mut out, &mut packed);
         for i in 0..m {
             for j in 0..n {
