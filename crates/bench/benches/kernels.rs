@@ -20,7 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use occusense_core::nn::{CompiledWorkspace, Mlp};
-use occusense_core::tensor::kernels::{self, Epilogue, Parallelism, Scratch};
+use occusense_core::tensor::kernels::{self, Epilogue, Scratch};
 use occusense_core::tensor::Matrix;
 use std::hint::black_box;
 
@@ -67,21 +67,6 @@ fn bench_gemm(c: &mut Criterion) {
                     black_box(b.as_slice()),
                     &mut out,
                     &mut scratch,
-                );
-                black_box(out[0])
-            })
-        });
-        let mut par = Scratch::with_parallelism(Parallelism::Threads(2));
-        group.bench_function(format!("threads2_{m}x{k}x{n}"), |bch| {
-            bch.iter(|| {
-                kernels::gemm(
-                    m,
-                    k,
-                    n,
-                    black_box(a.as_slice()),
-                    black_box(b.as_slice()),
-                    &mut out,
-                    &mut par,
                 );
                 black_box(out[0])
             })

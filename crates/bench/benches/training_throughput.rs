@@ -30,7 +30,6 @@ fn bench_optimisers(c: &mut Criterion) {
         epochs: 1,
         batch_size: 256,
         shuffle_seed: 0,
-        ..TrainConfig::default()
     });
     let mut run = |name: &str, make: &dyn Fn() -> Box<dyn Optimizer>| {
         group.bench_function(name, |b| {

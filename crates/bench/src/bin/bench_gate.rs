@@ -10,17 +10,11 @@
 //! every suite CI measured — train, wire, temporal — under a single
 //! tolerance. Exits non-zero when any fresh number is non-finite (NaN
 //! gate), a baseline benchmark is missing from its run, or a median
-//! regressed past the tolerance (default 0.20). Also reports the
-//! pooled-vs-single GRU-epoch speedup when both benches are present —
-//! the headline number of the persistent compute pool.
+//! regressed past the tolerance (default 0.20).
 
-use occusense_bench::gate::{compare, parse_results, speedup, BenchResult};
+use occusense_bench::gate::{compare, parse_results, BenchResult};
 use occusense_driver::{CliError, Parser, Usage, Verdict};
 use std::process::ExitCode;
-
-/// The pool's headline pair in `BENCH_train.json`.
-const POOLED: &str = "train/gru_epoch_pooled_t4";
-const SINGLE: &str = "train/gru_epoch_single";
 
 fn load(path: &str) -> Result<Vec<BenchResult>, String> {
     let doc = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -54,9 +48,6 @@ fn gate_pair(
             "{:<45} {:>14.0} {:>14} {:>8}",
             b.name, b.ns_per_iter, cur, ratio
         );
-    }
-    if let Some(s) = speedup(&current, POOLED, SINGLE) {
-        println!("pooled vs single GRU-epoch throughput: {s:.2}x");
     }
     Ok(compare(&baseline, &current, tolerance)
         .into_iter()

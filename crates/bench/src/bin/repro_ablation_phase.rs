@@ -78,7 +78,6 @@ fn evaluate(
         epochs,
         batch_size: 256,
         shuffle_seed: seed,
-        ..TrainConfig::default()
     })
     .fit(&mut mlp, &x_train, &y, &BceWithLogits, &mut optim);
     accuracy(&y_test, &mlp.predict_labels(&x_test))

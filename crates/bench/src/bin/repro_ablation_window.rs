@@ -37,7 +37,6 @@ fn run(
         epochs: cli.epochs,
         batch_size: 256,
         shuffle_seed: cli.seed,
-        ..TrainConfig::default()
     })
     .fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
 

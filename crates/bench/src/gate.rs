@@ -21,7 +21,7 @@ use occusense_driver::json::{self, Value};
 /// One benchmark measurement from a `BENCH_*.json` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Benchmark name, e.g. `train/gru_epoch_pooled_t4`.
+    /// Benchmark name, e.g. `train/gru_epoch_single`.
     pub name: String,
     /// Median nanoseconds per iteration.
     pub ns_per_iter: f64,
@@ -113,15 +113,6 @@ pub fn compare(baseline: &[BenchResult], current: &[BenchResult], tolerance: f64
     failures
 }
 
-/// Throughput ratio `slow/fast` between two named benchmarks (how many
-/// times more iterations per second `fast` sustains), when both exist
-/// with usable medians.
-pub fn speedup(results: &[BenchResult], fast: &str, slow: &str) -> Option<f64> {
-    let f = find(results, fast)?.ns_per_iter;
-    let s = find(results, slow)?.ns_per_iter;
-    (f.is_finite() && f > 0.0 && s.is_finite()).then_some(s / f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,12 +147,12 @@ mod tests {
     #[test]
     fn parses_the_shim_format_round_trip() {
         let parsed = parse_results(&doc(&[
-            ("train/gru_epoch_pooled_t4", "123", "456"),
+            ("train/gru_epoch_single", "123", "456"),
             ("train/adamw_fused_step_65536", "7", "8"),
         ]))
         .unwrap();
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].name, "train/gru_epoch_pooled_t4");
+        assert_eq!(parsed[0].name, "train/gru_epoch_single");
         assert_eq!(parsed[0].ns_per_iter, 123.0);
         assert_eq!(parsed[1].p99_ns_per_iter, 8.0);
     }
@@ -195,12 +186,5 @@ mod tests {
         let failures = compare(&results(&[("gone", 10.0)]), &results(&[("new", 10.0)]), 0.2);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("missing"), "{failures:?}");
-    }
-
-    #[test]
-    fn speedup_is_slow_over_fast() {
-        let r = results(&[("fast", 100.0), ("slow", 450.0)]);
-        assert_eq!(speedup(&r, "fast", "slow"), Some(4.5));
-        assert_eq!(speedup(&r, "fast", "absent"), None);
     }
 }

@@ -92,7 +92,6 @@ impl ActivityRecognizer {
             epochs: config.epochs,
             batch_size: config.batch_size,
             shuffle_seed: config.seed,
-            ..TrainConfig::default()
         })
         .fit(&mut mlp, &x, &y, &SoftmaxCrossEntropy, &mut optim);
 

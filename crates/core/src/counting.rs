@@ -106,7 +106,6 @@ impl OccupancyCounter {
             epochs: config.epochs,
             batch_size: config.batch_size,
             shuffle_seed: config.seed,
-            ..TrainConfig::default()
         })
         .fit(&mut mlp, &x, &y, &SoftmaxCrossEntropy, &mut optim);
 

@@ -188,7 +188,6 @@ impl OccupancyDetector {
                     epochs: config.mlp_epochs,
                     batch_size: config.mlp_batch_size,
                     shuffle_seed: config.seed,
-                    ..TrainConfig::default()
                 });
                 let y = Matrix::col_vector(&labels.iter().map(|&l| l as f64).collect::<Vec<_>>());
                 trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);

@@ -84,7 +84,6 @@ impl OnlineDetector {
                 epochs: 1,
                 batch_size: config.batch_size,
                 shuffle_seed: 0,
-                ..TrainConfig::default()
             }),
             buffer_x: Vec::new(),
             buffer_y: Vec::new(),

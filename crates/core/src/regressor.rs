@@ -152,7 +152,6 @@ impl EnvRegressor {
                     epochs: config.epochs,
                     batch_size: config.batch_size,
                     shuffle_seed: config.seed,
-                    ..TrainConfig::default()
                 })
                 .fit(&mut mlp, &x, &y_std, &Mse, &mut optim);
                 FittedRegressor::Network {

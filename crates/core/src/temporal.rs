@@ -12,9 +12,8 @@
 //!
 //! Determinism contracts (inherited from the GEMM kernels, see
 //! `occusense_tensor::kernels`): scores are bitwise identical across
-//! thread counts, across batch compositions (a sensor scored inside any
-//! batch equals the same sensor scored alone) and across chunk splits
-//! of a sequence.
+//! batch compositions (a sensor scored inside any batch equals the same
+//! sensor scored alone) and across chunk splits of a sequence.
 
 use crate::counting::{CountingScores, OccupancyCounter, N_COUNT_CLASSES};
 use occusense_dataset::{CsiRecord, Dataset, FeatureView, Standardizer};
@@ -22,7 +21,6 @@ use occusense_nn::loss::{Loss, SoftmaxCrossEntropy};
 use occusense_nn::optim::{AdamW, Optimizer};
 use occusense_nn::{Gru, GruWorkspace, Mlp, MlpWorkspace};
 use occusense_stats::metrics::MultiConfusion;
-use occusense_tensor::kernels::Parallelism;
 use occusense_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,19 +85,9 @@ pub struct TemporalWorkspace {
 }
 
 impl TemporalWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with the given kernel parallelism; scores do
-    /// not depend on this setting (bitwise).
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            gru_ws: GruWorkspace::with_parallelism(parallelism),
-            head_ws: MlpWorkspace::with_parallelism(parallelism),
-            ..Self::default()
-        }
     }
 
     /// Number of buffer-growth events since creation; flat across
@@ -128,19 +116,9 @@ pub struct TemporalTrainWorkspace {
 }
 
 impl TemporalTrainWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with the given kernel parallelism; the
-    /// trained weights do not depend on this setting (bitwise).
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            gru_ws: GruWorkspace::with_parallelism(parallelism),
-            head_ws: MlpWorkspace::with_parallelism(parallelism),
-            ..Self::default()
-        }
     }
 
     /// Number of buffer-growth events since creation; flat across
@@ -612,28 +590,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn thread_count_is_bitwise_invisible() {
-        let (train, test) = split();
-        let cfg = TemporalConfig {
-            epochs: 1,
-            ..small_config()
-        };
-        let det = TemporalDetector::train(&train, &cfg);
-        let run = |par: Parallelism| {
-            let mut h = det.zero_state(8);
-            let mut ws = TemporalWorkspace::with_parallelism(par);
-            let mut probas = Vec::new();
-            let mut all = Vec::new();
-            for chunk in test.records().chunks_exact(8).take(10) {
-                det.step_batch_into(chunk, &mut h, &mut ws, &mut probas);
-                all.extend(probas.iter().map(|p| p.to_bits()));
-            }
-            all
-        };
-        assert_eq!(run(Parallelism::Single), run(Parallelism::Threads(4)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Unlike the per-file rules in [`crate::rules`], this pass reads the
 //! whole [`crate::config::CONCURRENCY_SCOPE`] file set as one program:
-//! lock identity is by declared field name (`ctrl`, `inputs`,
+//! lock identity is by declared field name (`state`, `incoming`,
 //! `registry`, …), so a function in `gateway.rs` and one in
 //! `reactor.rs` acquiring the same locks in opposite orders form a
 //! cycle no single file shows. The pass is two-phase:
@@ -14,7 +14,7 @@
 //!    set, plus *guard-returning function summaries* — a function whose
 //!    return type names `MutexGuard`/`RwLock*Guard` and whose body
 //!    acquires a known lock is itself an acquisition site at every
-//!    call (`lock_ctrl()` → `ctrl`, `lock_registry()` → `registry`).
+//!    call (`lock_registry()` → `registry`).
 //! 2. **Scan**: a linear walk per file over the scope tree
 //!    ([`crate::model::ScopeTree`]) tracking live guards. A guard
 //!    bound by `let` lives until its scope closes or it is `drop`ped;

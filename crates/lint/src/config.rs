@@ -41,16 +41,13 @@ impl Scope {
 /// Panic-freedom scope: the serve library hot path, the wire
 /// codec/transport/gateway (a malformed network frame must become a
 /// typed error or a NACK, never an abort), and the tensor
-/// micro-kernels plus their persistent compute pool (a worker that
-/// panics mid-job would deadlock every caller parked on the pool's
-/// condvars). Driver binaries are excluded — a CLI may abort on
+/// micro-kernels. Driver binaries are excluded — a CLI may abort on
 /// misuse. `#[cfg(test)]` modules are always exempt.
 pub const PANIC_SCOPE: Scope = Scope::new(
     &[
         "crates/serve/src/",
         "crates/wire/src/",
         "crates/tensor/src/kernels.rs",
-        "crates/tensor/src/pool.rs",
     ],
     &["crates/serve/src/bin/", "crates/wire/src/bin/"],
 );
@@ -83,26 +80,25 @@ pub const DETERMINISM_SCOPE: Scope = Scope::new(
     &["crates/core/src/bin/"],
 );
 
-/// Raw-threading ban: files whose parallelism must route through the
-/// persistent compute pool (`crates/tensor/src/pool.rs`). A stray
-/// `thread::spawn`/`thread::scope` in the kernels would silently
-/// bypass the pool — per-call spawn/join overhead creeping back in is
-/// exactly the regression the pool PR removed, so the ban is
-/// structural (no `lint:allow` escape hatch). The pool module itself
-/// is excluded: it is the one place allowed to create worker threads.
-pub const SPAWN_SCOPE: Scope = Scope::new(&["crates/tensor/src/kernels.rs"], &[]);
+/// Raw-threading ban: the whole tensor crate. The tensor kernels are
+/// single-threaded — splitting one GEMM across threads lost to running
+/// it inline at this model's shapes — and parallelism belongs to the
+/// caller, over independent units (folds, seeds, tables) that share
+/// no state. A `thread::spawn`/`thread::scope` in the tensor sources
+/// would bring intra-op threading back, so the ban is structural (no
+/// `lint:allow` escape hatch).
+pub const SPAWN_SCOPE: Scope = Scope::new(&["crates/tensor/src/"], &[]);
 
 /// Concurrency-model scope: the files the cross-file pass (lock-order
 /// graph, condvar predicate discipline, atomic-ordering audit of
-/// DESIGN.md §13) reads as one program. Exactly the three hand-rolled
-/// concurrency subsystems — the condvar/epoch compute pool, the
-/// readiness reactor gateway, and the supervised serve pipeline — by
+/// DESIGN.md §13) reads as one program. Exactly the two hand-rolled
+/// concurrency subsystems — the readiness reactor gateway and the
+/// supervised serve pipeline — by
 /// explicit file list: lock identity is by field *name*, so widening
 /// this to unrelated modules would merge unrelated names into one
 /// graph.
 pub const CONCURRENCY_SCOPE: Scope = Scope::new(
     &[
-        "crates/tensor/src/pool.rs",
         "crates/wire/src/reactor.rs",
         "crates/wire/src/gateway.rs",
         "crates/serve/src/queue.rs",
@@ -188,11 +184,6 @@ mod tests {
         assert!(INDEX_SCOPE.contains("crates/wire/src/reactor.rs"));
         assert!(PANIC_SCOPE.contains("crates/wire/src/gateway.rs"));
         assert!(PANIC_SCOPE.contains("crates/tensor/src/kernels.rs"));
-        // The compute pool: a panicking worker would strand every
-        // caller parked on the pool condvars, so panic- and index-
-        // freedom extend to it.
-        assert!(PANIC_SCOPE.contains("crates/tensor/src/pool.rs"));
-        assert!(INDEX_SCOPE.contains("crates/tensor/src/pool.rs"));
         assert!(!PANIC_SCOPE.contains("crates/serve/src/bin/serve_sim.rs"));
         assert!(!PANIC_SCOPE.contains("crates/wire/src/bin/wire_storm.rs"));
         assert!(!PANIC_SCOPE.contains("crates/serve/srcx/worker.rs"));
@@ -201,18 +192,17 @@ mod tests {
 
     #[test]
     fn spawn_scope_bans_raw_threading_in_the_kernels_only() {
+        // Every tensor source is single-threaded; callers above it
+        // (the nn trainer's prefetcher, the serve workers) may thread.
         assert!(SPAWN_SCOPE.contains("crates/tensor/src/kernels.rs"));
-        // The pool is the one module allowed to create threads; the
-        // rest of the tensor crate never needed them.
-        assert!(!SPAWN_SCOPE.contains("crates/tensor/src/pool.rs"));
-        assert!(!SPAWN_SCOPE.contains("crates/tensor/src/matrix.rs"));
+        assert!(SPAWN_SCOPE.contains("crates/tensor/src/matrix.rs"));
+        assert!(!SPAWN_SCOPE.contains("crates/tensor/tests/proptests.rs"));
         assert!(!SPAWN_SCOPE.contains("crates/nn/src/train.rs"));
     }
 
     #[test]
     fn concurrency_scope_is_the_exact_file_list() {
         for file in [
-            "crates/tensor/src/pool.rs",
             "crates/wire/src/reactor.rs",
             "crates/wire/src/gateway.rs",
             "crates/serve/src/queue.rs",
@@ -236,7 +226,7 @@ mod tests {
         assert!(SWALLOW_SCOPE.contains("crates/wire/src/gateway.rs"));
         assert!(!SWALLOW_SCOPE.contains("crates/serve/src/bin/serve_sim.rs"));
         assert!(!SWALLOW_SCOPE.contains("crates/wire/src/bin/wire_storm.rs"));
-        assert!(!SWALLOW_SCOPE.contains("crates/tensor/src/pool.rs"));
+        assert!(!SWALLOW_SCOPE.contains("crates/tensor/src/kernels.rs"));
     }
 
     #[test]

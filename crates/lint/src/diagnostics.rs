@@ -23,8 +23,9 @@ pub enum Rule {
     /// A manifest dependency edge that points up (or sideways) in the
     /// crate layering.
     Layering,
-    /// Raw `thread::spawn`/`thread::scope` in a file whose threading
-    /// must route through the persistent compute pool.
+    /// Raw `thread::spawn`/`thread::scope` in the tensor kernels, which
+    /// are single-threaded: independent units are parallelised by the
+    /// caller.
     Spawn,
     /// A cycle in the cross-file lock-order graph: two functions that
     /// acquire the same named locks in opposite orders.

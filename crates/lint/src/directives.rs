@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn overlapping_different_rule_regions_stay_legal() {
-        // The pool overlaps an allow-region(index) with a no_alloc
+        // kernels.rs overlaps an allow-region(index) with a no_alloc
         // region — different kinds, no nesting error.
         let d = directives(
             "// lint:allow-region(index, reason = \"tiled\")\n\

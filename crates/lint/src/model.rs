@@ -212,7 +212,7 @@ fn find_kw_back(code: &[&Token], open: usize, kind: ScopeKind) -> usize {
 
 /// The concurrency symbol table of a file set: every named lock,
 /// condvar and atomic the audited subsystems declare. Identity is by
-/// *field name* — `ctrl` in the pool and `ctrl` in a fixture are the
+/// *field name* — `state` in the queue and `state` in a fixture are the
 /// same node — which is what makes the graph cross-file without type
 /// resolution. The scope config keeps unrelated modules out, so the
 /// name space stays honest.

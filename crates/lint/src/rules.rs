@@ -271,8 +271,7 @@ fn scan_determinism(rel: &str, code: &[&Token], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Thread-creation calls banned where parallelism must route through
-/// the persistent compute pool.
+/// Thread-creation calls banned in the single-threaded tensor kernels.
 const SPAWN_CALLS: &[&str] = &["spawn", "scope", "Builder"];
 
 fn scan_spawn(rel: &str, code: &[&Token], diags: &mut Vec<Diagnostic>) {
@@ -295,8 +294,8 @@ fn scan_spawn(rel: &str, code: &[&Token], diags: &mut Vec<Diagnostic>) {
                 what.col,
                 Rule::Spawn,
                 format!(
-                    "raw `thread::{}` bypasses the persistent compute pool; route row-block \
-                     work through `pool::run_gemm`/`pool::run_fused`",
+                    "raw `thread::{}` in the tensor kernels, which are single-threaded; \
+                     parallelise independent units (folds, seeds, tables) in the caller",
                     what.text
                 ),
             ));

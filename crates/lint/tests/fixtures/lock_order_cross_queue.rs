@@ -1,6 +1,6 @@
 //! Cross-file lock-order fixture, queue half: `refill` takes this
-//! file's `state` and then the pool file's `ctrl` — the opposite
-//! order from `drain` in the pool half.
+//! file's `state` and then the reactor file's `ctrl` — the opposite
+//! order from `drain` in the reactor half.
 
 use std::sync::Mutex;
 
@@ -8,7 +8,7 @@ pub struct QueueShared {
     state: Mutex<Inner>,
 }
 
-pub fn refill(q: &QueueShared, s: &PoolShared) {
+pub fn refill(q: &QueueShared, s: &ReactorShared) {
     let mut state = q.state.lock().unwrap();
     let ctrl = s.ctrl.lock().unwrap();
     state.pending = *ctrl as usize;

@@ -1,12 +1,12 @@
 //! Fixture twin: kernel-style code with no raw thread creation — the
-//! pool is reached through its run helpers — plus the decoys the
+//! row walk runs on the calling thread — plus the decoys the
 //! tokenizer must see through: `thread::spawn` inside strings and
 //! comments, and idents that merely *contain* the banned names.
 
-pub fn pooled_dispatch(rows: usize, threads: usize) -> usize {
-    // The real kernels hand row blocks to pool::run_gemm; modelling
-    // that shape here: a plain function call, no thread::spawn in
-    // sight (and this comment must not count as one).
+pub fn row_blocks(rows: usize, threads: usize) -> usize {
+    // The real kernels walk every row block inline; modelling that
+    // shape here: plain arithmetic, no thread::spawn in sight (and
+    // this comment must not count as one).
     let per = rows.div_ceil(threads.max(1));
     per * threads
 }

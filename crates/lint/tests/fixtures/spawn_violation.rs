@@ -1,6 +1,5 @@
 //! Fixture: every raw thread-creation path the `spawn` rule must
-//! catch inside the kernels — the exact calls the compute pool PR
-//! removed from the GEMM dispatch.
+//! catch inside the single-threaded tensor kernels.
 
 use std::thread;
 

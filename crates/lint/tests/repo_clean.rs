@@ -37,10 +37,10 @@ fn the_real_lock_graph_is_populated_and_acyclic() {
         .and_then(Path::parent)
         .expect("lint crate lives two levels under the workspace root");
     let report = occusense_lint::run(root).expect("walk the workspace");
-    // The declared locks of the three concurrency subsystems all show
+    // The declared locks of the two concurrency subsystems all show
     // up as nodes — the graph covers the scope even when (as today)
     // no path holds two named locks at once.
-    for lock in ["ctrl", "inputs", "state", "registry", "incoming"] {
+    for lock in ["state", "entries", "panics", "registry", "incoming"] {
         assert!(
             report.lock_graph.nodes.iter().any(|n| n == lock),
             "lock `{lock}` missing from graph nodes: {:?}",

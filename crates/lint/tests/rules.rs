@@ -20,7 +20,7 @@ const NUMERIC_PATH: &str = "crates/nn/src/fixture.rs";
 const NO_SCOPE_PATH: &str = "crates/lint/src/fixture.rs";
 const STATE_TABLE_PATH: &str = "crates/serve/src/state.rs";
 const KERNELS_PATH: &str = "crates/tensor/src/kernels.rs";
-const POOL_PATH: &str = "crates/tensor/src/pool.rs";
+const REACTOR_PATH: &str = "crates/wire/src/reactor.rs";
 const QUEUE_PATH: &str = "crates/serve/src/queue.rs";
 
 fn count(diags: &[Diagnostic], rule: Rule) -> usize {
@@ -184,7 +184,7 @@ fn spawn_rule_fires_on_every_raw_threading_site() {
         diags
             .iter()
             .filter(|d| d.rule == Rule::Spawn)
-            .all(|d| d.message.contains("compute pool")),
+            .all(|d| d.message.contains("which are single-threaded")),
         "{diags:?}"
     );
 }
@@ -193,16 +193,6 @@ fn spawn_rule_fires_on_every_raw_threading_site() {
 fn spawn_rule_is_silent_on_the_clean_twin() {
     let diags = analyze_source(KERNELS_PATH, include_str!("fixtures/spawn_clean.rs"));
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn spawn_rule_does_not_reach_the_pool_itself() {
-    // pool.rs is the one module allowed to create worker threads; the
-    // same sources under its path raise no spawn diagnostics (the pool
-    // is still under the panic/index scopes, which these fixtures do
-    // not trip).
-    let diags = analyze_source(POOL_PATH, include_str!("fixtures/spawn_violation.rs"));
-    assert_eq!(count(&diags, Rule::Spawn), 0, "{diags:?}");
 }
 
 #[test]
@@ -315,7 +305,7 @@ fn layering_rule_is_silent_on_the_wire_crates_real_edges() {
 
 #[test]
 fn lock_order_fires_on_the_two_function_inversion() {
-    let (diags, graph) = conc(&[(POOL_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
+    let (diags, graph) = conc(&[(QUEUE_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
     assert_eq!(count(&diags, Rule::LockOrder), 1, "{diags:?}");
     let msg = &diags[0].message;
     // Both witness paths are in the one diagnostic: the forward leg
@@ -328,7 +318,7 @@ fn lock_order_fires_on_the_two_function_inversion() {
 
 #[test]
 fn lock_order_is_silent_on_the_clean_twin() {
-    let (diags, graph) = conc(&[(POOL_PATH, include_str!("fixtures/lock_order_clean.rs"))]);
+    let (diags, graph) = conc(&[(QUEUE_PATH, include_str!("fixtures/lock_order_clean.rs"))]);
     assert!(diags.is_empty(), "{diags:?}");
     // The acyclic order is still recorded: one `ctrl -> inputs` edge
     // (the block-scoped and dropped guards contribute none).
@@ -343,18 +333,18 @@ fn lock_order_is_silent_on_the_clean_twin() {
 
 #[test]
 fn lock_order_fires_across_files() {
-    let pool = include_str!("fixtures/lock_order_cross_pool.rs");
+    let reactor = include_str!("fixtures/lock_order_cross_reactor.rs");
     let queue = include_str!("fixtures/lock_order_cross_queue.rs");
     // Each half alone is clean...
-    let (alone, _) = conc(&[(POOL_PATH, pool)]);
+    let (alone, _) = conc(&[(REACTOR_PATH, reactor)]);
     assert!(alone.is_empty(), "{alone:?}");
     let (alone, _) = conc(&[(QUEUE_PATH, queue)]);
     assert!(alone.is_empty(), "{alone:?}");
     // ...together they invert, and the diagnostic names both files.
-    let (diags, graph) = conc(&[(POOL_PATH, pool), (QUEUE_PATH, queue)]);
+    let (diags, graph) = conc(&[(REACTOR_PATH, reactor), (QUEUE_PATH, queue)]);
     assert_eq!(count(&diags, Rule::LockOrder), 1, "{diags:?}");
     let msg = &diags[0].message;
-    assert!(msg.contains("pool.rs"), "{msg}");
+    assert!(msg.contains("reactor.rs"), "{msg}");
     assert!(msg.contains("queue.rs"), "{msg}");
     assert_eq!(graph.cycles().len(), 1);
 }
@@ -373,7 +363,7 @@ fn lock_order_respects_scope() {
 
 #[test]
 fn lock_graph_dot_export_marks_the_cycle() {
-    let (_, graph) = conc(&[(POOL_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
+    let (_, graph) = conc(&[(QUEUE_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
     let dot = graph.to_dot();
     assert!(dot.starts_with("digraph lock_order {"), "{dot}");
     assert!(dot.contains("\"ctrl\" -> \"inputs\""), "{dot}");
@@ -403,7 +393,7 @@ fn condvar_is_silent_on_the_clean_twin() {
 
 #[test]
 fn atomics_fires_on_mixed_orderings_and_gated_waits() {
-    let (diags, _) = conc(&[(POOL_PATH, include_str!("fixtures/atomics_violation.rs"))]);
+    let (diags, _) = conc(&[(QUEUE_PATH, include_str!("fixtures/atomics_violation.rs"))]);
     assert_eq!(count(&diags, Rule::Atomics), 3, "{diags:?}");
     assert!(
         diags
@@ -423,7 +413,7 @@ fn atomics_fires_on_mixed_orderings_and_gated_waits() {
 
 #[test]
 fn atomics_is_silent_on_consistent_or_waived_sites() {
-    let (diags, _) = conc(&[(POOL_PATH, include_str!("fixtures/atomics_clean.rs"))]);
+    let (diags, _) = conc(&[(QUEUE_PATH, include_str!("fixtures/atomics_clean.rs"))]);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -444,9 +434,9 @@ fn swallow_is_silent_on_handled_bound_or_waived_results() {
 
 #[test]
 fn swallow_respects_scope() {
-    // The tensor pool joins its own workers with its own accounting;
-    // the swallow rule is a serve/wire hot-path contract.
-    let diags = analyze_source(POOL_PATH, include_str!("fixtures/swallow_violation.rs"));
+    // The swallow rule is a serve/wire hot-path contract; the tensor
+    // kernels are outside it.
+    let diags = analyze_source(KERNELS_PATH, include_str!("fixtures/swallow_violation.rs"));
     assert_eq!(count(&diags, Rule::Swallow), 0, "{diags:?}");
 }
 
@@ -460,7 +450,7 @@ fn concurrency_family_sets_exit_bit_32() {
         include_str!("fixtures/swallow_violation.rs"),
     ));
     assert_eq!(report.exit_code(), 32);
-    let (diags, _) = conc(&[(POOL_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
+    let (diags, _) = conc(&[(QUEUE_PATH, include_str!("fixtures/lock_order_violation.rs"))]);
     report.diagnostics.extend(diags);
     assert_eq!(report.exit_code(), 32);
 }

@@ -168,7 +168,6 @@ mod tests {
             epochs: 120,
             batch_size: 32,
             shuffle_seed: 4,
-            ..TrainConfig::default()
         })
         .fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
         (mlp, x)

@@ -26,7 +26,7 @@
 //! loop performs no heap allocations once warm — asserted via
 //! [`GruWorkspace::reallocs`] exactly like the MLP path.
 
-use occusense_tensor::kernels::{self, Parallelism, Scratch};
+use occusense_tensor::kernels::{self, Scratch};
 use occusense_tensor::vecops::sigmoid;
 use occusense_tensor::{init, Matrix};
 use rand::Rng;
@@ -589,22 +589,9 @@ pub struct GruWorkspace {
 }
 
 impl GruWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with the given kernel parallelism.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            scratch: Scratch::with_parallelism(parallelism),
-            ..Self::default()
-        }
-    }
-
-    /// Replaces the kernel parallelism policy.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.scratch.set_parallelism(parallelism);
     }
 
     /// Number of buffer-growth events since creation. Flat across
@@ -880,29 +867,6 @@ mod tests {
             let mut h_solo = Matrix::default();
             gru.step(&xr, &hr, &mut h_solo, &mut ws);
             assert_eq!(h_solo.row(0), h_batch.row(row), "row {row}");
-        }
-    }
-
-    #[test]
-    fn thread_count_is_bitwise_invisible() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let gru = Gru::new(16, 24, &mut rng);
-        let xs = toy_seq(6, 32, 16);
-        let h0 = Matrix::zeros(32, 24);
-        let run = |par: Parallelism| {
-            let mut ws = GruWorkspace::with_parallelism(par);
-            gru.forward_seq(&xs, &h0, &mut ws);
-            gru.backward_seq(&xs, &Matrix::ones(32, 24), &mut ws);
-            (
-                ws.h_last().clone(),
-                ws.grad_w_z().clone(),
-                ws.grad_u_n().clone(),
-                ws.grad_b_r().to_vec(),
-            )
-        };
-        let single = run(Parallelism::Single);
-        for t in [2, 4] {
-            assert_eq!(single, run(Parallelism::Threads(t)), "{t} threads");
         }
     }
 

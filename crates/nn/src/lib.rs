@@ -50,7 +50,6 @@
 //!     epochs: 400,
 //!     batch_size: 4,
 //!     shuffle_seed: 1,
-//!     ..TrainConfig::default()
 //! });
 //! trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
 //! let preds = mlp.predict_labels(&x);

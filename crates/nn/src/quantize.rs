@@ -138,7 +138,6 @@ mod tests {
             epochs: 400,
             batch_size: 4,
             shuffle_seed: 1,
-            ..TrainConfig::default()
         })
         .fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
         let labels = mlp.predict_labels(&x);

@@ -4,7 +4,6 @@ use crate::loss::Loss;
 use crate::mlp::Mlp;
 use crate::optim::Optimizer;
 use crate::workspace::MlpWorkspace;
-use occusense_tensor::kernels::Parallelism;
 use occusense_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,10 +22,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Seed for the per-epoch shuffles.
     pub shuffle_seed: u64,
-    /// Kernel parallelism for the forward/backward GEMMs. The parallel
-    /// kernel is bitwise-identical to the single-threaded one, so any
-    /// setting trains the exact same model bit for bit.
-    pub parallelism: Parallelism,
 }
 
 impl Default for TrainConfig {
@@ -35,7 +30,6 @@ impl Default for TrainConfig {
             epochs: 10,
             batch_size: 256,
             shuffle_seed: 0,
-            parallelism: Parallelism::Single,
         }
     }
 }
@@ -58,17 +52,9 @@ pub struct TrainWorkspace {
 }
 
 impl TrainWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with the given kernel parallelism.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            mlp: MlpWorkspace::with_parallelism(parallelism),
-            ..Self::default()
-        }
     }
 
     /// Number of buffer-growth events since creation; flat across steps
@@ -128,7 +114,7 @@ impl Trainer {
         loss: &dyn Loss,
         optimizer: &mut dyn Optimizer,
     ) -> Vec<EpochStats> {
-        let mut ws = TrainWorkspace::with_parallelism(self.config.parallelism);
+        let mut ws = TrainWorkspace::new();
         self.fit_with(mlp, x, y, loss, optimizer, &mut ws)
     }
 
@@ -286,7 +272,7 @@ impl Trainer {
         loss: &dyn Loss,
         optimizer: &mut dyn Optimizer,
     ) -> f64 {
-        let mut ws = TrainWorkspace::with_parallelism(self.config.parallelism);
+        let mut ws = TrainWorkspace::new();
         self.train_batch_with(mlp, xb, yb, loss, optimizer, &mut ws)
     }
 
@@ -349,7 +335,6 @@ mod tests {
             epochs: 400,
             batch_size: 4,
             shuffle_seed: 1,
-            ..TrainConfig::default()
         });
         let history = trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
         assert_eq!(mlp.predict_labels(&x), vec![0, 1, 1, 0]);
@@ -369,7 +354,6 @@ mod tests {
             epochs: 300,
             batch_size: 16,
             shuffle_seed: 2,
-            ..TrainConfig::default()
         });
         trainer.fit(&mut mlp, &x, &y, &Mse, &mut optim);
         let out = mlp.predict(&x);
@@ -395,7 +379,6 @@ mod tests {
             epochs: 300,
             batch_size: 8,
             shuffle_seed: 3,
-            ..TrainConfig::default()
         });
         trainer.fit(&mut mlp, &x, &y, &Mse, &mut optim);
         let out = mlp.predict(&x);
@@ -412,7 +395,6 @@ mod tests {
                 epochs: 20,
                 batch_size: 2,
                 shuffle_seed: seed,
-                ..TrainConfig::default()
             });
             trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
             mlp
@@ -430,43 +412,12 @@ mod tests {
             epochs: 7,
             batch_size: 2,
             shuffle_seed: 1,
-            ..TrainConfig::default()
         });
         let history = trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
         assert_eq!(history.len(), 7);
         for (i, h) in history.iter().enumerate() {
             assert_eq!(h.epoch, i);
             assert!(h.mean_loss.is_finite());
-        }
-    }
-
-    #[test]
-    fn threaded_training_reproduces_single_threaded_bitwise() {
-        // The parallel GEMM only splits output rows across threads —
-        // every element keeps its summation order, so the whole
-        // training trajectory must be reproduced bit for bit.
-        let x = Matrix::from_fn(48, 6, |r, c| ((r * 7 + c * 3) as f64 * 0.29).sin());
-        let targets: Vec<f64> = (0..48).map(|r| f64::from(r % 3 == 0)).collect();
-        let y = Matrix::col_vector(&targets);
-        let run = |parallelism: Parallelism| {
-            let mut mlp = Mlp::new(&[6, 16, 8, 1], 11);
-            let mut optim = AdamW::adam(0.01);
-            let trainer = Trainer::new(TrainConfig {
-                epochs: 5,
-                batch_size: 16,
-                shuffle_seed: 4,
-                parallelism,
-            });
-            let history = trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
-            (mlp, history)
-        };
-        let (mlp_single, hist_single) = run(Parallelism::Single);
-        for threads in [2usize, 4] {
-            let (mlp_t, hist_t) = run(Parallelism::Threads(threads));
-            assert_eq!(mlp_t, mlp_single, "{threads} threads diverged");
-            for (a, b) in hist_t.iter().zip(&hist_single) {
-                assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
-            }
         }
     }
 
@@ -479,7 +430,6 @@ mod tests {
             epochs: 3,
             batch_size: 2,
             shuffle_seed: 1,
-            ..TrainConfig::default()
         });
         let mut ws = TrainWorkspace::new();
         // First fit warms every buffer (growth is expected and counted).
@@ -508,7 +458,6 @@ mod tests {
             epochs: 3,
             batch_size: 2,
             shuffle_seed: 5,
-            ..TrainConfig::default()
         });
         let history = trainer.fit(&mut mlp, &x, &y, &Mse, &mut optim);
         let full = Mse.loss(&mlp.predict(&x), &y);
@@ -540,7 +489,6 @@ mod tests {
                 epochs: 4,
                 batch_size: 7, // non-divisible: 7 + 7 + 7 + 3
                 shuffle_seed: 6,
-                ..TrainConfig::default()
             });
             let hist = trainer.fit(&mut mlp, &x, &y, &BceWithLogits, &mut optim);
             (mlp, hist)

@@ -15,7 +15,7 @@
 //! optimisation, never a numerics change.
 
 use crate::mlp::Mlp;
-use occusense_tensor::kernels::{Parallelism, Scratch};
+use occusense_tensor::kernels::Scratch;
 use occusense_tensor::Matrix;
 
 /// Caller-owned buffers for repeated MLP forward/backward passes.
@@ -39,22 +39,9 @@ pub struct MlpWorkspace {
 }
 
 impl MlpWorkspace {
-    /// An empty workspace running the kernels single-threaded.
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with the given kernel parallelism.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            scratch: Scratch::with_parallelism(parallelism),
-            ..Self::default()
-        }
-    }
-
-    /// Replaces the kernel parallelism policy.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.scratch.set_parallelism(parallelism);
     }
 
     /// Number of buffer-growth events since creation (covering every
@@ -312,20 +299,5 @@ mod tests {
             mlp.backward_ws(&grad_out, &mut ws);
         }
         assert_eq!(ws.reallocs(), warm, "steady-state pass reallocated");
-    }
-
-    #[test]
-    fn workspace_parallelism_is_bitwise_invisible() {
-        let mlp = Mlp::new(&[8, 32, 16, 1], 13);
-        let x = toy_input(64, 8);
-        let run = |par: Parallelism| {
-            let mut ws = MlpWorkspace::with_parallelism(par);
-            mlp.forward_ws(&x, &mut ws);
-            ws.output().clone()
-        };
-        let single = run(Parallelism::Single);
-        for t in [2, 4] {
-            assert_eq!(single, run(Parallelism::Threads(t)), "{t} threads");
-        }
     }
 }

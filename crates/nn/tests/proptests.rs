@@ -6,7 +6,7 @@ use occusense_nn::layer::Dense;
 use occusense_nn::loss::{BceWithLogits, Loss, Mse};
 use occusense_nn::mlp::Mlp;
 use occusense_nn::serialize;
-use occusense_tensor::kernels::{Parallelism, Scratch};
+use occusense_tensor::kernels::Scratch;
 use occusense_tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,13 +65,11 @@ proptest! {
     #[test]
     fn dense_fused_passes_match_the_reference_bitwise_for_every_activation(
         (x, weights, bias, grad_output) in dense_case(),
-        threads in 1usize..=8,
     ) {
         // forward_into (the fused kernel with the activation's
         // epilogue) against forward (matmul + add_row_broadcast +
         // Activation::apply), and backward_into's δ against the
-        // per-element derivative pointer — bit for bit, at every
-        // thread count.
+        // per-element derivative pointer — bit for bit.
         for activation in [
             Activation::Relu,
             Activation::Sigmoid,
@@ -80,7 +78,7 @@ proptest! {
         ] {
             let layer = Dense { weights: weights.clone(), bias: bias.clone(), activation };
             let (z_ref, a_ref) = layer.forward(&x);
-            let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
+            let mut scratch = Scratch::new();
             let (mut z, mut a) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
             layer.forward_into(&x, &mut z, &mut a, &mut scratch);
             prop_assert_eq!(bits(z.as_slice()), bits(z_ref.as_slice()), "{:?}: z", activation);
@@ -229,23 +227,6 @@ proptest! {
             let numeric = (sum_h(&gp) - sum_h(&gm)) / (2.0 * eps);
             prop_assert!((numeric - analytic).abs() < 1e-5, "bias {}: {} vs {}", i, numeric, analytic);
         }
-    }
-
-    #[test]
-    fn gru_thread_count_is_bitwise_invisible(seed in 0u64..30, threads in 2usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let gru = Gru::new(8, 12, &mut rng);
-        let xs: Vec<Matrix> = (0..4)
-            .map(|t| Matrix::from_fn(24, 8, |r, c| (((t * 24 + r) * 8 + c) as f64 * 0.13).cos()))
-            .collect();
-        let h0 = Matrix::zeros(24, 12);
-        let run = |par: Parallelism| {
-            let mut ws = GruWorkspace::with_parallelism(par);
-            gru.forward_seq(&xs, &h0, &mut ws);
-            gru.backward_seq(&xs, &Matrix::ones(24, 12), &mut ws);
-            (ws.h_last().clone(), ws.grad_w_n().clone(), ws.grad_u_z().clone())
-        };
-        prop_assert_eq!(run(Parallelism::Single), run(Parallelism::Threads(threads)));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use occusense_core::detector::OccupancyDetector;
 use occusense_core::online::{OnlineConfig, OnlineDetector};
 use occusense_core::persist;
 use occusense_core::temporal::TemporalDetector;
-use occusense_core::tensor::Parallelism;
 use occusense_dataset::CsiRecord;
 use std::error::Error;
 use std::fmt;
@@ -73,10 +72,6 @@ pub struct ServeConfig {
     pub supervisor: SupervisorConfig,
     /// `Some` enables periodic + on-shutdown crash-safe checkpoints.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Kernel parallelism of each worker's batched forward pass. The
-    /// parallel GEMM is bitwise-identical to single-threaded, so this
-    /// knob changes throughput, never scores.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ServeConfig {
@@ -90,7 +85,6 @@ impl Default for ServeConfig {
             online: Some(OnlineTrainingConfig::default()),
             supervisor: SupervisorConfig::default(),
             checkpoint: None,
-            parallelism: Parallelism::Single,
         }
     }
 }
@@ -659,7 +653,6 @@ impl ServeRuntime {
                 supervision: Arc::clone(&supervision),
                 max_restarts: config.supervisor.max_restarts_per_shard,
                 panic_on_trigger: config.supervisor.panic_on_trigger,
-                parallelism: config.parallelism,
                 states: states.clone(),
             };
             workers.push(

@@ -28,7 +28,7 @@ use crate::supervisor::{is_scorable, panic_message, SupervisorState};
 use crate::trainer::LabelledRecord;
 use occusense_core::detector::ScoreWorkspace;
 use occusense_core::temporal::{TemporalDetector, TemporalWorkspace};
-use occusense_core::tensor::{Matrix, Parallelism};
+use occusense_core::tensor::Matrix;
 use occusense_dataset::CsiRecord;
 use occusense_sim::stream::is_worker_panic_trigger;
 use std::cell::RefCell;
@@ -119,7 +119,6 @@ pub(crate) struct WorkerContext {
     pub supervision: Arc<SupervisorState>,
     pub max_restarts: u64,
     pub panic_on_trigger: bool,
-    pub parallelism: Parallelism,
     /// `Some` when the runtime serves a temporal model: this shard's
     /// per-sensor hidden rows live in here.
     pub states: Option<Arc<StateTable>>,
@@ -161,7 +160,7 @@ impl ScoreBuffers {
             predictions: Vec::new(),
             ws: ScoreWorkspace::new(),
             temporal: ctx.states.as_ref().map(|_| TemporalBuffers {
-                ws: TemporalWorkspace::with_parallelism(ctx.parallelism),
+                ws: TemporalWorkspace::new(),
                 h: Matrix::zeros(0, 0),
                 records: Vec::new(),
                 positions: Vec::new(),
@@ -534,7 +533,6 @@ mod tests {
             supervision: Arc::new(SupervisorState::new(1, &SupervisorConfig::default())),
             max_restarts: 0,
             panic_on_trigger: false,
-            parallelism: Parallelism::Single,
             states: Some(Arc::new(StateTable::new(1))),
         };
         (ctx, rx)

@@ -34,12 +34,11 @@
 //!   out roughly doubles multiply-add throughput. Every output element
 //!   owns a single accumulator, started at zero and filled in
 //!   ascending order of the shared dimension, so results are **exactly
-//!   reproducible** (bitwise across runs, shapes, batch sizes and
-//!   thread counts); they differ from the naive mul-then-add triple
-//!   loop only by the per-step rounding, which the property tests bound
-//!   to tight tolerance. The naive loop survives as the reference
-//!   oracle, and a fixed-order `fma` loop as the bitwise oracle of the
-//!   `f32` path.
+//!   reproducible** (bitwise across runs, shapes and batch sizes);
+//!   they differ from the naive mul-then-add triple loop only by the
+//!   per-step rounding, which the property tests bound to tight
+//!   tolerance. The naive loop survives as the reference oracle, and a
+//!   fixed-order `fma` loop as the bitwise oracle of the `f32` path.
 //! * **Unrolled dot kernel.** [`dot_unrolled`] carries sixteen
 //!   positional accumulators (independent SIMD chains) combined
 //!   through a fixed reduction tree. It serves [`gemv`], where the
@@ -48,29 +47,27 @@
 //! * **Determinism contract.** Every output element is a *pure
 //!   function of its own row of `A` and column of `B`* with a fixed
 //!   summation order. Results are therefore bitwise identical across
-//!   batch sizes, tile shapes, fused/unfused paths, and any thread
-//!   count — the parallel `f64` kernels split output rows across the
-//!   threads of the persistent [`pool`] without changing any summation
-//!   order. Parallelism is a pure throughput knob, never a numerics
-//!   knob. The `f32` forward ([`gemm_bias_f32`]) always runs on the
-//!   calling thread.
+//!   batch sizes, tile shapes and fused/unfused paths.
+//! * **Single-threaded.** Every kernel runs on the calling thread. The
+//!   networks here are small enough that splitting one GEMM across
+//!   threads lost to running it inline; callers parallelise
+//!   independent units (folds, seeds, tables) instead, each with its
+//!   own [`Scratch`].
 //! * **Scratch reuse.** All `*_into` entry points write into
-//!   caller-owned buffers and carry their policy/accounting in a
-//!   [`Scratch`], so steady-state callers (the trainer step loop, the
-//!   temporal serve path) perform zero heap allocations;
+//!   caller-owned buffers and carry their pack buffer and accounting
+//!   in a [`Scratch`], so steady-state callers (the trainer step loop,
+//!   the temporal serve path) perform zero heap allocations;
 //!   [`gemm_bias_f32`] takes its pack buffer from the caller (the
 //!   compiled forward's workspace, which counts its own growth).
 //!
 //! [`Matrix`]: crate::Matrix
 
-use crate::pool;
 use crate::vecops::relu;
 
-/// Output rows per register tile — also the packed-panel height, and
-/// therefore the alignment of every parallel row-block boundary (see
-/// [`pool`]). Shared by every element type: it is part of the packed
-/// layout [`pack_panels`] writes.
-pub(crate) const IT: usize = 8;
+/// Output rows per register tile — also the packed-panel height.
+/// Shared by every element type: it is part of the packed layout
+/// [`pack_panels`] writes.
+const IT: usize = 8;
 /// Output columns per `f64` register tile. With [`IT`] rows the `8 × 8`
 /// tile keeps 16 accumulator ymm vectors (8 zmm) in registers on both
 /// 256-bit and 512-bit files — measured fastest on this generation of
@@ -127,136 +124,23 @@ impl Element for f32 {
     }
 }
 
-/// Minimum `m · k · n` product before a call is split across threads;
-/// below this the dispatch cost dominates. Correctness never depends
-/// on this value.
-const PAR_MIN_FLOPS: usize = 1 << 16;
-
-/// How much std-thread parallelism the kernels may use.
-///
-/// The parallel GEMM splits the *output rows* across threads; each
-/// element is computed by exactly the same fixed-order accumulation as
-/// the single-threaded kernel, so results are **bitwise identical for
-/// every thread count** — parallelism is a pure throughput knob, never
-/// a numerics knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Parallelism {
-    /// Everything on the calling thread.
-    #[default]
-    Single,
-    /// Up to `n` threads per kernel call, served by the persistent
-    /// [`pool`] owned by the [`Scratch`] (the caller plus `n − 1`
-    /// long-lived workers, engaged only when the matrix is large
-    /// enough to amortise the dispatch). The budget is additionally
-    /// clamped to the machine's core count — the pool never
-    /// oversubscribes, and on a single core it degrades to the inline
-    /// kernel. Results are bitwise identical regardless.
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The thread budget (`Single` ⇒ 1).
-    pub fn threads(&self) -> usize {
-        match self {
-            Parallelism::Single => 1,
-            Parallelism::Threads(n) => (*n).max(1),
-        }
-    }
-}
-
 /// Reusable workspace for the packed kernels.
 ///
-/// Owns the pack buffer (and the parallelism policy) so that repeated
-/// kernel calls — a training step loop, a GRU serving step —
-/// allocate nothing once the buffer has grown to the largest shape in
-/// play. [`Scratch::reallocs`] counts the growth events, which is what
-/// the zero-allocation steady-state tests assert on.
-#[derive(Debug)]
+/// Owns the pack buffer so that repeated kernel calls — a training
+/// step loop, a GRU serving step — allocate nothing once the buffer
+/// has grown to the largest shape in play. [`Scratch::reallocs`]
+/// counts the growth events, which is what the zero-allocation
+/// steady-state tests assert on.
+#[derive(Debug, Clone, Default)]
 pub struct Scratch {
     packed: Vec<f64>,
-    parallelism: Parallelism,
     reallocs: u64,
-    /// The persistent worker pool behind [`Parallelism::Threads`],
-    /// spawned lazily on the first parallel dispatch and dropped
-    /// (workers joined) when the policy changes.
-    pool: Option<pool::ComputePool>,
-    /// Machine core count the pooled policy's thread budget is clamped
-    /// to (probed once per process; see [`pool`] module docs).
-    cores: usize,
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Self {
-            packed: Vec::new(),
-            parallelism: Parallelism::default(),
-            reallocs: 0,
-            pool: None,
-            cores: pool::machine_cores(),
-        }
-    }
-}
-
-impl Clone for Scratch {
-    /// Clones the policy and accounting but **not** the pool: worker
-    /// threads are owned, not shared, so each clone lazily spawns its
-    /// own on first parallel use (and a clone on a different policy
-    /// never steals the original's workers).
-    fn clone(&self) -> Self {
-        Self {
-            packed: self.packed.clone(),
-            parallelism: self.parallelism,
-            reallocs: self.reallocs,
-            pool: None,
-            cores: self.cores,
-        }
-    }
 }
 
 impl Scratch {
-    /// An empty scratch running single-threaded.
+    /// An empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty scratch with the given parallelism policy.
-    pub fn with_parallelism(parallelism: Parallelism) -> Self {
-        Self {
-            parallelism,
-            ..Self::default()
-        }
-    }
-
-    /// The parallelism policy kernel calls through this scratch use.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Replaces the parallelism policy. Changing the policy drops any
-    /// persistent pool (its workers shut down and join before this
-    /// returns); the next parallel dispatch under a `Threads` policy
-    /// lazily spawns a fresh, correctly-sized one.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        if parallelism != self.parallelism {
-            self.pool = None;
-        }
-        self.parallelism = parallelism;
-    }
-
-    /// Number of live persistent pool workers, or `None` before the
-    /// first parallel dispatch (the pool is lazy) and after a policy
-    /// change (the pool is dropped). Test/diagnostic surface.
-    pub fn pool_workers(&self) -> Option<usize> {
-        self.pool.as_ref().map(pool::ComputePool::workers)
-    }
-
-    /// Overrides the probed machine core count. Test-only: lets the
-    /// pool-protocol tests engage a full pool on small CI machines and
-    /// the clamp tests simulate one. Scheduling-only, like the probe
-    /// itself — results are bitwise identical either way.
-    #[cfg(test)]
-    pub(crate) fn set_machine_cores(&mut self, cores: usize) {
-        self.cores = cores;
     }
 
     /// Number of times any tracked buffer had to grow. Constant across
@@ -595,102 +479,55 @@ fn rank1_tiles<T: Element, const JT: usize, const JW: usize, F: FnMut(usize, usi
     }
 }
 
-/// The single-output row-block body shared by both dispatch paths
-/// (inline, persistent pool): computes output rows
-/// `first_row..first_row + rows` of `out = packed · rhs` into `chunk`.
-/// `packed` is the **full** packed left operand (the block's panel is
-/// sliced out here — block boundaries are [`IT`]-aligned, so the slice
-/// always starts on a whole panel); `chunk` holds exactly the block.
-/// Pure `rank1_tiles` on bit-identical inputs ⇒ the same rows produce
-/// the same bits no matter which thread, or how many, computed them.
-pub(crate) fn gemm_rows(
+/// `out = packed · rhs` over a packed left operand of `rows × steps`
+/// (see [`pack_panels`]) and a `steps × row_len` right operand; `out`
+/// is `rows × row_len`, fully overwritten.
+fn gemm_rows(
     steps: usize,
-    row_len: usize,
-    first_row: usize,
     rows: usize,
+    row_len: usize,
     packed: &[f64],
     rhs: &[f64],
-    chunk: &mut [f64],
+    out: &mut [f64],
 ) {
-    let panel = &packed[first_row * steps..(first_row + rows) * steps];
     rank1_tiles::<f64, F64_JT, F64_JW, _>(
         steps,
         rows,
         row_len,
-        panel,
+        packed,
         rhs,
         row_len,
         |r, j0, vals| {
-            chunk[r * row_len + j0..r * row_len + j0 + vals.len()].copy_from_slice(vals);
+            out[r * row_len + j0..r * row_len + j0 + vals.len()].copy_from_slice(vals);
         },
     );
 }
 
 /// Fused-forward sibling of [`gemm_rows`], generic over the element:
-/// the same row block of the matmul term plus the bias broadcast,
-/// stored to `zc` tile by tile. The bias is added once, after the full
-/// accumulation; the caller applies the activation to the finished
-/// block (one [`Epilogue`] match per block for `f64`, none per
-/// element).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_rows<T: Element, const JT: usize, const JW: usize>(
+/// the matmul term plus the bias broadcast, stored to `z` tile by
+/// tile. The bias is added once, after the full accumulation; the
+/// caller applies the activation to the finished output (one
+/// [`Epilogue`] match for `f64`, none per element).
+fn fused_rows<T: Element, const JT: usize, const JW: usize>(
     steps: usize,
-    row_len: usize,
-    first_row: usize,
     rows: usize,
+    row_len: usize,
     packed: &[T],
     rhs: &[T],
     bias: &[T],
-    zc: &mut [T],
+    z: &mut [T],
 ) {
-    let panel = &packed[first_row * steps..(first_row + rows) * steps];
-    rank1_tiles::<T, JT, JW, _>(steps, rows, row_len, panel, rhs, row_len, |r, j0, vals| {
-        let zrow = &mut zc[r * row_len + j0..r * row_len + j0 + vals.len()];
+    rank1_tiles::<T, JT, JW, _>(steps, rows, row_len, packed, rhs, row_len, |r, j0, vals| {
+        let zrow = &mut z[r * row_len + j0..r * row_len + j0 + vals.len()];
         for ((zv, &v), &b) in zrow.iter_mut().zip(vals).zip(&bias[j0..]) {
             *zv = v + b;
         }
     });
 }
 
-/// The `f64` fused row block with its activation: [`fused_rows`] at
-/// the `f64` tile widths into `zc`, then `act` over the finished block
-/// into `ac`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fused_act_rows(
-    steps: usize,
-    row_len: usize,
-    first_row: usize,
-    rows: usize,
-    packed: &[f64],
-    rhs: &[f64],
-    bias: &[f64],
-    act: Epilogue,
-    zc: &mut [f64],
-    ac: &mut [f64],
-) {
-    fused_rows::<f64, F64_JT, F64_JW>(steps, row_len, first_row, rows, packed, rhs, bias, zc);
-    act.apply(&zc[..rows * row_len], &mut ac[..rows * row_len]);
-}
-
-/// Effective thread count for a kernel of `flops` multiply-adds: 1
-/// below the dispatch threshold, otherwise the policy budget — which
-/// the pooled policy additionally clamps to the machine's `cores` (an
-/// oversubscribed pool would time-slice spinning workers against the
-/// caller; on one core it degrades to the inline kernel).
-/// Scheduling-only: the kernels are bitwise identical for every thread
-/// count.
-fn thread_budget(parallelism: Parallelism, cores: usize, flops: usize) -> usize {
-    if flops < PAR_MIN_FLOPS {
-        1
-    } else {
-        parallelism.threads().min(cores.max(1))
-    }
-}
-
-/// `out = A · B` — the register-tiled, optionally parallel GEMM. `a` is
-/// `m × k`, `b` is `k × n`, `out` is `m × n` (fully overwritten).
-/// Exactly reproducible: bitwise identical for every thread count and
-/// batch size; matches
+/// `out = A · B` — the register-tiled GEMM. `a` is `m × k`, `b` is
+/// `k × n`, `out` is `m × n` (fully overwritten). Exactly reproducible:
+/// bitwise identical for every batch size; matches
 /// [`Matrix::matmul_naive`](crate::Matrix::matmul_naive) to tight
 /// tolerance (the kernel accumulates with fused multiply-adds in the
 /// naive loop's order; only the per-step rounding differs).
@@ -717,19 +554,9 @@ pub fn gemm(
         out.fill(0.0);
         return;
     }
-    let threads = thread_budget(scratch.parallelism, scratch.cores, m * k * n);
-    {
-        let packed = scratch.pack_space(m * k);
-        pack_panels(m, k, a, k, 1, packed);
-    }
-    let Scratch {
-        packed,
-        parallelism,
-        reallocs,
-        pool,
-        cores,
-    } = scratch;
-    *reallocs += pool::run_gemm(pool, *parallelism, threads, *cores, k, m, n, packed, b, out);
+    let packed = scratch.pack_space(m * k);
+    pack_panels(m, k, a, k, 1, packed);
+    gemm_rows(k, m, n, packed, b, out);
 }
 
 /// `out = A · B^T` without materialising the transpose: `a` is `m × k`,
@@ -740,7 +567,7 @@ pub fn gemm(
 /// [`Scratch`] (pure data movement, zero steady-state allocations) and
 /// runs the same register-tiled rank-1 micro-kernel as [`gemm`], so
 /// every element accumulates in ascending-`k` FMA order: exactly
-/// reproducible for every thread count, and matching
+/// reproducible, and matching
 /// `a.matmul_naive(&b.transpose())` to tight tolerance.
 ///
 /// # Panics
@@ -765,40 +592,17 @@ pub fn gemm_nt(
         out.fill(0.0);
         return;
     }
-    let threads = thread_budget(scratch.parallelism, scratch.cores, m * k * n);
-    {
-        let space = scratch.pack_space(m * k + k * n);
-        let (packed, bt) = space.split_at_mut(m * k);
-        pack_panels(m, k, a, k, 1, packed);
-        // Transpose `b` (n × k) into `bt` (k × n): sequential writes,
-        // strided reads. Data movement only — no arithmetic order
-        // changes.
-        for (s, btrow) in bt.chunks_exact_mut(n).enumerate() {
-            for (j, d) in btrow.iter_mut().enumerate() {
-                *d = b[j * k + s];
-            }
+    let space = scratch.pack_space(m * k + k * n);
+    let (packed, bt) = space.split_at_mut(m * k);
+    pack_panels(m, k, a, k, 1, packed);
+    // Transpose `b` (n × k) into `bt` (k × n): sequential writes,
+    // strided reads. Data movement only — no arithmetic order changes.
+    for (s, btrow) in bt.chunks_exact_mut(n).enumerate() {
+        for (j, d) in btrow.iter_mut().enumerate() {
+            *d = b[j * k + s];
         }
     }
-    let Scratch {
-        packed,
-        parallelism,
-        reallocs,
-        pool,
-        cores,
-    } = scratch;
-    let (packed_a, bt) = packed.split_at(m * k);
-    *reallocs += pool::run_gemm(
-        pool,
-        *parallelism,
-        threads,
-        *cores,
-        k,
-        m,
-        n,
-        packed_a,
-        bt,
-        out,
-    );
+    gemm_rows(k, m, n, packed, bt, out);
 }
 
 /// `out = A^T · B` without materialising the transpose: `a` is
@@ -831,43 +635,20 @@ pub fn gemm_tn(
         out.fill(0.0);
         return;
     }
-    let threads = thread_budget(scratch.parallelism, scratch.cores, m * ca * cb);
-    {
-        let packed = scratch.pack_space(ca * m);
-        pack_panels(ca, m, a, 1, ca, packed);
-    }
-    let Scratch {
-        packed,
-        parallelism,
-        reallocs,
-        pool,
-        cores,
-    } = scratch;
-    *reallocs += pool::run_gemm(
-        pool,
-        *parallelism,
-        threads,
-        *cores,
-        m,
-        ca,
-        cb,
-        packed,
-        b,
-        out,
-    );
+    let packed = scratch.pack_space(ca * m);
+    pack_panels(ca, m, a, 1, ca, packed);
+    gemm_rows(m, ca, cb, packed, b, out);
 }
 
 /// Fused dense forward: `z = x · W + bias` (bias broadcast over rows)
-/// and `act_out = act(z)`, both written per row block while the block
-/// is cache-hot. `x` is `m × k`, `w` is `k × n` (the layer's
+/// and `act_out = act(z)`. `x` is `m × k`, `w` is `k × n` (the layer's
 /// `in × out` weights), `bias` has length `n`, `z` and `act_out` are
 /// `m × n`. `act` is an [`Epilogue`] or any `fn(f64) -> f64`.
 ///
 /// The matmul term runs on the same micro-kernel as [`gemm`] and the
 /// bias is added once after the full accumulation, so `z` is bitwise
 /// identical to the unfused `gemm` + row-broadcast sequence, and
-/// `act_out` to the activation mapped over it — across batch sizes and
-/// thread counts.
+/// `act_out` to the activation mapped over it — across batch sizes.
 ///
 /// # Panics
 ///
@@ -901,33 +682,10 @@ pub fn gemm_bias_act(
         act.apply(z, act_out);
         return;
     }
-    let threads = thread_budget(scratch.parallelism, scratch.cores, m * k * n);
-    {
-        let packed = scratch.pack_space(m * k);
-        pack_panels(m, k, x, k, 1, packed);
-    }
-    let Scratch {
-        packed,
-        parallelism,
-        reallocs,
-        pool,
-        cores,
-    } = scratch;
-    *reallocs += pool::run_fused(
-        pool,
-        *parallelism,
-        threads,
-        *cores,
-        k,
-        m,
-        n,
-        packed,
-        w,
-        bias,
-        act,
-        z,
-        act_out,
-    );
+    let packed = scratch.pack_space(m * k);
+    pack_panels(m, k, x, k, 1, packed);
+    fused_rows::<f64, F64_JT, F64_JW>(k, m, n, packed, w, bias, z);
+    act.apply(z, act_out);
 }
 
 /// The compiled serving forward's dense layer in `f32`: `out = x · W +
@@ -937,7 +695,7 @@ pub fn gemm_bias_act(
 /// The caller applies the activation to `out`.
 ///
 /// The same tile walk as [`gemm_bias_act`], instantiated at `f32` and
-/// its `8 × 16` tile, and always on the calling thread. Each output
+/// its `8 × 16` tile. Each output
 /// element is `fma`-accumulated from zero in ascending `k`, then the
 /// bias is added once — so every element depends only on its own row
 /// of `x`, and results are bitwise identical for every batch size.
@@ -971,7 +729,7 @@ pub fn gemm_bias_f32(
         return;
     }
     pack_panels(m, k, x, k, 1, packed);
-    fused_rows::<f32, F32_JT, F32_JW>(k, n, 0, m, packed, w, bias, out);
+    fused_rows::<f32, F32_JT, F32_JW>(k, m, n, packed, w, bias, out);
 }
 
 /// Matrix–vector product through the unrolled dot kernel: `out[i] =
@@ -1064,31 +822,6 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(out, again, "({m},{k},{n}) not reproducible");
-        }
-    }
-
-    #[test]
-    fn gemm_is_bitwise_identical_across_thread_counts() {
-        let (m, k, n) = (65, 33, 47);
-        let a = mat(m, k, 3);
-        let b = mat(k, n, 4);
-        let run = |par: Parallelism| {
-            let mut out = Matrix::zeros(m, n);
-            let mut scratch = Scratch::with_parallelism(par);
-            gemm(
-                m,
-                k,
-                n,
-                a.as_slice(),
-                b.as_slice(),
-                out.as_mut_slice(),
-                &mut scratch,
-            );
-            out
-        };
-        let single = run(Parallelism::Single);
-        for t in [1, 2, 3, 4, 7] {
-            assert_eq!(single, run(Parallelism::Threads(t)), "{t} pooled");
         }
     }
 

@@ -18,10 +18,10 @@
 //!   variances) shared by the statistics crate.
 //! * [`kernels`] — packed, register-tiled GEMM kernels written once
 //!   over `f64` and `f32`, with a reusable [`kernels::Scratch`]
-//!   workspace and optional std-thread parallelism for `f64`; the
-//!   engine behind [`Matrix::matmul`], the zero-allocation `*_into`
-//!   entry points of the training hot path, and the `f32` serving
-//!   forward ([`kernels::gemm_bias_f32`]).
+//!   workspace; the engine behind [`Matrix::matmul`], the
+//!   zero-allocation `*_into` entry points of the training hot path,
+//!   and the `f32` serving forward ([`kernels::gemm_bias_f32`]). Every
+//!   kernel runs on the calling thread.
 //!
 //! # Example
 //!
@@ -43,9 +43,8 @@ mod matrix;
 pub mod init;
 pub mod kernels;
 pub mod linalg;
-pub mod pool;
 pub mod vecops;
 
 pub use error::ShapeError;
-pub use kernels::{Parallelism, Scratch};
+pub use kernels::Scratch;
 pub use matrix::Matrix;

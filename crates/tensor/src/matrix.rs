@@ -8,8 +8,8 @@ use crate::ShapeError;
 thread_local! {
     /// Pack buffer reused by the convenience (allocating-output) matmul
     /// entry points so repeated calls don't re-allocate panel space.
-    /// Always single-threaded; callers wanting parallel kernels go
-    /// through the `*_into` APIs with their own [`Scratch`].
+    /// Callers that want to own the buffer go through the `*_into`
+    /// APIs with their own [`Scratch`].
     static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
@@ -276,8 +276,7 @@ impl Matrix {
     /// Matrix product `self * rhs`.
     ///
     /// Runs on the register-tiled FMA kernel in [`crate::kernels`]:
-    /// exactly reproducible (bitwise across batch sizes and thread
-    /// counts) and verified to tight tolerance against
+    /// exactly reproducible (bitwise across batch sizes) and verified to tight tolerance against
     /// [`Matrix::matmul_naive`] — the original triple loop, kept as the
     /// reference oracle the kernels are property-tested against.
     ///
@@ -346,8 +345,7 @@ impl Matrix {
 
     /// `self * rhs` written into `out` (reshaped as needed) through
     /// `scratch` — the zero-allocation steady-state entry point.
-    /// Bitwise identical to [`Matrix::matmul`] for every batch size and
-    /// thread count.
+    /// Bitwise identical to [`Matrix::matmul`] for every batch size.
     ///
     /// # Panics
     ///

@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor kernel.
 
-use occusense_tensor::kernels::{self, Parallelism, Scratch};
+use occusense_tensor::kernels::{self, Scratch};
 use occusense_tensor::{linalg, vecops, Matrix};
 use proptest::prelude::*;
 
@@ -225,74 +225,6 @@ proptest! {
             prop_assert!((x - y).abs() <= tol, "tiled {} vs naive {}", x, y);
         }
         prop_assert_eq!(a.matmul(&b), got);
-    }
-
-    #[test]
-    fn parallel_gemm_is_bitwise_deterministic((a, b) in matmul_pair()) {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut single = vec![0.0; m * n];
-        let mut scratch = Scratch::new();
-        kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut single, &mut scratch);
-        for threads in [1usize, 2, 4] {
-            let mut out = vec![1.0; m * n]; // poisoned: every element must be written
-            let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
-            kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut out, &mut scratch);
-            prop_assert_eq!(&out, &single, "thread count {} changed bits", threads);
-        }
-    }
-
-    #[test]
-    fn pooled_gemm_matches_inline_bitwise(
-        (a, b) in matmul_pair(),
-        threads in 1usize..=8,
-    ) {
-        // The persistent pool (Threads) and the inline kernel must
-        // agree bit-for-bit on every shape and thread count — the
-        // pool's core contract.
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut inline = vec![0.0; m * n];
-        let mut scratch = Scratch::new();
-        kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut inline, &mut scratch);
-        let mut pooled = vec![1.0; m * n]; // poisoned: every element must be written
-        let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
-        // Two rounds through the same pool: the second must reuse the
-        // warm workers and still reproduce the first exactly.
-        for round in 0..2 {
-            pooled.fill(1.0);
-            kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut pooled, &mut scratch);
-            prop_assert_eq!(
-                &pooled, &inline,
-                "pool changed bits at {} threads (round {})", threads, round
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_fused_forward_matches_inline_bitwise(
-        (x, w, bias) in fused_case(),
-        threads in 1usize..=8,
-    ) {
-        // The persistent pool and the inline kernel must agree
-        // bit-for-bit for every epilogue, including the narrow edge
-        // tile (output widths 1–7).
-        let (m, k) = x.shape();
-        let n = w.cols();
-        for act in epilogues() {
-            let run = |par: Parallelism| {
-                let mut z = vec![1.0; m * n];
-                let mut a = vec![1.0; m * n];
-                let mut scratch = Scratch::with_parallelism(par);
-                kernels::gemm_bias_act(
-                    m, k, n, x.as_slice(), w.as_slice(), &bias, &mut z, &mut a, act, &mut scratch,
-                );
-                (bits(&z), bits(&a))
-            };
-            let inline = run(Parallelism::Single);
-            let pooled = run(Parallelism::Threads(threads));
-            prop_assert_eq!(&pooled, &inline, "{:?}: pool changed bits at {} threads", act, threads);
-        }
     }
 
     #[test]
