@@ -235,6 +235,9 @@ pub struct Table4Cell {
     pub features: FeatureView,
     /// Accuracy on test folds 1–5 (fractions, not %).
     pub fold_accuracy: [f64; 5],
+    /// The exact counts behind `fold_accuracy`: correctly classified
+    /// records and records, per test fold.
+    pub fold_hits: [(usize, usize); 5],
 }
 
 impl Table4Cell {
@@ -271,13 +274,17 @@ pub fn table4(dataset: &Dataset, config: &ExperimentConfig) -> Table4 {
         for features in FeatureView::TABLE4 {
             let det = OccupancyDetector::train(&train, &config.detector(model, features));
             let mut fold_accuracy = [0.0; 5];
-            for (acc, fold) in fold_accuracy.iter_mut().zip(&tests) {
-                *acc = det.evaluate(fold).accuracy();
+            let mut fold_hits = [(0, 0); 5];
+            for ((acc, hits), fold) in fold_accuracy.iter_mut().zip(&mut fold_hits).zip(&tests) {
+                let cm = det.evaluate(fold);
+                *acc = cm.accuracy();
+                *hits = (cm.tp + cm.tn, cm.total());
             }
             cells.push(Table4Cell {
                 model,
                 features,
                 fold_accuracy,
+                fold_hits,
             });
         }
     }

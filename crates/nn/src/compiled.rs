@@ -13,13 +13,22 @@
 //!   activation is applied;
 //! * the confidence is the `f64` sigmoid of the widened `f32` logit.
 //!
+//! A single row (one record, or the last `m mod 8` rows of a batch)
+//! skips the input steps that are exactly zero — after a ReLU, most of
+//! them — which leaves every score bitwise unchanged as long as the
+//! layer's weights are finite. Each compiled layer therefore carries an
+//! "all weights finite" flag, computed on the `f32` weights by
+//! [`Mlp::compile`] and [`CompiledMlp::recompile`]; a layer with a NaN
+//! or an infinite weight scores densely, so that weight still reaches
+//! the score (see `occusense_tensor::kernels`).
+//!
 //! Every element depends only on its own input row, so a record's score
 //! is bitwise the same alone or inside any batch — the contract that
 //! lets served predictions be verified against single-record scoring.
 
 use crate::activation::Activation;
 use crate::mlp::Mlp;
-use occusense_tensor::kernels::gemm_bias_f32;
+use occusense_tensor::kernels::{gemm_bias_f32, F32Weights};
 use occusense_tensor::vecops::sigmoid;
 use occusense_tensor::Matrix;
 
@@ -32,6 +41,9 @@ struct CompiledDense {
     weights: Vec<f32>,
     bias: Vec<f32>,
     activation: Activation,
+    /// Every entry of `weights` is finite: the single-row forward may
+    /// skip zero input steps.
+    all_finite: bool,
 }
 
 /// An `f32` snapshot of an [`Mlp`], built by [`Mlp::compile`]: the
@@ -92,12 +104,16 @@ impl Mlp {
         let layers = self
             .layers()
             .iter()
-            .map(|l| CompiledDense {
-                in_dim: l.in_dim(),
-                out_dim: l.out_dim(),
-                weights: l.weights.as_slice().iter().map(|&w| w as f32).collect(),
-                bias: l.bias.iter().map(|&b| b as f32).collect(),
-                activation: l.activation,
+            .map(|l| {
+                let weights: Vec<f32> = l.weights.as_slice().iter().map(|&w| w as f32).collect();
+                CompiledDense {
+                    in_dim: l.in_dim(),
+                    out_dim: l.out_dim(),
+                    all_finite: weights.iter().all(|w| w.is_finite()),
+                    weights,
+                    bias: l.bias.iter().map(|&b| b as f32).collect(),
+                    activation: l.activation,
+                }
             })
             .collect();
         CompiledMlp { layers }
@@ -128,9 +144,12 @@ impl CompiledMlp {
                 (l.in_dim(), l.out_dim()),
                 "recompile: layer shape mismatch"
             );
+            let mut all_finite = true;
             for (d, &w) in c.weights.iter_mut().zip(l.weights.as_slice()) {
                 *d = w as f32;
+                all_finite &= d.is_finite();
             }
+            c.all_finite = all_finite;
             for (d, &b) in c.bias.iter_mut().zip(&l.bias) {
                 *d = b as f32;
             }
@@ -174,7 +193,7 @@ impl CompiledMlp {
                 k,
                 n,
                 src,
-                &layer.weights,
+                F32Weights::with_finiteness(&layer.weights, layer.all_finite),
                 &layer.bias,
                 dst,
                 sized(packed, m * k, reallocs),
@@ -230,7 +249,15 @@ mod tests {
 
     /// The module's numerics spelled out scalar by scalar.
     fn oracle(mlp: &Mlp, row: &[f64]) -> f64 {
+        let outputs = oracle_layers(mlp, row);
+        sigmoid(f64::from(outputs[outputs.len() - 1][0]))
+    }
+
+    /// Every layer's output (after its activation) on the oracle's
+    /// dense path, first layer first.
+    fn oracle_layers(mlp: &Mlp, row: &[f64]) -> Vec<Vec<f32>> {
         let mut a: Vec<f32> = row.iter().map(|&v| v as f32).collect();
+        let mut outputs = Vec::new();
         for l in mlp.layers() {
             let (k, n) = (l.in_dim(), l.out_dim());
             let w = l.weights.as_slice();
@@ -248,8 +275,9 @@ mod tests {
                     }
                 })
                 .collect();
+            outputs.push(a.clone());
         }
-        sigmoid(f64::from(a[0]))
+        outputs
     }
 
     #[test]
@@ -283,6 +311,91 @@ mod tests {
     }
 
     #[test]
+    fn relu_sparse_scores_are_batch_invariant_and_match_the_oracle() {
+        // Negative biases push most hidden units below zero, so the
+        // single-row kernel skips most steps of layers 1–3; two input
+        // columns are exactly zero, so layer 0 skips some too.
+        let mut mlp = Mlp::paper_classifier(64, 11);
+        for l in &mut mlp.layers_mut()[..3] {
+            for b in &mut l.bias {
+                *b -= 0.1;
+            }
+        }
+        let mut x = toy_input(33, 64);
+        for r in 0..33 {
+            x[(r, 3)] = 0.0;
+            x[(r, 40)] = -0.0;
+        }
+        let hidden: Vec<f32> = (0..33)
+            .flat_map(|r| {
+                let outputs = oracle_layers(&mlp, x.row(r));
+                outputs[..3].concat()
+            })
+            .collect();
+        let zeros = hidden.iter().filter(|&&v| v == 0.0).count();
+        assert!(
+            zeros * 2 > hidden.len(),
+            "only {zeros} of {} hidden activations are zero",
+            hidden.len()
+        );
+        let net = mlp.compile();
+        let mut ws = CompiledWorkspace::new();
+        for i in 0..33 {
+            let single = score(&net, &x.select_rows(&[i]), &mut ws)[0];
+            assert_eq!(
+                single.to_bits(),
+                oracle(&mlp, x.row(i)).to_bits(),
+                "row {i}"
+            );
+        }
+        for m in (1..=17).chain([27, 31, 32, 33]) {
+            let rows: Vec<usize> = (0..m).collect();
+            let got = score(&net, &x.select_rows(&rows), &mut ws);
+            for (i, g) in got.iter().enumerate() {
+                let want = oracle(&mlp, x.row(i));
+                assert_eq!(g.to_bits(), want.to_bits(), "m = {m}, row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_weight_facing_a_zero_activation_still_reaches_the_score() {
+        // Layer 1's weight (s, 0) is NaN. Where layer 0's output s is
+        // zero, skipping step s would score as if that weight were 0;
+        // the dense chain turns column 0 NaN, which the ReLU zeroes.
+        let mut mlp = Mlp::new(&[6, 16, 8, 1], 3);
+        let x = toy_input(24, 6);
+        let first: Vec<Vec<f32>> = (0..24)
+            .map(|r| oracle_layers(&mlp, x.row(r))[0].clone())
+            .collect();
+        let s = (0..16)
+            .find(|&s| first.iter().any(|a| a[s] == 0.0) && first.iter().any(|a| a[s] > 0.0))
+            .expect("a layer-0 unit that is zero on some rows");
+        let mut as_zero = mlp.clone();
+        as_zero.layers_mut()[1].weights[(s, 0)] = 0.0;
+        mlp.layers_mut()[1].weights[(s, 0)] = f64::NAN;
+        assert!(
+            (0..24).any(|r| first[r][s] == 0.0
+                && oracle(&mlp, x.row(r)).to_bits() != oracle(&as_zero, x.row(r)).to_bits()),
+            "the NaN weight never changes a zero-facing row's score"
+        );
+        let net = mlp.compile();
+        assert!(!net.layers[1].all_finite);
+        let mut ws = CompiledWorkspace::new();
+        for m in [1, 3, 8, 11, 24] {
+            let rows: Vec<usize> = (0..m).collect();
+            let got = score(&net, &x.select_rows(&rows), &mut ws);
+            for (i, g) in got.iter().enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    oracle(&mlp, x.row(i)).to_bits(),
+                    "m = {m}, row {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn stays_close_to_the_f64_network() {
         let mlp = Mlp::paper_classifier(64, 7);
         let x = toy_input(40, 64);
@@ -301,6 +414,24 @@ mod tests {
         net.recompile(&b);
         assert_eq!(net, b.compile());
         assert_eq!(net.layers[0].weights.capacity(), capacity);
+    }
+
+    #[test]
+    fn recompile_tracks_weight_finiteness() {
+        // 1e300 is finite in f64 but rounds to +inf in f32: the flag
+        // follows the compiled weights, not the trained ones.
+        let a = Mlp::new(&[5, 16, 8, 1], 1);
+        let mut b = a.clone();
+        b.layers_mut()[1].weights[(2, 3)] = 1e300;
+        let mut net = a.compile();
+        assert!(net.layers.iter().all(|l| l.all_finite));
+        net.recompile(&b);
+        assert_eq!(net, b.compile());
+        let flags: Vec<bool> = net.layers.iter().map(|l| l.all_finite).collect();
+        assert_eq!(flags, [true, false, true]);
+        net.recompile(&a);
+        assert_eq!(net, a.compile());
+        assert!(net.layers.iter().all(|l| l.all_finite));
     }
 
     #[test]

@@ -48,6 +48,20 @@
 //!   function of its own row of `A` and column of `B`* with a fixed
 //!   summation order. Results are therefore bitwise identical across
 //!   batch sizes, tile shapes and fused/unfused paths.
+//! * **Exact-zero steps skipped on the `f32` single row.** A ReLU
+//!   network feeds every layer after the first an input that is mostly
+//!   exact zeros, and at `m = 1` the forward is bound by streaming the
+//!   weights. [`gemm_bias_f32`] therefore compacts each single-row
+//!   input (the `m = 1` path and the `m mod 8` tail rows) branch-free to
+//!   its non-zero steps and streams only those weight rows, in the same
+//!   ascending order. That is exact: `fma(±0, w, acc) == acc` for a
+//!   finite `w` and any `acc` but `−0`, which an accumulator started at
+//!   `+0` reaches only by underflow, and whose sign no later sum,
+//!   ReLU or `sigmoid(±0)` can see. A weight matrix holding a NaN or an
+//!   infinity ([`F32Weights`]) keeps every step, so it still poisons
+//!   the result. The 8-row panels stay dense: a step is zero for all
+//!   eight rows far less often, and testing for it inside the tile
+//!   loop cost the batched path about 8% in a prototype.
 //! * **Single-threaded.** Every kernel runs on the calling thread. The
 //!   networks here are small enough that splitting one GEMM across
 //!   threads lost to running it inline; callers parallelise
@@ -92,6 +106,11 @@ const F32_JT: usize = 16;
 /// Column width of the `f32` single-row micro-kernel (see [`F64_JW`]):
 /// eight 256-bit accumulators per strip.
 const F32_JW: usize = 64;
+/// Input steps [`sparse_row`] compacts per pass, as `u8` offsets into
+/// the pass (so at most 256): every layer of the paper MLP (`k ≤ 256`)
+/// compacts in one pass, and a wider input carries its partial sums
+/// across passes in the output row.
+const ROW_CHUNK: usize = 1 << u8::BITS;
 
 /// A floating-point element the tiled kernels are generic over: `f64`
 /// (training, Grad-CAM, the GRU) and `f32` (the compiled serving
@@ -219,6 +238,47 @@ impl Epilogue {
     }
 }
 
+/// The `k × n` weights of one [`gemm_bias_f32`] layer and whether every
+/// one of them is finite.
+///
+/// The single-row walk skips an exact-zero input step only when the
+/// weights are all finite: `0 · ±inf` and `0 · NaN` are NaN, so a
+/// non-finite weight facing a zero input must still be multiplied in.
+/// A plain `&[f32]` or `&Vec<f32>` converts through `From`, which scans
+/// the weights once; a caller scoring the same weights many times
+/// caches the scan and passes it to [`F32Weights::with_finiteness`], as
+/// the compiled MLP does per layer.
+#[derive(Debug, Clone, Copy)]
+pub struct F32Weights<'a> {
+    values: &'a [f32],
+    all_finite: bool,
+}
+
+impl<'a> F32Weights<'a> {
+    /// Wraps `values` with a cached finiteness scan: `all_finite` must
+    /// equal `values.iter().all(|w| w.is_finite())`. A stale `true`
+    /// lets a zero input hide a non-finite weight (debug builds check).
+    pub fn with_finiteness(values: &'a [f32], all_finite: bool) -> Self {
+        debug_assert_eq!(
+            all_finite,
+            values.iter().all(|w| w.is_finite()),
+            "F32Weights: stale finiteness"
+        );
+        Self { values, all_finite }
+    }
+}
+
+impl<'a, W: AsRef<[f32]> + ?Sized> From<&'a W> for F32Weights<'a> {
+    /// Wraps `values`, scanning them for a NaN or an infinity.
+    fn from(values: &'a W) -> Self {
+        let values = values.as_ref();
+        Self {
+            values,
+            all_finite: values.iter().all(|w| w.is_finite()),
+        }
+    }
+}
+
 /// Scalar lanes per unrolled dot-product step. Sixteen positional
 /// accumulators auto-vectorise into four independent 4-lane SIMD
 /// chains, hiding FMA latency (a single vector accumulator would stall
@@ -320,8 +380,11 @@ fn row<T: Element, const JT: usize>(acc: &mut [T; JT], a: T, rv: &[T; JT]) {
 ///
 /// The eight tile rows are eight named accumulators, each updated by
 /// [`row`], never an array walked by a loop, which LLVM vectorises
-/// across rows with gathers and scatters (see [`F32_JT`]).
-#[inline]
+/// across rows with gathers and scatters (see [`F32_JT`]). Always
+/// inlined, like [`micro_panel_edge`]: [`gemm`] and the fused forward
+/// share the `f64` instance, and out of line each tile would return
+/// through memory.
+#[inline(always)]
 fn micro_panel<T: Element, const JT: usize>(
     steps: usize,
     panel: &[T],
@@ -363,7 +426,7 @@ fn micro_panel<T: Element, const JT: usize>(
 /// scatters). The per-element accumulation order is identical to
 /// [`micro_panel`] (single accumulator, ascending `s`), so edge tiles
 /// keep the bitwise contract.
-#[inline]
+#[inline(always)]
 fn micro_panel_edge<T: Element, const JT: usize>(
     panel: &[T],
     rhs: &[T],
@@ -389,7 +452,8 @@ fn micro_panel_edge<T: Element, const JT: usize>(
     acc
 }
 
-/// `1 × JW` single-row micro-kernel for tail rows and tiny batches:
+/// `1 × JW` single-row micro-kernel for the `f64` tail rows and tiny
+/// batches (the `f32` single rows run [`sparse_row`]):
 /// independent vector accumulators across `JW` columns hide the FMA
 /// latency that a single narrow tile would serialise on. Same
 /// per-element order as [`micro_panel`]: single accumulator, ascending
@@ -425,6 +489,110 @@ fn micro_row_edge<T: Element, const JW: usize>(
         }
     }
     acc
+}
+
+/// Indexed sibling of [`micro_row`] for [`sparse_row`]: `acc[l] =
+/// fma(vals[s], rhs[s·rss + j0 + l], acc[l])` for each kept step `s` in
+/// order, continuing from the partial sums in `zs` (exactly `JW` long)
+/// and storing them back. Every weight row is still a contiguous
+/// `JW`-wide load; only its address comes from `steps`.
+#[inline]
+fn micro_row_steps<T: Element, const JW: usize>(
+    steps: &[u8],
+    vals: &[T],
+    rhs: &[T],
+    rss: usize,
+    j0: usize,
+    zs: &mut [T],
+) {
+    // lint:allow(panic, reason = "infallible: the caller passes exactly JW elements; try_into is a free fixed-width reborrow")
+    let zs: &mut [T; JW] = zs.try_into().expect("micro_row_steps: strip");
+    let mut acc = *zs;
+    for &s in steps {
+        let s = usize::from(s);
+        let av = vals[s];
+        let rv: &[T; JW] = rhs[s * rss + j0..s * rss + j0 + JW]
+            .try_into()
+            // lint:allow(panic, reason = "infallible: the slice is exactly JW long by construction; try_into is a free fixed-width reborrow")
+            .expect("micro_row_steps: tile");
+        for l in 0..JW {
+            acc[l] = av.fma(rv[l], acc[l]);
+        }
+    }
+    *zs = acc;
+}
+
+/// Edge variant of [`micro_row_steps`] for fewer than `JW` remaining
+/// columns (`zs.len()` of them); identical per-element order.
+#[inline]
+fn micro_row_steps_edge<T: Element, const JW: usize>(
+    steps: &[u8],
+    vals: &[T],
+    rhs: &[T],
+    rss: usize,
+    j0: usize,
+    zs: &mut [T],
+) {
+    let jw = zs.len();
+    let mut acc = [T::ZERO; JW];
+    acc[..jw].copy_from_slice(zs);
+    for &s in steps {
+        let s = usize::from(s);
+        let av = vals[s];
+        for (lane, &x) in acc.iter_mut().zip(&rhs[s * rss + j0..s * rss + j0 + jw]) {
+            *lane = av.fma(x, *lane);
+        }
+    }
+    zs.copy_from_slice(&acc[..jw]);
+}
+
+/// One single-row output of the `f32` forward, `zrow = arow · rhs +
+/// bias` for a `arow.len() × n` row-major `rhs`, streaming only the
+/// weight rows whose input step is non-zero (every row when
+/// `skip_zeros` is false).
+///
+/// Each pass compacts up to [`ROW_CHUNK`] steps branch-free into a
+/// stack list of their `u8` offsets: every offset is written, and the
+/// write cursor moves past it only if the step is kept, so a
+/// data-dependent zero costs no mispredicted branch. The `64`-wide
+/// strips then `fma` the kept steps in ascending order into partial
+/// sums that start at `+0` in `zrow`, and the bias is added once at
+/// the end, so each element is the dense chain of [`micro_row`] minus
+/// its exact-zero steps (exact for finite weights; see the module
+/// docs).
+fn sparse_row(
+    arow: &[f32],
+    rhs: &[f32],
+    n: usize,
+    bias: &[f32],
+    zrow: &mut [f32],
+    skip_zeros: bool,
+) {
+    let mut kept_steps = [0u8; ROW_CHUNK];
+    zrow.fill(0.0);
+    for (c, chunk) in arow.chunks(ROW_CHUNK).enumerate() {
+        let mut kept = 0;
+        for (s, &v) in chunk.iter().enumerate() {
+            kept_steps[kept] = s as u8;
+            kept += usize::from(!skip_zeros || v != 0.0);
+        }
+        let steps = &kept_steps[..kept];
+        let rows = &rhs[c * ROW_CHUNK * n..];
+        let mut j0 = 0;
+        while j0 < n {
+            let jw = F32_JW.min(n - j0);
+            let zs = &mut zrow[j0..j0 + jw];
+            if jw == F32_JW {
+                micro_row_steps::<f32, F32_JW>(steps, chunk, rows, n, j0, zs);
+            } else {
+                micro_row_steps_edge::<f32, F32_JW>(steps, chunk, rows, n, j0, zs);
+            }
+            j0 += jw;
+        }
+    }
+    for (z, &b) in zrow.iter_mut().zip(bias) {
+        *z += b;
+    }
 }
 
 /// Walks a `rows × cols` output in register tiles over a packed left
@@ -666,7 +834,25 @@ pub fn gemm_bias_act(
     act: impl Into<Epilogue>,
     scratch: &mut Scratch,
 ) {
-    let act = act.into();
+    // Only the conversion is generic: the tile walk below is compiled
+    // once, here, rather than into every crate that calls this.
+    fused_forward(m, k, n, x, w, bias, z, act_out, act.into(), scratch);
+}
+
+/// The body of [`gemm_bias_act`].
+#[allow(clippy::too_many_arguments)]
+fn fused_forward(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    z: &mut [f64],
+    act_out: &mut [f64],
+    act: Epilogue,
+    scratch: &mut Scratch,
+) {
     assert_eq!(x.len(), m * k, "gemm_bias_act: input length");
     assert_eq!(w.len(), k * n, "gemm_bias_act: weight length");
     assert_eq!(bias.len(), n, "gemm_bias_act: bias length");
@@ -689,31 +875,56 @@ pub fn gemm_bias_act(
 }
 
 /// The compiled serving forward's dense layer in `f32`: `out = x · W +
-/// bias` (bias broadcast over rows). `x` is `m × k`, `w` is `k × n`,
-/// `bias` has length `n`, `out` is `m × n` (fully overwritten), and
-/// `packed` is the caller's pack buffer of exactly `m · k` elements.
-/// The caller applies the activation to `out`.
+/// bias` (bias broadcast over rows). `x` is `m × k`, `w` is `k × n`
+/// (a slice, or an [`F32Weights`] that carries its cached finiteness
+/// scan), `bias` has length `n`, `out` is `m × n` (fully overwritten),
+/// and `packed` is the caller's pack buffer of exactly `m · k`
+/// elements. The caller applies the activation to `out`.
 ///
-/// The same tile walk as [`gemm_bias_act`], instantiated at `f32` and
-/// its `8 × 16` tile. Each output
-/// element is `fma`-accumulated from zero in ascending `k`, then the
-/// bias is added once — so every element depends only on its own row
-/// of `x`, and results are bitwise identical for every batch size.
+/// Full 8-row panels run the same `8 × 16` tile walk as
+/// [`gemm_bias_act`], instantiated at `f32`. The single rows (`m = 1`,
+/// and the `m mod 8` tail rows of a batch) stream only the weight rows
+/// facing a non-zero input when every weight is finite (see the module
+/// docs). Either way each output element is `fma`-accumulated from
+/// `+0` in ascending `k` over the steps it reads, then the bias is
+/// added once — so every element depends only on its own row of `x`,
+/// results are bitwise identical for every batch size, and they equal
+/// the dense fixed-order chain bit for bit, except that an exactly-zero
+/// result reached through an underflow may carry the other sign.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the dimensions.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_bias_f32(
+pub fn gemm_bias_f32<'w>(
     m: usize,
     k: usize,
     n: usize,
     x: &[f32],
-    w: &[f32],
+    w: impl Into<F32Weights<'w>>,
     bias: &[f32],
     out: &mut [f32],
     packed: &mut [f32],
 ) {
+    fused_f32(m, k, n, x, w.into(), bias, out, packed);
+}
+
+/// The body of [`gemm_bias_f32`].
+#[allow(clippy::too_many_arguments)]
+fn fused_f32(
+    m: usize,
+    k: usize,
+    n: usize,
+    x: &[f32],
+    w: F32Weights<'_>,
+    bias: &[f32],
+    out: &mut [f32],
+    packed: &mut [f32],
+) {
+    let F32Weights {
+        values: w,
+        all_finite,
+    } = w;
     assert_eq!(x.len(), m * k, "gemm_bias_f32: input length");
     assert_eq!(w.len(), k * n, "gemm_bias_f32: weight length");
     assert_eq!(bias.len(), n, "gemm_bias_f32: bias length");
@@ -728,8 +939,17 @@ pub fn gemm_bias_f32(
         }
         return;
     }
-    pack_panels(m, k, x, k, 1, packed);
-    fused_rows::<f32, F32_JT, F32_JW>(k, m, n, packed, w, bias, out);
+    let full = m - m % IT;
+    let panels = &mut packed[..full * k];
+    pack_panels(full, k, x, k, 1, panels);
+    let (panel_out, tail_out) = out.split_at_mut(full * n);
+    fused_rows::<f32, F32_JT, F32_JW>(k, full, n, panels, w, bias, panel_out);
+    for (arow, zrow) in x[full * k..]
+        .chunks_exact(k)
+        .zip(tail_out.chunks_exact_mut(n))
+    {
+        sparse_row(arow, w, n, bias, zrow, all_finite);
+    }
 }
 
 /// Matrix–vector product through the unrolled dot kernel: `out[i] =

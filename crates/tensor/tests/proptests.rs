@@ -370,3 +370,96 @@ proptest! {
         }
     }
 }
+
+/// Strategy: a ReLU-sparse `f32` dense-layer case `(q, k, n, x, w,
+/// bias)` for the single-row zero skipping. `x` is `(8q + 7) × k`, so
+/// every prefix `m = 8q + r` (each tail remainder `r`) and `m = 1` can be
+/// scored from it. About half of `x` is `±0.0`, one whole row and one
+/// whole column are zeroed, and a quarter of the cases have `k` past
+/// one 256-step compaction pass. In three cases out of four one weight
+/// row is `+inf`, `-inf` or NaN, and half the time that row faces the
+/// zeroed column, so only dense scoring can reproduce its NaNs.
+#[allow(clippy::type_complexity)]
+fn f32_sparse_case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+    (
+        0usize..=4,
+        (0u8..4, 0usize..=20, 250usize..=530),
+        (0usize..=15, 1usize..=5, 0u8..3),
+    )
+        .prop_flat_map(|(q, (wide, small_k, big_k), (narrow, tiles, pick))| {
+            let rows = 8 * q + 7;
+            let k = if wide == 0 { big_k } else { small_k };
+            let n = match pick {
+                0 => narrow,
+                1 => 16 * tiles,
+                _ => 16 * tiles + narrow,
+            };
+            let x = prop::collection::vec((-100.0f64..100.0, 0u8..4), rows * k);
+            let w = prop::collection::vec((-100.0f64..100.0).prop_map(|v| v as f32), k * n);
+            let bias = prop::collection::vec((-100.0f64..100.0).prop_map(|v| v as f32), n);
+            let holes = (0..rows, 0..=k, (0u8..4, 0..=k, 0u8..2));
+            (x, w, bias, holes).prop_map(
+                move |(x, mut w, bias, (zero_row, zero_col, (bad, bad_row, facing)))| {
+                    let mut x: Vec<f32> = x
+                        .into_iter()
+                        .map(|(v, z)| match z {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => v as f32,
+                        })
+                        .collect();
+                    if k > 0 {
+                        x[zero_row * k..(zero_row + 1) * k].fill(0.0);
+                    }
+                    if zero_col < k {
+                        for row in x.chunks_exact_mut(k) {
+                            row[zero_col] = -0.0;
+                        }
+                    }
+                    let bad_row = if facing == 1 && zero_col < k {
+                        zero_col
+                    } else {
+                        bad_row
+                    };
+                    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+                    if bad > 0 && bad_row < k {
+                        w[bad_row * n..(bad_row + 1) * n].fill(poison[usize::from(bad - 1)]);
+                    }
+                    (q, k, n, x, w, bias)
+                },
+            )
+        })
+}
+
+proptest! {
+    #[test]
+    fn f32_sparse_forward_matches_the_dense_oracle_bitwise(
+        (q, k, n, x, w, bias) in f32_sparse_case()
+    ) {
+        // Skipping the exact-zero steps of a single row must leave every
+        // element bitwise equal to the dense fixed-order fma chain, and a
+        // non-finite weight row facing a zero input must still poison
+        // its columns. The pack and output buffers start NaN, so a read
+        // of anything not written turns a result NaN.
+        for m in (1..=1).chain(8 * q..8 * q + 8) {
+            let x = &x[..m * k];
+            let mut out = vec![f32::NAN; m * n];
+            let mut packed = vec![f32::NAN; m * k];
+            kernels::gemm_bias_f32(m, k, n, x, &w, &bias, &mut out, &mut packed);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for s in 0..k {
+                        acc = x[i * k + s].mul_add(w[s * n + j], acc);
+                    }
+                    let want = acc + bias[j];
+                    prop_assert_eq!(
+                        out[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "m {}, ({}, {})", m, i, j
+                    );
+                }
+            }
+        }
+    }
+}
