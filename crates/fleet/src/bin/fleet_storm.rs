@@ -15,6 +15,10 @@
 //!   NACKs) while the *other* tenants' storm p99 stays within 2× of
 //!   their unloaded baseline (with an absolute floor for noisy CI).
 //!
+//! The sensors run on the `occusense_wire::storm` engine, swept by two
+//! driver threads; this binary adds placement through the controller,
+//! re-placement onto a survivor when a connection dies, and the kill.
+//!
 //! ```text
 //! cargo run --release -p occusense-fleet --bin fleet_storm -- \
 //!     --tenants 3 --procs 4 --kill-one --verify --json soak.json
@@ -22,7 +26,7 @@
 
 use occusense_core::detector::OccupancyDetector;
 use occusense_core::persist::{checkpoint_path, save_detector_atomic, QUARANTINE_SUFFIX};
-use occusense_dataset::{CsiRecord, FeatureView};
+use occusense_dataset::FeatureView;
 use occusense_driver::{obj, percentile, CliError, Parser, Usage, Value, Verdict};
 use occusense_fleet::{
     bootstrap_detector, FleetConfig, FleetController, FleetReport, PlaceError, SloBudget,
@@ -30,14 +34,14 @@ use occusense_fleet::{
 };
 use occusense_serve::{BackpressurePolicy, ServeReport};
 use occusense_sim::{FleetScenario, BASELINE_SENSOR};
-use occusense_wire::{
-    tcp_connect, ClientEvent, NackReason, PredictionFrame, TcpConfig, WireClient, WireError,
+use occusense_wire::storm::{
+    self, Dial, Dialer, Reference, SensorPlan, SensorRun, StormConfig, Tally,
 };
+use occusense_wire::{tcp_connect, TcpConfig, WireClient, WireError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "fleet_storm — multi-tenant chaos driver for the occusense fleet
@@ -126,352 +130,123 @@ fn parse_cli(p: &mut Parser) -> Result<Args, CliError> {
     Ok(args)
 }
 
-/// How one booked record resolved. Exactly-once means every slot ends
-/// in exactly one of the three resolved states.
-enum Slot {
-    /// Never sent (a sensor that gave up mid-stream leaves these).
-    Unsent,
-    /// Sent, resolution still owed — non-empty at the end means the
-    /// fleet *lost* the record.
-    Pending,
-    /// Scored; the frame is kept for the bitwise replay.
-    Pred(PredictionFrame),
-    /// Refused with a QueueFull/Shutdown NACK (the load-shed lane).
-    Nacked,
-    /// In flight to a worker that died; re-booked as fleet shed.
-    Rebooked,
+/// Most dials one sensor gets (placements, connects and handshakes).
+const MAX_DIALS: u32 = 40;
+
+/// Driver threads sweeping the storm's sensors.
+const STORM_DRIVERS: usize = 2;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// What one sensor thread brings home.
-struct SensorOutcome {
-    tenant: usize,
-    sensor: usize,
-    records: Vec<CsiRecord>,
-    slots: Vec<Slot>,
-    /// Enqueue→prediction round trips, ns (scored records only).
-    rtts: Vec<u64>,
-    reconnects: u64,
-    duplicates: u64,
-    admission_shed: bool,
-    errors: Vec<String>,
+/// Places each sensor through the controller and connects it to the
+/// owning worker's gateway; a lost connection re-places the sensor
+/// onto a survivor.
+struct FleetDialer<'a> {
+    ctrl: &'a Mutex<FleetController>,
+    /// Live connections per worker: the kill picks the busiest.
+    worker_load: &'a Mutex<BTreeMap<String, i64>>,
 }
 
-enum PumpEnd {
-    /// Clean goodbye exchange, every booked record resolved.
-    Done,
-    /// The connection died; `pending` holds the unresolved bookings.
-    ConnDead(String),
-}
-
-/// How long one `recv` waits before the stall clock is checked.
-const RECV_WAIT: Duration = Duration::from_millis(50);
-
-/// Drives one connection's windowed send/recv pump until either the
-/// goodbye exchange completes or the connection dies. Single-threaded:
-/// the client reads on every send, and the in-flight window stays far
-/// below every queue capacity.
-#[allow(clippy::too_many_arguments)]
-fn pump(
-    client: &mut WireClient,
-    records: &[CsiRecord],
-    next: &mut usize,
-    slots: &mut [Slot],
-    pending: &mut BTreeMap<u64, (usize, Instant)>,
-    rtts: &mut Vec<u64>,
-    duplicates: &mut u64,
-    window: usize,
-    progress: &AtomicU64,
-) -> PumpEnd {
-    let stall_limit = Duration::from_secs(15);
-    let mut last_event = Instant::now();
-    let mut finished = false;
-    loop {
-        if !finished {
-            while pending.len() < window && *next < records.len() {
-                let Some(record) = records.get(*next) else {
-                    break;
-                };
-                match client.send(*record, None) {
-                    Ok(seq) => {
-                        pending.insert(seq, (*next, Instant::now()));
-                        if let Some(slot) = slots.get_mut(*next) {
-                            *slot = Slot::Pending;
-                        }
-                        *next += 1;
-                    }
-                    Err(e) => return PumpEnd::ConnDead(format!("send: {e}")),
-                }
-            }
-            if *next >= records.len() && pending.is_empty() {
-                if let Err(e) = client.finish() {
-                    return PumpEnd::ConnDead(format!("goodbye: {e}"));
-                }
-                finished = true;
-            }
-        }
-        match client.recv(RECV_WAIT) {
-            Ok(ClientEvent::Prediction(p)) => {
-                last_event = Instant::now();
-                match pending.remove(&p.seq) {
-                    Some((idx, t0)) => {
-                        rtts.push(t0.elapsed().as_nanos() as u64);
-                        if let Some(slot) = slots.get_mut(idx) {
-                            *slot = Slot::Pred(p);
-                        }
-                        progress.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => *duplicates += 1,
-                }
-            }
-            Ok(ClientEvent::Nack(n)) => {
-                last_event = Instant::now();
-                match n.reason {
-                    NackReason::QueueFull | NackReason::Shutdown => match pending.remove(&n.seq) {
-                        Some((idx, _)) => {
-                            if let Some(slot) = slots.get_mut(idx) {
-                                *slot = Slot::Nacked;
-                            }
-                            progress.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => *duplicates += 1,
-                    },
-                    reason => {
-                        return PumpEnd::ConnDead(format!("fatal NACK: {reason}"));
-                    }
-                }
-            }
-            Ok(ClientEvent::Goodbye(_)) => {
-                if finished && pending.is_empty() {
-                    return PumpEnd::Done;
-                }
-                return PumpEnd::ConnDead("server goodbye with bookings open".to_string());
-            }
-            Ok(ClientEvent::Closed) => {
-                if finished && pending.is_empty() {
-                    // The goodbye exchange raced the socket close;
-                    // every booking is resolved, which is what counts.
-                    return PumpEnd::Done;
-                }
-                return PumpEnd::ConnDead("connection closed".to_string());
-            }
-            Ok(ClientEvent::TimedOut) => {
-                if last_event.elapsed() > stall_limit {
-                    return PumpEnd::ConnDead("receiver stalled past the 15 s limit".to_string());
-                }
-            }
-            Err(e) => return PumpEnd::ConnDead(format!("receive: {e}")),
-        }
-    }
-}
-
-/// One sensor's whole life: place → connect → pump, re-booking
-/// in-flight records as shed and re-placing onto a survivor whenever
-/// the connection (or its worker) dies.
-#[allow(clippy::too_many_arguments)]
-fn drive_sensor(
-    tenant_idx: usize,
-    tenant_id: &str,
-    sensor_idx: usize,
-    records: Vec<CsiRecord>,
-    ctrl: &Arc<Mutex<FleetController>>,
-    worker_load: &Arc<Mutex<BTreeMap<String, i64>>>,
-    window: usize,
-    progress: &Arc<AtomicU64>,
-) -> SensorOutcome {
-    let sensor_name = format!("s{sensor_idx}");
-    let mut outcome = SensorOutcome {
-        tenant: tenant_idx,
-        sensor: sensor_idx,
-        slots: records.iter().map(|_| Slot::Unsent).collect(),
-        records,
-        rtts: Vec::new(),
-        reconnects: 0,
-        duplicates: 0,
-        admission_shed: false,
-        errors: Vec::new(),
-    };
-    let mut next = 0usize;
-    let mut had_conn = false;
-    let mut attempts = 0u32;
-    let max_attempts = 40;
-    loop {
-        attempts += 1;
-        if attempts > max_attempts {
-            outcome
-                .errors
-                .push(format!("gave up after {max_attempts} placement attempts"));
-            return outcome;
+impl Dialer for FleetDialer<'_> {
+    fn dial(&self, plan: &SensorPlan, attempt: u32) -> Dial {
+        if attempt > MAX_DIALS {
+            return Dial::Fail(format!("gave up after {MAX_DIALS} placement attempts"));
         }
         let placement = {
-            let mut c = ctrl.lock().unwrap_or_else(|p| p.into_inner());
-            if had_conn {
+            let mut c = lock(self.ctrl);
+            if attempt > 1 {
                 // A dead connection usually means a dead worker; sweep
                 // so the ring stops routing to it before re-placing.
                 c.poll();
             }
-            match c.place(tenant_id, &sensor_name) {
+            match c.place(&plan.tenant, &plan.sensor) {
                 Ok(p) => p,
-                Err(PlaceError::Saturated { .. }) => {
-                    outcome.admission_shed = true;
-                    return outcome;
-                }
-                Err(PlaceError::NoWorkers) => {
-                    drop(c);
-                    std::thread::sleep(Duration::from_millis(100));
-                    continue;
-                }
-                Err(e) => {
-                    outcome.errors.push(format!("place: {e}"));
-                    return outcome;
-                }
+                Err(PlaceError::Saturated { .. }) => return Dial::Shed,
+                Err(PlaceError::NoWorkers) => return Dial::Retry(Duration::from_millis(100)),
+                Err(e) => return Dial::Fail(format!("place: {e}")),
             }
         };
-        let conn = match tcp_connect(&placement.addr, TcpConfig::default()) {
-            Ok(conn) => conn,
-            Err(_) => {
-                // The addr belongs to a worker that died between the
-                // sweep and the dial; next attempt re-routes.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
+        // A failed dial means the worker died between the sweep and
+        // the dial; the next attempt re-routes.
+        let opened = tcp_connect(&placement.addr, TcpConfig::default())
+            .map_err(WireError::Transport)
+            .and_then(|conn| WireClient::open(conn, &plan.tenant, &plan.sensor));
+        let Ok(client) = opened else {
+            return Dial::Retry(Duration::from_millis(50));
         };
-        let mut client =
-            match WireClient::connect(conn, tenant_id, &sensor_name, Duration::from_secs(10)) {
-                Ok(client) => client,
-                Err(WireError::Refused(NackReason::Shutdown)) => {
-                    // Draining gateway: retryable by contract.
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-            };
-        if had_conn {
-            outcome.reconnects += 1;
-        }
-        had_conn = true;
-        {
-            let mut load = worker_load.lock().unwrap_or_else(|p| p.into_inner());
-            *load.entry(placement.worker.clone()).or_default() += 1;
-        }
-        let mut pending: BTreeMap<u64, (usize, Instant)> = BTreeMap::new();
-        let end = pump(
-            &mut client,
-            &outcome.records,
-            &mut next,
-            &mut outcome.slots,
-            &mut pending,
-            &mut outcome.rtts,
-            &mut outcome.duplicates,
-            window,
-            progress,
-        );
-        {
-            let mut load = worker_load.lock().unwrap_or_else(|p| p.into_inner());
-            *load.entry(placement.worker.clone()).or_default() -= 1;
-        }
+        *lock(self.worker_load)
+            .entry(placement.worker.clone())
+            .or_default() += 1;
+        Dial::Open(client, placement.worker)
+    }
+
+    fn hang_up(&self, plan: &SensorPlan, via: &str, end: Result<(), &str>) -> bool {
+        *lock(self.worker_load).entry(via.to_string()).or_default() -= 1;
         match end {
-            PumpEnd::Done => {
-                let mut c = ctrl.lock().unwrap_or_else(|p| p.into_inner());
-                c.release(tenant_id, &sensor_name);
-                return outcome;
+            Ok(()) => {
+                lock(self.ctrl).release(&plan.tenant, &plan.sensor);
+                false
             }
-            PumpEnd::ConnDead(why) => {
+            Err(why) => {
                 // Exactly-once under chaos: whatever was in flight to
-                // the dead worker can never resolve there, so re-book
-                // it as fleet shed and stream the rest elsewhere.
-                for (_, (idx, _)) in pending {
-                    if let Some(slot) = outcome.slots.get_mut(idx) {
-                        *slot = Slot::Rebooked;
-                    }
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
+                // the dead worker can never resolve there, so it is
+                // re-booked as fleet shed and the rest streams
+                // elsewhere.
                 eprintln!(
-                    "{tenant_id}/{sensor_name}: connection to {} lost ({why}); re-routing",
-                    placement.worker
+                    "{}: connection to {via} lost ({why}); re-routing",
+                    plan.name()
                 );
+                true
             }
         }
     }
 }
 
-/// Per-tenant latency verdict inputs.
-struct TenantLatency {
-    baseline_p99_ns: u64,
-    storm_p99_ns: u64,
+/// The p99 round trip, ns, over tenant `t`'s sensors in `runs`.
+fn p99(runs: &[SensorRun], t: usize) -> u64 {
+    let tenant = runs.iter().filter(|r| r.plan.model == t);
+    let mut rtts: Vec<u64> = tenant.flat_map(|r| r.rtts.iter().copied()).collect();
+    rtts.sort_unstable();
+    percentile(&rtts, 99.0)
 }
 
 /// The `--verify` verdict over the whole run.
 #[allow(clippy::too_many_arguments)]
 fn verify(
     args: &Args,
-    outcomes: &[SensorOutcome],
+    baseline: &[SensorRun],
+    runs: &[SensorRun],
     detectors: &[OccupancyDetector],
     report: &FleetReport,
-    latencies: &BTreeMap<usize, TenantLatency>,
+    latencies: &BTreeMap<usize, (u64, u64)>,
     polluted: &std::path::Path,
     quarantined: &std::path::Path,
     kill_happened: bool,
     verdict: &mut Verdict,
 ) {
+    // Every booked seq of every sensor resolves exactly once and
+    // bitwise as its own tenant's model scores it, whatever its
+    // placement outcome; only a shed sensor's never-sent seqs are
+    // exempt.
+    for phase in [baseline, runs] {
+        storm::verify(phase, &Reference::Frame(detectors), verdict);
+    }
     let mut shed_by_tenant: BTreeMap<usize, u64> = BTreeMap::new();
     let mut nacked_t0 = 0u64;
     let mut reconnects = 0u64;
-    for o in outcomes {
-        let who = format!("tenant-{}/s{}", o.tenant, o.sensor);
-        for e in &o.errors {
-            verdict.fail(format!("{who}: {e}"));
+    for run in baseline.iter().chain(runs) {
+        for e in &run.errors {
+            verdict.fail(format!("{}: {e}", run.plan.name()));
         }
-        reconnects += o.reconnects;
-        if o.admission_shed {
-            *shed_by_tenant.entry(o.tenant).or_default() += 1;
-            continue;
+        reconnects += run.reconnects;
+        if run.shed {
+            *shed_by_tenant.entry(run.plan.model).or_default() += 1;
         }
-        verdict.check(o.duplicates == 0, || {
-            format!("{who}: {} records resolved twice", o.duplicates)
-        });
-        let mut unsent = 0u64;
-        let mut unresolved = 0u64;
-        for (idx, slot) in o.slots.iter().enumerate() {
-            match slot {
-                Slot::Unsent => unsent += 1,
-                Slot::Pending => unresolved += 1,
-                Slot::Nacked => {
-                    if o.tenant == 0 {
-                        nacked_t0 += 1;
-                    }
-                }
-                Slot::Rebooked => {}
-                Slot::Pred(p) => {
-                    let Some(record) = o.records.get(idx) else {
-                        continue;
-                    };
-                    let Some(detector) = detectors.get(o.tenant) else {
-                        continue;
-                    };
-                    let (occupied, proba) = detector.predict_record(record);
-                    let (wire, own) = (p.proba.to_bits(), proba.to_bits());
-                    verdict.check(p.occupied == occupied && wire == own, || {
-                        let o = p.occupied;
-                        format!("{who} seq {idx}: wire ({o}, {wire:#018x}) != tenant model ({occupied}, {own:#018x})")
-                    });
-                    verdict.check(p.model_version == 1, || {
-                        format!(
-                            "{who} seq {idx}: scored by v{} (online training is off)",
-                            p.model_version
-                        )
-                    });
-                }
-            }
+        if run.plan.model == 0 {
+            nacked_t0 += Tally::of([run]).nacked;
         }
-        verdict.check(unsent == 0, || {
-            format!("{who}: {unsent} records never sent")
-        });
-        verdict.check(unresolved == 0, || {
-            format!("{who}: {unresolved} records sent but never resolved")
-        });
     }
     // The saturated tenant must actually saturate, both at admission
     // and at the ingress queue; everyone else must be untouched.
@@ -494,14 +269,14 @@ fn verify(
     verdict.check(unaccounted == 0, || {
         format!("fleet residue open: {unaccounted} records unaccounted")
     });
-    for (&tenant, lat) in latencies {
-        let budget = (2 * lat.baseline_p99_ns).max(args.p99_floor_ms * 1_000_000);
-        verdict.check(lat.storm_p99_ns <= budget, || {
+    for (&tenant, &(baseline, storm)) in latencies {
+        let budget = (2 * baseline).max(args.p99_floor_ms * 1_000_000);
+        verdict.check(storm <= budget, || {
             format!(
                 "tenant-{tenant}: storm p99 {:.2} ms over budget {:.2} ms (baseline {:.2} ms)",
-                lat.storm_p99_ns as f64 / 1e6,
+                storm as f64 / 1e6,
                 budget as f64 / 1e6,
-                lat.baseline_p99_ns as f64 / 1e6
+                baseline as f64 / 1e6
             )
         });
     }
@@ -597,52 +372,41 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let controller =
         FleetController::launch(args.fleet.clone(), registry).unwrap_or_else(|e| cli.abort(e));
-    let ctrl = Arc::new(Mutex::new(controller));
-    let worker_load: Arc<Mutex<BTreeMap<String, i64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let progress = Arc::new(AtomicU64::new(0));
+    let ctrl = Mutex::new(controller);
+    let worker_load = Mutex::new(BTreeMap::new());
+    let dialer = FleetDialer {
+        ctrl: &ctrl,
+        worker_load: &worker_load,
+    };
+    let lone = StormConfig {
+        drivers: 1,
+        wire_batch: 1,
+        window: args.window,
+    };
 
     // Unloaded baseline: one lone sensor per non-saturated tenant,
-    // same pump and window as the storm, before any load exists.
-    let mut latencies: BTreeMap<usize, TenantLatency> = BTreeMap::new();
-    let mut baseline_outcomes: Vec<SensorOutcome> = Vec::new();
+    // same driver and window as the storm, before any load exists.
+    let mut baseline: Vec<SensorRun> = Vec::new();
     for t in 1..args.tenants {
-        let tenant = format!("tenant-{t}");
-        let records: Vec<CsiRecord> = scenario
-            .baseline_stream(t, args.baseline_records)
-            .take(args.baseline_records)
-            .collect();
-        let mut outcome = drive_sensor(
-            t,
-            &tenant,
-            BASELINE_SENSOR as usize,
-            records,
-            &ctrl,
-            &worker_load,
-            args.window,
-            &progress,
-        );
-        outcome.rtts.sort_unstable();
-        let p99 = percentile(&outcome.rtts, 99.0);
+        let plan = SensorPlan {
+            tenant: format!("tenant-{t}"),
+            sensor: format!("s{BASELINE_SENSOR}"),
+            model: t,
+            records: scenario
+                .baseline_stream(t, args.baseline_records)
+                .take(args.baseline_records)
+                .collect(),
+        };
+        baseline.append(&mut storm::run(vec![plan], &lone, &dialer, |_| ()).0);
         eprintln!(
-            "{tenant} unloaded baseline: p99 {:.2} ms over {} records",
-            p99 as f64 / 1e6,
-            outcome.rtts.len()
+            "tenant-{t} unloaded baseline: p99 {:.2} ms over {} records",
+            p99(&baseline, t) as f64 / 1e6,
+            args.baseline_records
         );
-        latencies.insert(
-            t,
-            TenantLatency {
-                baseline_p99_ns: p99,
-                storm_p99_ns: 0,
-            },
-        );
-        baseline_outcomes.push(outcome);
     }
     // Baseline placements were released; reset the load map so victim
     // choice reflects storm placements only.
-    worker_load
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clear();
+    lock(&worker_load).clear();
 
     eprintln!(
         "storming: {} tenants × {} sensors × {} records (window {}), tenant-0 saturated{}",
@@ -656,133 +420,84 @@ fn main() -> ExitCode {
             ""
         }
     );
-    // Every sensor's replay source is materialised *before* the first
-    // thread spawns: sensors must hit the fleet simultaneously, or
-    // tenant-0's early sensors finish and release their admission
-    // slots before the late ones even ask (no saturation), and the
-    // mid-storm kill fires into an already-drained fleet.
-    let storm_records: Vec<((usize, usize), Vec<CsiRecord>)> = (0..args.tenants)
+    // Every sensor's replay source is materialised before the drivers
+    // start, and every sensor dials in their first sweep: sensors must
+    // hit the fleet simultaneously, or tenant-0's early sensors finish
+    // and release their admission slots before the late ones even ask
+    // (no saturation), and the mid-storm kill fires into an
+    // already-drained fleet.
+    let plans: Vec<SensorPlan> = (0..args.tenants)
         .flat_map(|t| (0..args.sensors).map(move |s| (t, s)))
-        .map(|(t, s)| {
-            let records = scenario
+        .map(|(t, s)| SensorPlan {
+            tenant: format!("tenant-{t}"),
+            sensor: format!("s{s}"),
+            model: t,
+            records: scenario
                 .sensor_stream(t, s as u64)
                 .take(args.records)
-                .collect();
-            ((t, s), records)
+                .collect(),
         })
         .collect();
-    let handles: Vec<std::thread::JoinHandle<SensorOutcome>> = storm_records
-        .into_iter()
-        .map(|((t, s), records)| {
-            let ctrl = Arc::clone(&ctrl);
-            let worker_load = Arc::clone(&worker_load);
-            let progress = Arc::clone(&progress);
-            let window = args.window;
-            std::thread::Builder::new()
-                .name(format!("storm-t{t}-s{s}"))
-                .spawn(move || {
-                    let tenant = format!("tenant-{t}");
-                    drive_sensor(
-                        t,
-                        &tenant,
-                        s,
-                        records,
-                        &ctrl,
-                        &worker_load,
-                        window,
-                        &progress,
-                    )
-                })
-                .expect("spawn sensor thread")
-        })
-        .collect();
-
-    // The chaos lever: once ~25% of the optimistic resolution total is
-    // in, SIGKILL the worker carrying the most live connections — its
-    // sensors must re-book their in-flight records as shed and re-place
-    // onto survivors.
-    let mut kill_happened = false;
-    if args.kill_one {
-        let optimistic = (args.tenants * args.sensors * args.records) as u64;
-        let trigger = (optimistic / 4).max(1);
-        let deadline = Instant::now() + Duration::from_secs(300);
-        while progress.load(Ordering::Relaxed) < trigger && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+    let config = StormConfig {
+        drivers: STORM_DRIVERS,
+        ..lone
+    };
+    let (runs, kill_happened) = storm::run(plans, &config, &dialer, |progress| {
+        // The chaos lever: once ~25% of the records have resolved,
+        // SIGKILL the worker carrying the most live connections — its
+        // sensors must re-book their in-flight records as shed and
+        // re-place onto survivors.
+        if !args.kill_one {
+            return false;
         }
-        let victim = {
-            let load = worker_load.lock().unwrap_or_else(|p| p.into_inner());
-            load.iter()
-                .filter(|&(_, &n)| n > 0)
-                .max_by_key(|&(_, &n)| n)
-                .map(|(name, _)| name.clone())
-        };
-        if let Some(victim) = victim {
+        progress.wait_for(0.25, Duration::from_secs(300));
+        let victim = lock(&worker_load)
+            .iter()
+            .filter(|&(_, &n)| n > 0)
+            .max_by_key(|&(_, &n)| n)
+            .map(|(name, _)| name.clone());
+        let killed = victim.is_some_and(|victim| {
             let index: usize = victim
                 .strip_prefix("worker-")
                 .and_then(|n| n.parse().ok())
                 .unwrap_or(0);
-            let mut c = ctrl.lock().unwrap_or_else(|p| p.into_inner());
-            if c.kill_worker(index) {
-                kill_happened = true;
-                eprintln!(
-                    "killed {victim} after {} resolutions",
-                    progress.load(Ordering::Relaxed)
-                );
+            let killed = lock(&ctrl).kill_worker(index);
+            if killed {
+                eprintln!("killed {victim} after {} resolutions", progress.resolved());
             }
-        }
-        if !kill_happened {
+            killed
+        });
+        if !killed {
             eprintln!("fleet_storm: no live loaded worker found to kill");
         }
-    }
+        killed
+    });
 
-    let mut outcomes: Vec<SensorOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("sensor thread panicked"))
+    // Baseline and storm p99 per non-saturated tenant.
+    let latencies: BTreeMap<usize, (u64, u64)> = (1..args.tenants)
+        .map(|t| (t, (p99(&baseline, t), p99(&runs, t))))
         .collect();
-    outcomes.sort_by_key(|o| (o.tenant, o.sensor));
 
-    // Storm p99 per non-saturated tenant.
-    for t in 1..args.tenants {
-        let mut rtts: Vec<u64> = outcomes
-            .iter()
-            .filter(|o| o.tenant == t)
-            .flat_map(|o| o.rtts.iter().copied())
-            .collect();
-        rtts.sort_unstable();
-        if let Some(lat) = latencies.get_mut(&t) {
-            lat.storm_p99_ns = percentile(&rtts, 99.0);
-        }
-    }
-
-    let controller = Arc::try_unwrap(ctrl)
-        .unwrap_or_else(|_| panic!("sensor threads joined but controller still shared"))
+    let mut report = ctrl
         .into_inner()
-        .unwrap_or_else(|p| p.into_inner());
-    let mut report = controller.shutdown();
+        .unwrap_or_else(|p| p.into_inner())
+        .shutdown();
     let wall = started.elapsed();
 
     // Client-side chaos bookkeeping onto the roll-up: re-booked sheds
     // resolve their records; anything still pending is lost.
     // (`shutdown` leaves both lanes at zero for the caller to fill.)
-    for slot in outcomes
-        .iter()
-        .chain(&baseline_outcomes)
-        .flat_map(|o| &o.slots)
-    {
-        match slot {
-            Slot::Rebooked => report.rebooked_shed += 1,
-            Slot::Pending => report.unresolved_records += 1,
-            _ => {}
-        }
-    }
+    let booking = Tally::of(baseline.iter().chain(&runs));
+    report.rebooked_shed = booking.rebooked;
+    report.unresolved_records = booking.unresolved;
 
     println!("\n=== fleet_storm report ===");
     print!("{report}");
-    for (t, lat) in &latencies {
+    for (t, (baseline, storm)) in &latencies {
         println!(
             "tenant-{t} p99: baseline {:.2} ms → storm {:.2} ms",
-            lat.baseline_p99_ns as f64 / 1e6,
-            lat.storm_p99_ns as f64 / 1e6
+            *baseline as f64 / 1e6,
+            *storm as f64 / 1e6
         );
     }
     println!("fleet wall time {wall:.2?}");
@@ -791,7 +506,8 @@ fn main() -> ExitCode {
     if args.verify {
         verify(
             &args,
-            &outcomes,
+            &baseline,
+            &runs,
             &detectors,
             &report,
             &latencies,
@@ -800,11 +516,6 @@ fn main() -> ExitCode {
             kill_happened,
             &mut verdict,
         );
-        for o in &baseline_outcomes {
-            for e in &o.errors {
-                verdict.fail(format!("baseline tenant-{}: {e}", o.tenant));
-            }
-        }
     }
 
     if let Some(path) = &args.json {
@@ -817,9 +528,7 @@ fn main() -> ExitCode {
             let reports = roll.map_or(Vec::new(), |r| {
                 r.reports.iter().map(ServeReport::to_json).collect()
             });
-            let (base_p99, storm_p99) = latencies
-                .get(&t)
-                .map_or((0, 0), |l| (l.baseline_p99_ns, l.storm_p99_ns));
+            let (base_p99, storm_p99) = latencies.get(&t).copied().unwrap_or_default();
             obj([
                 ("tenant", tenant.into()),
                 ("served", served.into()),
@@ -848,6 +557,7 @@ fn main() -> ExitCode {
             ("unresolved_records", report.unresolved_records.into()),
             ("truncated_reports", report.truncated_reports.into()),
             ("unaccounted", report.unaccounted_records().into()),
+            ("booking", booking.to_json()),
             ("per_tenant", Value::Array(per_tenant.collect())),
         ]);
         verdict.write_summary(path, summary);

@@ -13,9 +13,11 @@
 //! queue is full.
 //!
 //! A driver thread can sweep thousands of clients with `pump` +
-//! [`next_event`](WireClient::next_event) (`wire_storm` does);
-//! [`connect`](WireClient::connect) and [`recv`](WireClient::recv) are
-//! the blocking conveniences for tests, benches and one-sensor tools.
+//! [`next_event`](WireClient::next_event); the storm engine
+//! ([`storm::run`](crate::storm::run)), which both load drivers run on,
+//! does. [`connect`](WireClient::connect) and [`recv`](WireClient::recv)
+//! are the blocking conveniences for tests, benches and one-sensor
+//! tools.
 
 use crate::codec::{
     decode_payload, BatchFrame, Frame, Goodbye, Hello, NackFrame, PredictionFrame, RecordFrame,

@@ -31,9 +31,13 @@
 //! * [`client`] — the sensor-side [`WireClient`]: one non-blocking
 //!   connection that sends, pumps and queues server events, with a
 //!   blocking `connect`/`recv` for tests and benches.
+//! * [`storm`] — the load-driver engine: a per-seq booking table per
+//!   sensor, a non-blocking sweep driver over many clients, and the
+//!   bitwise verifier against in-process scoring.
 //!
-//! The `wire_storm` binary replays simulated sensor fleets over either
-//! transport and self-verifies the delivered predictions bitwise
+//! The `wire_storm` binary (and `occusense-fleet`'s `fleet_storm`)
+//! replays simulated sensor fleets through that engine, over either
+//! transport, and self-verifies every delivered prediction bitwise
 //! against direct in-process scoring.
 
 #![deny(missing_docs)]
@@ -45,6 +49,7 @@ pub mod frame;
 pub mod gateway;
 pub mod pipe;
 pub mod reactor;
+pub mod storm;
 pub mod transport;
 
 pub use client::{ClientEvent, WireClient};
